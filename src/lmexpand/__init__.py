@@ -15,7 +15,6 @@ from .expansion import (
     expand_model,
     expand_with_embeddings,
     extract_oos_words,
-    full_vocab_prob,
     synthesize_vector,
 )
 from .ngram import NgramModel, export_arpa, import_arpa, ngram_perplexity, train_kn
@@ -41,6 +40,7 @@ from .rnnlm import (
     load_checkpoint,
     perplexity,
     save_checkpoint,
+    score_ids,
     score_sentence,
     train_bptt,
     zero_state,

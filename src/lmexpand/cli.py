@@ -53,9 +53,6 @@ def _cmd_train_lm(args) -> int:
 def _cmd_ppl(args) -> int:
     model = rnnlm.load_checkpoint(args.model)
     corpus = vocab.load_corpus(args.text)
-    if args.unk_mode == "shortlist" and args.arpa is None and args.full_vocab is None:
-        print(f"perplexity: {rnnlm.corpus_perplexity(model, corpus):.4f}")
-        return 0
     full_vocab = (
         vocab.Vocabulary.load(args.full_vocab) if args.full_vocab else model.vocab
     )
@@ -159,8 +156,8 @@ def _lm_from_args(args):
             vocab.Vocabulary.load(args.full_vocab) if args.full_vocab else model.vocab
         )
         ng = ngram.import_arpa(args.policy_arpa) if args.policy_arpa else None
-        return rescoring.rnnlm_scorer(model, args.policy, full_vocab, ng)
-    return rescoring.ngram_scorer(ngram.import_arpa(args.arpa))
+        return expansion.FullVocabScorer(model, args.policy, full_vocab, ng).sentence_logprob
+    return ngram.import_arpa(args.arpa).sentence_logprob
 
 
 def _cmd_rescore(args) -> int:
@@ -346,7 +343,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as err:
+    except (
+        ValueError,
+        KeyError,
+        OSError,
+        rescoring.RescoreError,
+        rnnlm.TrainingDivergedError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

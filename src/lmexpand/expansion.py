@@ -29,17 +29,10 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .ngram import NgramModel
-from .rnnlm import (
-    LstmLayer,
-    RnnLmModel,
-    RnnState,
-    forward_step,
-    log_softmax,
-    logits_from_state,
-    zero_state,
-)
+from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_ids
+from .rnnlm import forward_step  # noqa: F401  unused; lmbench tests delete this name
 from .skipgram import WordEmbeddings, nearest_in_shortlist
-from .vocab import BOS, BOS_ID, EOS, EOS_ID, UNK_ID, Corpus, Vocabulary
+from .vocab import BOS, Corpus, Vocabulary
 
 if TYPE_CHECKING:
     from .rescoring import Hypothesis
@@ -280,7 +273,13 @@ class FullVocabScorer:
             self._oos_ngram_ids = [ngram.vocab.encode(w) for w in self.oos_words]
             self._denom_cache: dict[tuple[int, ...], float] = {}
 
-    def _ngram_share(self, word: str, context: Sequence[str]) -> float:
+    def _oos_share(self, word: str, context: Sequence[str]) -> float:
+        """ln share of the unknown mass that an out-of-shortlist word gets."""
+        if self.policy == "uniform":
+            return -math.log(self.n_oos + 1)
+        if self.policy == "shortlist" or self.n_oos == 0:
+            # no spreading, or no out-of-shortlist words to spread over
+            return 0.0
         assert self.ngram is not None
         ctx = tuple(
             self.ngram.vocab.encode(t) for t in list(context)[-(self.ngram.order - 1) :]
@@ -293,7 +292,7 @@ class FullVocabScorer:
             )
             self._denom_cache[ctx] = denom
         word_id = self.ngram.vocab.encode(word)
-        return math.exp(self.ngram.conditional_logprob(word_id, ctx)) / denom
+        return math.log(math.exp(self.ngram.conditional_logprob(word_id, ctx)) / denom)
 
     def word_logprob(
         self,
@@ -308,18 +307,9 @@ class FullVocabScorer:
         (ngram), or the plain unknown score (shortlist), so arbitrary
         hypothesis text can always be scored.
         """
-        logp = log_softmax(logits)
-        if self.model.vocab.is_shortlist(word):
-            return float(logp[self.model.vocab.encode(word, shortlist_only=True)])
-        unk_lp = float(logp[UNK_ID])
-        if self.policy == "shortlist":
-            return unk_lp
-        if self.policy == "uniform":
-            return unk_lp - math.log(self.n_oos + 1)
-        if self.n_oos == 0:
-            # no out-of-shortlist words to renormalize over
-            return unk_lp
-        return unk_lp + math.log(self._ngram_share(word, context))
+        vocab = self.model.vocab
+        lp = float(log_softmax(logits)[vocab.encode(word, shortlist_only=True)])
+        return lp if vocab.is_shortlist(word) else lp + self._oos_share(word, context)
 
     def score_tokens(self, tokens: Sequence[str]) -> np.ndarray:
         """Per-position ln probabilities of a token sequence plus sentence end.
@@ -327,52 +317,19 @@ class FullVocabScorer:
         Out-of-shortlist words are fed back into the network as the unknown
         token; n-gram contexts use the true word identities.
         """
-        state = zero_state(self.model)
-        feed = BOS_ID
-        history: list[str] = [BOS]
-        out = np.empty(len(tokens) + 1)
-        for pos, token in enumerate(list(tokens) + [EOS]):
-            step = forward_step(self.model, feed, state)
-            if pos == len(tokens):
-                out[pos] = float(log_softmax(step.logits)[EOS_ID])
-            else:
-                out[pos] = self.word_logprob(step.logits, token, history)
-            state = step.state
-            feed = self.model.vocab.encode(token, shortlist_only=True)
-            history.append(token)
+        vocab = self.model.vocab
+        out = score_ids(self.model, [vocab.encode(t, shortlist_only=True) for t in tokens])
+        history = [BOS, *tokens]
+        for pos, token in enumerate(tokens):
+            if not vocab.is_shortlist(token):
+                out[pos] += self._oos_share(token, history[: pos + 1])
         return out
 
     def corpus_perplexity(self, corpus: Corpus) -> float:
-        total = 0.0
-        count = 0
-        for sentence in corpus:
-            lps = self.score_tokens(sentence)
-            total += float(lps.sum())
-            count += lps.size
-        if count == 0:
-            raise ValueError("no scoreable tokens")
-        return math.exp(-total / count)
+        scores = [self.score_tokens(s) for s in corpus]
+        return perplexity(np.concatenate(scores) if scores else [])
 
     def sentence_logprob(self, tokens: Sequence[str]) -> float:
-        if not tokens:
-            # Legal for rescoring: an empty hypothesis scores the
-            # end-of-sentence event only.
-            state = zero_state(self.model)
-            step = forward_step(self.model, BOS_ID, state)
-            return float(log_softmax(step.logits)[EOS_ID])
+        """Sentence ln probability; an empty hypothesis, legal in rescoring,
+        scores the end-of-sentence event only."""
         return float(self.score_tokens(tokens).sum())
-
-
-def full_vocab_prob(
-    model: RnnLmModel,
-    state: RnnState,
-    policy: str,
-    word: str,
-    full_vocab: Vocabulary,
-    ngram: NgramModel | None = None,
-    context: Sequence[str] = (),
-) -> float:
-    """Probability of ``word`` given a state, under a redistribution policy."""
-    scorer = FullVocabScorer(model, policy, full_vocab, ngram)
-    logits = logits_from_state(model, state)
-    return math.exp(scorer.word_logprob(logits, word, context))

@@ -21,7 +21,6 @@ from . import expansion as _expansion
 from . import ngram as _ngram
 from . import rnnlm as _rnnlm
 from . import skipgram as _skipgram
-from .vocab import Vocabulary
 
 
 class NBestParseError(ValueError):
@@ -72,6 +71,8 @@ def parse_nbest(path: str | Path) -> NBestList:
                 lm = float(lm_s)
             except ValueError as err:
                 raise NBestParseError(f"bad numeric field: {err}", line_no) from err
+            if not (math.isfinite(acoustic) and math.isfinite(lm)):
+                raise NBestParseError("non-finite acoustic or LM score", line_no)
             if (utt, rank) in seen:
                 raise NBestParseError(f"duplicate hypothesis {utt!r} rank {rank}", line_no)
             seen.add((utt, rank))
@@ -258,20 +259,6 @@ def tune(
     return best_cfg, best_wer, grid
 
 
-def ngram_scorer(model: _ngram.NgramModel) -> LmScorer:
-    return lambda words: model.sentence_logprob(words)
-
-
-def rnnlm_scorer(
-    model: _rnnlm.RnnLmModel,
-    policy: str,
-    full_vocab: Vocabulary,
-    ngram_model: _ngram.NgramModel | None = None,
-) -> LmScorer:
-    scorer = _expansion.FullVocabScorer(model, policy, full_vocab, ngram_model)
-    return scorer.sentence_logprob
-
-
 def parse_config(path: str | Path) -> dict[str, str]:
     """Flat "key = value" configuration; # starts a comment."""
     out: dict[str, str] = {}
@@ -347,34 +334,24 @@ def run_pipeline(config: dict[str, str]) -> dict:
     full_vocab = model.vocab
     ref_corpus = [words for words in refs.values() if words]
 
+    base = _expansion.FullVocabScorer(model, policy, full_vocab, ngram_model)
+    grown = _expansion.FullVocabScorer(expanded, policy, full_vocab, ngram_model)
     systems = []
     for name, lm_fn, ppl_fn in [
         (
             "ngram",
-            ngram_scorer(ngram_model),
-            lambda: _ngram.ngram_perplexity(ngram_model, ref_corpus),
+            ngram_model.sentence_logprob,
+            lambda corpus: _ngram.ngram_perplexity(ngram_model, corpus),
         ),
-        (
-            "rnnlm",
-            rnnlm_scorer(model, policy, full_vocab, ngram_model),
-            lambda: _expansion.FullVocabScorer(
-                model, policy, full_vocab, ngram_model
-            ).corpus_perplexity(ref_corpus),
-        ),
-        (
-            "rnnlm-expanded",
-            rnnlm_scorer(expanded, policy, full_vocab, ngram_model),
-            lambda: _expansion.FullVocabScorer(
-                expanded, policy, full_vocab, ngram_model
-            ).corpus_perplexity(ref_corpus),
-        ),
+        ("rnnlm", base.sentence_logprob, base.corpus_perplexity),
+        ("rnnlm-expanded", grown.sentence_logprob, grown.corpus_perplexity),
     ]:
         reranked = rescore(nbest, lm_fn, cfg)
         result = wer(refs, one_best(reranked))
         systems.append(
             {
                 "system": name,
-                "perplexity": ppl_fn(),
+                "perplexity": ppl_fn(ref_corpus),
                 "wer": result.wer,
                 "substitutions": result.substitutions,
                 "insertions": result.insertions,
@@ -391,15 +368,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
             "lm_scale": cfg.lm_scale,
             "word_penalty": cfg.word_penalty,
         },
-        "new_words": {
-            "count": len(report.expanded),
-            "expanded": report.expanded,
-            "skipped": [list(p) for p in report.skipped],
-            "candidates": {
-                w: [[c, float(s)] for c, s in entries]
-                for w, entries in report.candidates.items()
-            },
-        },
+        "new_words": {"count": len(report.expanded), **report.to_dict()},
         "systems": systems,
     }
     if "report" in config:

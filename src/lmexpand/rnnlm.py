@@ -177,21 +177,14 @@ def forward_step(
     return StepOutput(logits=logits, state=RnnState(h=h_out, c=c_out))
 
 
-def logits_from_state(model: RnnLmModel, state: RnnState) -> np.ndarray:
-    """Prediction logits of a state (projection of its top hidden vector)."""
-    # same row-count-independent reduction as forward_step
-    return np.einsum("vd,d->v", model.output_embed, state.h[-1]) + model.output_bias
-
-
-def score_sentence(model: RnnLmModel, ids: list[int]) -> np.ndarray:
+def score_ids(model: RnnLmModel, ids: list[int]) -> np.ndarray:
     """Per-position ln probabilities for a shortlist-encoded sentence.
 
     The model is fed the begin token followed by the sentence; the returned
     array has len(ids) + 1 entries, the last one for the end-of-sentence
-    event.
+    event.  An empty sentence scores the end-of-sentence event alone.  Every
+    sentence score in the package comes from this loop.
     """
-    if not ids:
-        raise ValueError("empty sentence")
     inputs = [BOS_ID] + list(ids)
     targets = list(ids) + [EOS_ID]
     state = zero_state(model)
@@ -201,6 +194,13 @@ def score_sentence(model: RnnLmModel, ids: list[int]) -> np.ndarray:
         out[pos] = log_softmax(step.logits)[w_next]
         state = step.state
     return out
+
+
+def score_sentence(model: RnnLmModel, ids: list[int]) -> np.ndarray:
+    """``score_ids`` for a non-empty sentence."""
+    if not ids:
+        raise ValueError("empty sentence")
+    return score_ids(model, ids)
 
 
 def perplexity(logprobs: np.ndarray) -> float:
@@ -471,28 +471,32 @@ def load_checkpoint(path: str) -> RnnLmModel:
     if len(vocab) != total_words or vocab.shortlist_size != shortlist:
         raise ValueError("checkpoint header disagrees with embedded vocabulary")
 
-    def take(count: int) -> np.ndarray:
+    def take(name: str, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
         nonlocal off
+        count = math.prod(shape)
         nbytes = count * 8
         if off + nbytes > len(blob):
             raise ValueError(f"truncated checkpoint: {path}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).copy()
+        # the copy is C-ordered whatever the stored order, so BLAS sums a
+        # reloaded model in the same order as the one that was saved
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+        arr = arr.reshape(shape, order=order).copy()
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"non-finite value in checkpoint block {name}: {path}")
         off += nbytes
         return arr
 
-    input_embed = take(shortlist * embed_dim).reshape(shortlist, embed_dim)
+    input_embed = take("input_embed", (shortlist, embed_dim))
     layers = []
     in_dim = embed_dim
-    for _ in range(num_layers):
-        w_in = take(4 * hidden_dim * in_dim).reshape((4 * hidden_dim, in_dim), order="F")
-        w_rec = take(4 * hidden_dim * hidden_dim).reshape(
-            (4 * hidden_dim, hidden_dim), order="F"
-        )
-        bias = take(4 * hidden_dim)
+    for i in range(num_layers):
+        w_in = take(f"layers.{i}.w_in", (4 * hidden_dim, in_dim), order="F")
+        w_rec = take(f"layers.{i}.w_rec", (4 * hidden_dim, hidden_dim), order="F")
+        bias = take(f"layers.{i}.bias", (4 * hidden_dim,))
         layers.append(LstmLayer(w_in=w_in, w_rec=w_rec, bias=bias))
         in_dim = hidden_dim
-    output_embed = take(shortlist * hidden_dim).reshape(shortlist, hidden_dim)
-    output_bias = take(shortlist)
+    output_embed = take("output_embed", (shortlist, hidden_dim))
+    output_bias = take("output_bias", (shortlist,))
     if off != len(blob):
         raise ValueError(f"checkpoint has {len(blob) - off} unexpected trailing bytes")
     return RnnLmModel(

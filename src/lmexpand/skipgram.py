@@ -189,21 +189,22 @@ def load_w2v_text(path: str | Path) -> WordEmbeddings:
             raise ValueError("line 1: non-integer header fields") from err
         words: list[str] = []
         rows = np.empty((count, dim))
-        for n, line in enumerate(fh):
+        for line_no, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
                 continue
+            n = len(words)
             if n >= count:
-                raise ValueError(f"line {n + 2}: more vectors than the header declares")
+                raise ValueError(f"line {line_no}: more vectors than the header declares")
             if len(fields) != dim + 1:
                 raise ValueError(
-                    f"line {n + 2}: expected {dim} values, found {len(fields) - 1}"
+                    f"line {line_no}: expected {dim} values, found {len(fields) - 1}"
                 )
             words.append(fields[0])
             try:
                 rows[n] = [float(v) for v in fields[1:]]
             except ValueError as err:
-                raise ValueError(f"line {n + 2}: non-numeric vector value") from err
+                raise ValueError(f"line {line_no}: non-numeric vector value") from err
     if len(words) != count:
         raise ValueError(f"header declares {count} vectors, file has {len(words)}")
     return WordEmbeddings(words, rows)

@@ -11,6 +11,7 @@ import warnings
 
 import pytest
 
+from lmexpand import rnnlm
 from lmexpand.cli import main
 from lmexpand.ngram import import_arpa
 from lmexpand.rnnlm import load_checkpoint
@@ -284,6 +285,10 @@ def test_pipeline_command(workdir, tmp_path, capsys):
         "rnnlm-expanded",
     ]
     assert report["new_words"]["count"] >= 1
+    assert report["new_words"]["count"] == len(report["new_words"]["expanded"])
+    assert report["new_words"]["explicit_after"] == (
+        report["new_words"]["explicit_before"] + report["new_words"]["count"]
+    )
     bigger = load_checkpoint(expanded_path)
     base = load_checkpoint(workdir / "model.bin")
     assert bigger.n_explicit == base.n_explicit + report["new_words"]["count"]
@@ -302,6 +307,34 @@ def test_missing_file_reports_error(tmp_path, capsys):
                "--vocab", "x", "--out", "y"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_rescore_error_reports_error(tmp_path, capsys):
+    # without an <unk> unigram the n-gram model cannot score an unseen word
+    arpa = tmp_path / "no-unk.arpa"
+    arpa.write_text(
+        "\\data\\\nngram 1=3\n\n\\1-grams:\n-99\t<s>\n-0.3\ta\n-0.3\t</s>\n\n\\end\\\n"
+    )
+    nbest = tmp_path / "t.nbest"
+    nbest.write_text("u\t1\t-1.0\t0.0\ta unseen\n")
+    rc = main(["rescore", "--nbest", str(nbest), "--arpa", str(arpa),
+               "--out", str(tmp_path / "never.nbest")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: LM failed on utterance 'u' rank 1")
+    assert err.count("\n") == 1
+
+
+def test_training_divergence_reports_error(workdir, tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise rnnlm.TrainingDivergedError("non-finite loss nan at epoch 0 window 3")
+
+    monkeypatch.setattr(rnnlm, "train_bptt", diverge)
+    rc = main(["train-lm", "--corpus", str(workdir / "train.txt"),
+               "--vocab", str(workdir / "vocab.txt"), "--embed-dim", "2",
+               "--hidden-dim", "2", "--layers", "1", "--out", str(tmp_path / "m.bin")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite loss nan at epoch 0 window 3\n"
 
 
 def test_rescore_requires_exactly_one_lm(workdir, tmp_path):

@@ -22,11 +22,11 @@ from lmexpand.rnnlm import (
     init_model,
     load_checkpoint,
     log_softmax,
-    logits_from_state,
     loss_and_grads,
     named_parameters,
     perplexity,
     save_checkpoint,
+    score_ids,
     score_sentence,
     softmax,
     train_bptt,
@@ -86,7 +86,6 @@ def test_forward_step_matches_scalar_oracle():
     np.testing.assert_allclose(out.state.h, np.array(hs), rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(out.state.c, np.array(cs), rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(out.logits, np.array(logits), rtol=1e-12, atol=1e-14)
-    np.testing.assert_array_equal(logits_from_state(model, out.state), out.logits)
 
 
 def test_zero_weights_give_zero_hidden_and_logits():
@@ -151,6 +150,12 @@ def test_score_sentence_matches_stepwise_chain():
         state = step.state
     assert len(got) == len(ids) + 1
     np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+
+def test_score_ids_of_empty_sentence_is_sentence_end():
+    model = init_model(small_vocab(), 4, 5, 1, seed=0)
+    step = forward_step(model, BOS_ID, zero_state(model))
+    np.testing.assert_array_equal(score_ids(model, []), [log_softmax(step.logits)[EOS_ID]])
 
 
 def test_score_sentence_rejects_empty():
@@ -265,6 +270,31 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     for (name, a), (_, b) in zip(named_parameters(model), named_parameters(again)):
         assert a.dtype == b.dtype == np.float64, name
         assert a.tobytes() == b.tobytes(), name
+        assert b.flags.c_contiguous, name
+    # weights scaled to give order-one logits, as after training: there a
+    # matrix reloaded in another memory layout changes BLAS summation order
+    # and with it the last bits of the scores
+    wide = init_model(model.vocab, embed_dim=16, hidden_dim=32, num_layers=2, seed=0)
+    for _, arr in named_parameters(wide):
+        arr *= 20.0
+    save_checkpoint(wide, path)
+    again = load_checkpoint(path)
+    corpus = [["w0", "w1", "w2"], ["w2", "w0", "w1", "w1"]]
+    for sentence in corpus:
+        ids = [wide.vocab.encode(t, shortlist_only=True) for t in sentence]
+        np.testing.assert_array_equal(score_sentence(again, ids), score_sentence(wide, ids))
+    assert corpus_perplexity(again, corpus) == corpus_perplexity(wide, corpus)
+
+
+@pytest.mark.parametrize("block", ["layers.0.w_rec", "layers.1.bias", "output_embed"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_weights(tmp_path, block, bad):
+    model = checkpoint_model()
+    dict(named_parameters(model))[block].flat[1] = bad
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    with pytest.raises(ValueError, match=f"non-finite value in checkpoint block {block}"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):

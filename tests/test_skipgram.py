@@ -177,6 +177,22 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="declares 2"):
             load_w2v_text(path)
 
+    def test_blank_lines_between_vectors(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("2 2\na 1 2\n\nb 3 4\n\n")
+        again = load_w2v_text(path)
+        assert again.words == ["a", "b"]
+        np.testing.assert_array_equal(again.vectors, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_errors_after_blank_line_report_file_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("2 2\na 1 2\n\nb 3 oops\n")
+        with pytest.raises(ValueError, match="line 4: non-numeric"):
+            load_w2v_text(path)
+        path.write_text("1 2\na 1 2\n\nb 3 4\n")
+        with pytest.raises(ValueError, match="line 4: more vectors"):
+            load_w2v_text(path)
+
     def test_bad_dim_reports_line(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("1 3\na 1 2\n")
