@@ -40,6 +40,7 @@ from .rnnlm import (
     load_checkpoint,
     perplexity,
     save_checkpoint,
+    score_batch,
     score_ids,
     score_sentence,
     train_bptt,

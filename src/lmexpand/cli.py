@@ -156,8 +156,8 @@ def _lm_from_args(args):
             vocab.Vocabulary.load(args.full_vocab) if args.full_vocab else model.vocab
         )
         ng = ngram.import_arpa(args.policy_arpa) if args.policy_arpa else None
-        return expansion.FullVocabScorer(model, args.policy, full_vocab, ng).sentence_logprob
-    return ngram.import_arpa(args.arpa).sentence_logprob
+        return expansion.FullVocabScorer(model, args.policy, full_vocab, ng).batch_logprob
+    return rescoring.per_sentence(ngram.import_arpa(args.arpa).sentence_logprob)
 
 
 def _cmd_rescore(args) -> int:

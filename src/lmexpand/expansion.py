@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .ngram import NgramModel
-from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_ids
+from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_batch
 from .rnnlm import forward_step  # noqa: F401  unused; lmbench tests delete this name
 from .skipgram import WordEmbeddings, nearest_in_shortlist
 from .vocab import BOS, Corpus, Vocabulary
@@ -311,25 +311,34 @@ class FullVocabScorer:
         lp = float(log_softmax(logits)[vocab.encode(word, shortlist_only=True)])
         return lp if vocab.is_shortlist(word) else lp + self._oos_share(word, context)
 
-    def score_tokens(self, tokens: Sequence[str]) -> np.ndarray:
-        """Per-position ln probabilities of a token sequence plus sentence end.
+    def score_batch(self, sentences: Sequence[Sequence[str]]) -> list[np.ndarray]:
+        """Per-position ln probabilities of each token sequence plus sentence end.
 
         Out-of-shortlist words are fed back into the network as the unknown
-        token; n-gram contexts use the true word identities.
+        token; n-gram contexts use the true word identities.  One
+        ``rnnlm.score_batch`` call scores every sequence.
         """
         vocab = self.model.vocab
-        out = score_ids(self.model, [vocab.encode(t, shortlist_only=True) for t in tokens])
-        history = [BOS, *tokens]
-        for pos, token in enumerate(tokens):
-            if not vocab.is_shortlist(token):
-                out[pos] += self._oos_share(token, history[: pos + 1])
-        return out
+        scores = score_batch(
+            self.model, [[vocab.encode(t, shortlist_only=True) for t in s] for s in sentences]
+        )
+        for tokens, out in zip(sentences, scores):
+            history = [BOS, *tokens]
+            for pos, token in enumerate(tokens):
+                if not vocab.is_shortlist(token):
+                    out[pos] += self._oos_share(token, history[: pos + 1])
+        return scores
+
+    def score_tokens(self, tokens: Sequence[str]) -> np.ndarray:
+        """``score_batch`` of one token sequence."""
+        return self.score_batch([tokens])[0]
 
     def corpus_perplexity(self, corpus: Corpus) -> float:
-        scores = [self.score_tokens(s) for s in corpus]
+        scores = self.score_batch(corpus)
         return perplexity(np.concatenate(scores) if scores else [])
 
-    def sentence_logprob(self, tokens: Sequence[str]) -> float:
-        """Sentence ln probability; an empty hypothesis, legal in rescoring,
+    def batch_logprob(self, sentences: Sequence[Sequence[str]]) -> list[float]:
+        """Sentence ln probability of each token sequence: the LM contract of
+        ``rescoring.rescore``.  An empty hypothesis, legal in rescoring,
         scores the end-of-sentence event only."""
-        return float(self.score_tokens(tokens).sum())
+        return [float(out.sum()) for out in self.score_batch(sentences)]

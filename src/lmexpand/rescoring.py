@@ -43,7 +43,14 @@ class Hypothesis:
 
 NBestList = dict[str, list[Hypothesis]]
 
-LmScorer = Callable[[list[str]], float]
+# An LM scores a batch: it takes the word lists of one utterance's
+# hypotheses and returns one ln probability per list, in order.
+LmScorer = Callable[[list[list[str]]], Sequence[float]]
+
+
+def per_sentence(score: Callable[[list[str]], float]) -> LmScorer:
+    """Lift a one-sentence scorer, such as ``NgramModel.sentence_logprob``."""
+    return lambda sentences: [score(words) for words in sentences]
 
 
 @dataclass
@@ -102,31 +109,46 @@ def combined_score(hyp: Hypothesis, cfg: RescoreConfig) -> float:
     )
 
 
+def _lm_scores(utt: str, hyps: list[Hypothesis], lm: LmScorer) -> list[float]:
+    """One LM call for all of an utterance's hypotheses.  If it fails, the
+    hypotheses are scored one at a time so the error can name the rank."""
+    try:
+        scores = [float(lp) for lp in lm([hyp.words for hyp in hyps])]
+    except Exception as err:
+        for hyp in hyps:
+            try:
+                lm([hyp.words])
+            except Exception as one_err:
+                raise RescoreError(
+                    f"LM failed on utterance {utt!r} rank {hyp.rank}: {one_err}"
+                ) from one_err
+        raise RescoreError(f"LM failed on utterance {utt!r}: {err}") from err
+    if len(scores) != len(hyps):
+        raise RescoreError(
+            f"LM returned {len(scores)} scores for the {len(hyps)} hypotheses of {utt!r}"
+        )
+    return scores
+
+
 def rescore(nbest: NBestList, lm: LmScorer, cfg: RescoreConfig) -> NBestList:
     """Re-rank every utterance by acoustic + scale * lm + penalty * length.
 
+    The LM is called once per utterance with all of its hypotheses.
     Returns a new list with lm_score replaced by the new LM's value; the
     sort is stable so equal combined scores keep their original order.
     Original rank fields are preserved for traceability.
     """
     out: NBestList = {}
     for utt, hyps in nbest.items():
-        rescored = []
-        for hyp in hyps:
-            try:
-                lm_lp = float(lm(hyp.words))
-            except Exception as err:
-                raise RescoreError(
-                    f"LM failed on utterance {utt!r} rank {hyp.rank}: {err}"
-                ) from err
-            rescored.append(
-                Hypothesis(
-                    words=list(hyp.words),
-                    acoustic_score=hyp.acoustic_score,
-                    lm_score=lm_lp,
-                    rank=hyp.rank,
-                )
+        rescored = [
+            Hypothesis(
+                words=list(hyp.words),
+                acoustic_score=hyp.acoustic_score,
+                lm_score=lm_lp,
+                rank=hyp.rank,
             )
+            for hyp, lm_lp in zip(hyps, _lm_scores(utt, hyps, lm))
+        ]
         rescored.sort(key=lambda h: -combined_score(h, cfg))
         out[utt] = rescored
     return out
@@ -340,11 +362,11 @@ def run_pipeline(config: dict[str, str]) -> dict:
     for name, lm_fn, ppl_fn in [
         (
             "ngram",
-            ngram_model.sentence_logprob,
+            per_sentence(ngram_model.sentence_logprob),
             lambda corpus: _ngram.ngram_perplexity(ngram_model, corpus),
         ),
-        ("rnnlm", base.sentence_logprob, base.corpus_perplexity),
-        ("rnnlm-expanded", grown.sentence_logprob, grown.corpus_perplexity),
+        ("rnnlm", base.batch_logprob, base.corpus_perplexity),
+        ("rnnlm-expanded", grown.batch_logprob, grown.corpus_perplexity),
     ]:
         reranked = rescore(nbest, lm_fn, cfg)
         result = wer(refs, one_best(reranked))

@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary
 
 MAGIC = b"RNNLM1"
+_MAX_LN = math.log(sys.float_info.max)  # math.exp overflows above this
 
 
 class TrainingDivergedError(RuntimeError):
@@ -115,12 +118,11 @@ def zero_state(model: RnnLmModel) -> RnnState:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive argument never overflows; min(x, -x) is -|x|
+    # and passes NaN through with its sign, so both branches match the
+    # textbook split formula bit for bit
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -134,12 +136,13 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _lstm_cell(layer: LstmLayer, x, h, c):
-    hdim = h.shape[-1]
-    z = x @ layer.w_in.T + h @ layer.w_rec.T + layer.bias
-    i = _sigmoid(z[..., :hdim])
-    f = _sigmoid(z[..., hdim : 2 * hdim])
-    o = _sigmoid(z[..., 2 * hdim : 3 * hdim])
+def _lstm_cell(z: np.ndarray, c: np.ndarray):
+    """One LSTM step from the stacked gate pre-activations z."""
+    hdim = c.shape[-1]
+    # one elementwise call for the three sigmoid gates; the values are those
+    # of three separate calls, with a third of the per-call overhead
+    ifo = _sigmoid(z[..., : 3 * hdim])
+    i, f, o = ifo[..., :hdim], ifo[..., hdim : 2 * hdim], ifo[..., 2 * hdim :]
     g = np.tanh(z[..., 3 * hdim :])
     c_new = f * c + i * g
     tc = np.tanh(c_new)
@@ -147,34 +150,41 @@ def _lstm_cell(layer: LstmLayer, x, h, c):
     return i, f, o, g, c_new, tc, h_new
 
 
-def forward_step(
-    model: RnnLmModel,
-    word: int,
-    state: RnnState,
-    dropout_masks: list[np.ndarray] | None = None,
-) -> StepOutput:
-    """Advance one timestep and return logits over the explicit vocabulary.
+def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` for a vector or for each row of a matrix on its own.
 
-    ``dropout_masks``, when given, holds num_layers + 1 vectors: one for the
-    embedded input and one for each layer's outgoing hidden state.
+    numpy runs one gemv per row here, so a row's result does not depend on
+    how many rows share the call; a plain 2-D product runs gemm, whose
+    blocking changes the last bits with the row count.
     """
+    return (x[..., None, :] @ w.T)[..., 0, :]
+
+
+def _step(model: RnnLmModel, words, h: np.ndarray, c: np.ndarray):
+    """Inference step for one word (h, c: (L, H)) or a row of words (h, c:
+    (L, B, H)); returns the logits and the new h and c.
+
+    Every reduction is row-independent, so a batched row equals the single
+    step bit for bit, and appending output rows for new words leaves the
+    logits of the original words bit-identical.
+    """
+    x = model.input_embed[words]
+    h_out = np.empty_like(h)
+    c_out = np.empty_like(c)
+    for l, layer in enumerate(model.layers):
+        z = _rowwise(x, layer.w_in) + _rowwise(h[l], layer.w_rec) + layer.bias
+        *_, c_out[l], _, h_out[l] = _lstm_cell(z, c[l])
+        x = h_out[l]
+    logits = np.einsum("...d,vd->...v", x, model.output_embed) + model.output_bias
+    return logits, h_out, c_out
+
+
+def forward_step(model: RnnLmModel, word: int, state: RnnState) -> StepOutput:
+    """Advance one timestep and return logits over the explicit vocabulary."""
     if not 0 <= word < model.n_explicit:
         raise IndexError(f"word id {word} outside explicit range [0, {model.n_explicit})")
-    x = model.input_embed[word]
-    if dropout_masks is not None:
-        x = x * dropout_masks[0]
-    h_out = np.empty_like(state.h)
-    c_out = np.empty_like(state.c)
-    for l, layer in enumerate(model.layers):
-        *_, c_new, _, h_new = _lstm_cell(layer, x, state.h[l], state.c[l])
-        h_out[l] = h_new
-        c_out[l] = c_new
-        x = h_new * dropout_masks[l + 1] if dropout_masks is not None else h_new
-    # einsum keeps each row's reduction independent of the row count, so
-    # appending embedding rows leaves existing logits bit-identical (BLAS
-    # gemv reblocks by matrix size and perturbs trailing rows by 1 ulp)
-    logits = np.einsum("vd,d->v", model.output_embed, x) + model.output_bias
-    return StepOutput(logits=logits, state=RnnState(h=h_out, c=c_out))
+    logits, h, c = _step(model, word, state.h, state.c)
+    return StepOutput(logits=logits, state=RnnState(h=h, c=c))
 
 
 def score_ids(model: RnnLmModel, ids: list[int]) -> np.ndarray:
@@ -182,8 +192,8 @@ def score_ids(model: RnnLmModel, ids: list[int]) -> np.ndarray:
 
     The model is fed the begin token followed by the sentence; the returned
     array has len(ids) + 1 entries, the last one for the end-of-sentence
-    event.  An empty sentence scores the end-of-sentence event alone.  Every
-    sentence score in the package comes from this loop.
+    event.  An empty sentence scores the end-of-sentence event alone.  This
+    one-sentence loop is the reference that ``score_batch`` reproduces.
     """
     inputs = [BOS_ID] + list(ids)
     targets = list(ids) + [EOS_ID]
@@ -194,6 +204,42 @@ def score_ids(model: RnnLmModel, ids: list[int]) -> np.ndarray:
         out[pos] = log_softmax(step.logits)[w_next]
         state = step.state
     return out
+
+
+def score_batch(model: RnnLmModel, sentences: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """``score_ids`` of every sentence, bit for bit, sharing common prefixes.
+
+    The sentences form a prefix trie: its nodes at depth d are the distinct
+    inputs <s> w1 .. wd, and each depth is one batched step over its nodes,
+    whose states are gathered from their parents at depth d - 1.  Only the
+    ln probabilities the sentences need are kept from each depth.
+    """
+    if not sentences:
+        return []
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    # targets[k, d]: the word sentence k predicts at depth d, </s> at its end
+    targets = np.full((len(sentences), int(lengths.max()) + 1), EOS_ID, dtype=np.int64)
+    for k, ids in enumerate(sentences):
+        targets[k, : len(ids)] = ids
+    if targets.min() < 0 or targets.max() >= model.n_explicit:
+        raise IndexError(f"word id outside explicit range [0, {model.n_explicit})")
+    scores = np.empty(targets.shape)
+    active = np.arange(len(sentences))  # sentences still predicting
+    rows = np.zeros(len(sentences), dtype=np.int64)  # their trie node at this depth
+    words = np.array([BOS_ID])
+    h = np.zeros((model.num_layers, 1, model.hidden_dim))
+    c = np.zeros_like(h)
+    for depth in range(targets.shape[1]):
+        logits, h, c = _step(model, words, h, c)
+        scores[active, depth] = log_softmax(logits)[rows, targets[active, depth]]
+        going = lengths[active] > depth
+        active, rows = active[going], rows[going]
+        keys, rows = np.unique(
+            rows * model.n_explicit + targets[active, depth], return_inverse=True
+        )
+        parents, words = np.divmod(keys, model.n_explicit)
+        h, c = h[:, parents], c[:, parents]
+    return [scores[k, : n + 1] for k, n in enumerate(lengths)]
 
 
 def score_sentence(model: RnnLmModel, ids: list[int]) -> np.ndarray:
@@ -216,7 +262,7 @@ def corpus_perplexity(model: RnnLmModel, corpus: Corpus) -> float:
         score_sentence(model, [model.vocab.encode(t, shortlist_only=True) for t in s])
         for s in corpus
     ]
-    return perplexity(np.concatenate(parts))
+    return perplexity(np.concatenate(parts) if parts else [])
 
 
 def named_parameters(model: RnnLmModel) -> list[tuple[str, np.ndarray]]:
@@ -260,7 +306,8 @@ def loss_and_grads(
             x = x * masks[t][0]
         layer_caches = []
         for l, layer in enumerate(model.layers):
-            i, f, o, g, c_new, tc, h_new = _lstm_cell(layer, x, h_prev[l], c_prev[l])
+            z = x @ layer.w_in.T + h_prev[l] @ layer.w_rec.T + layer.bias
+            i, f, o, g, c_new, tc, h_new = _lstm_cell(z, c_prev[l])
             layer_caches.append((x, h_prev[l].copy(), c_prev[l].copy(), i, f, o, g, tc))
             h_prev[l] = h_new
             c_prev[l] = c_new
@@ -355,6 +402,8 @@ def train_bptt(
     """
     if not corpus:
         raise ValueError("empty corpus")
+    if val_corpus is not None and not val_corpus:
+        raise ValueError("empty validation corpus: no scoreable tokens")
     rng = np.random.default_rng(config.seed)
     inp, tgt = _training_stream(corpus, model.vocab)
     batch = max(1, min(config.batch, inp.size // max(config.unroll, 1), inp.size))
@@ -405,7 +454,12 @@ def train_bptt(
         if val_corpus is not None:
             score = corpus_perplexity(model, val_corpus)
         else:
-            score = math.exp(total_nll / total_tok)
+            mean_nll = total_nll / total_tok
+            if not mean_nll < _MAX_LN:
+                raise TrainingDivergedError(
+                    f"training perplexity overflows at epoch {epoch}: mean loss {mean_nll:g}"
+                )
+            score = math.exp(mean_nll)
         history.append(score)
         if score > prev:
             break

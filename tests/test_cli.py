@@ -337,6 +337,21 @@ def test_training_divergence_reports_error(workdir, tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == "error: non-finite loss nan at epoch 0 window 3\n"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_training_reports_error(tmp_path, capsys):
+    corpus = tmp_path / "tiny.txt"
+    corpus.write_text("a b c\nb c a a\nc a\n")
+    assert main(["build-vocab", "--corpus", str(corpus), "--shortlist", "6", "--full", "6",
+                 "--out", str(tmp_path / "vocab.txt")]) == 0
+    capsys.readouterr()
+    rc = main(["train-lm", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
+               "--lr", "1e300", "--clip", "1e300", "--embed-dim", "2", "--hidden-dim", "2",
+               "--layers", "1", "--dropout", "0", "--out", str(tmp_path / "m.bin")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training perplexity overflows") and err.count("\n") == 1
+
+
 def test_rescore_requires_exactly_one_lm(workdir, tmp_path):
     with pytest.raises(SystemExit):
         main(

@@ -29,6 +29,8 @@ from lmexpand.expansion import (
 from lmexpand.ngram import train_kn
 from lmexpand.rescoring import Hypothesis
 from lmexpand.rnnlm import (
+    RnnState,
+    _step,
     forward_step,
     init_model,
     log_softmax,
@@ -138,6 +140,29 @@ def test_expansion_preserves_original_logits_bitwise():
     for (name, a), (_, b) in zip(named_parameters(model), named_parameters(expanded)):
         if name.startswith("layers."):
             assert a.tobytes() == b.tobytes(), name
+
+
+def test_batched_step_preserves_original_logits_bitwise():
+    """Criterion 1 on the batched kernel: 100 rows in one call, where a
+    plain matrix product would switch to gemm and perturb the originals."""
+    rng = np.random.default_rng(101)
+    words = [f"w{i:02d}" for i in range(47)] + [f"n{i}" for i in range(5)]
+    vocab = Vocabulary(list(RESERVED) + words, shortlist_size=50)
+    model = init_model(vocab, embed_dim=16, hidden_dim=24, num_layers=2, seed=11)
+    plan = {f"n{i}": [(int(rng.integers(3, 50)), float(rng.uniform(0.5, 2.0)))] for i in range(5)}
+    expanded, _ = expand_model(model, plan)
+
+    batch = 100
+    h = rng.normal(size=(2, batch, 24))
+    c = rng.normal(size=(2, batch, 24))
+    ids = rng.integers(0, 50, size=batch)
+    la, ha, ca = _step(model, ids, h, c)
+    lb, hb, cb = _step(expanded, ids, h, c)
+    assert la.tobytes() == np.ascontiguousarray(lb[:, :50]).tobytes()
+    assert ha.tobytes() == hb.tobytes() and ca.tobytes() == cb.tobytes()
+    for row in range(batch):
+        state = RnnState(h=h[:, row].copy(), c=c[:, row].copy())
+        assert forward_step(model, int(ids[row]), state).logits.tobytes() == la[row].tobytes()
 
 
 def test_new_word_logit_is_weighted_mean_of_candidates():
@@ -396,9 +421,9 @@ def test_empty_hypothesis_scores_sentence_end(policy_setup):
     model, full_vocab, _ = policy_setup
     scorer = FullVocabScorer(model, "uniform", full_vocab)
     step = forward_step(model, BOS_ID, zero_state(model))
-    assert scorer.sentence_logprob([]) == pytest.approx(
-        float(log_softmax(step.logits)[EOS_ID]), rel=1e-12
-    )
+    assert scorer.batch_logprob([[]]) == [
+        pytest.approx(float(log_softmax(step.logits)[EOS_ID]), rel=1e-12)
+    ]
 
 
 def test_corpus_perplexity_uses_policy(policy_setup):
@@ -409,6 +434,9 @@ def test_corpus_perplexity_uses_policy(policy_setup):
         manual = []
         for s in corpus:
             manual.extend(scorer.score_tokens(s))
+        batched = scorer.score_batch(corpus)
+        assert [b.tobytes() for b in batched] == [scorer.score_tokens(s).tobytes() for s in corpus]
+        assert scorer.batch_logprob(corpus) == [float(b.sum()) for b in batched]
         assert scorer.corpus_perplexity(corpus) == pytest.approx(
             math.exp(-np.mean(manual)), rel=1e-12
         )

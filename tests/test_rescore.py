@@ -19,6 +19,7 @@ from lmexpand.rescoring import (
     one_best,
     parse_config,
     parse_nbest,
+    per_sentence,
     render_report,
     rescore,
     tune,
@@ -128,7 +129,8 @@ def test_combined_score_formula():
 def test_rescore_reorders_by_new_lm():
     nbest = {"u": [hyp(["bad", "guess"], 1, ac=-1.0), hyp(["good", "one"], 2, ac=-1.2)]}
     table = {("bad", "guess"): -5.0, ("good", "one"): -1.0}
-    out = rescore(nbest, lambda w: table[tuple(w)], RescoreConfig(lm_scale=1.0))
+    lm = lambda batch: [table[tuple(w)] for w in batch]
+    out = rescore(nbest, lm, RescoreConfig(lm_scale=1.0))
     assert out["u"][0].words == ["good", "one"]
     assert out["u"][0].lm_score == -1.0
     assert out["u"][0].rank == 2  # original position preserved
@@ -138,20 +140,48 @@ def test_rescore_reorders_by_new_lm():
 
 def test_rescore_stable_on_ties():
     nbest = {"u": [hyp(["a"], 1, ac=-2.0), hyp(["b"], 2, ac=-2.0), hyp(["c"], 3, ac=-2.0)]}
-    out = rescore(nbest, lambda w: -1.0, RescoreConfig(lm_scale=4.0, word_penalty=0.0))
+    lm = lambda batch: [-1.0] * len(batch)
+    out = rescore(nbest, lm, RescoreConfig(lm_scale=4.0, word_penalty=0.0))
     assert [h.words[0] for h in out["u"]] == ["a", "b", "c"]
 
 
 def test_rescore_wraps_lm_failures():
     nbest = {"utt9": [hyp(["x"], 1), hyp(["boom"], 2)]}
 
-    def lm(words):
-        if words == ["boom"]:
+    def lm(batch):
+        if ["boom"] in batch:
             raise KeyError("no such word")
-        return -1.0
+        return [-1.0] * len(batch)
 
     with pytest.raises(RescoreError, match="utt9.*rank 2"):
         rescore(nbest, lm, RescoreConfig())
+
+
+def test_rescore_scores_each_utterance_in_one_call():
+    nbest = {
+        "u": [hyp(["a", "b"], 1), hyp([], 2), hyp(["a"], 3)],
+        "v": [hyp(["c"], 1)],
+    }
+    calls = []
+
+    def lm(batch):
+        calls.append([list(w) for w in batch])
+        return [-float(len(w)) for w in batch]
+
+    out = rescore(nbest, lm, RescoreConfig(lm_scale=1.0))
+    assert calls == [[["a", "b"], [], ["a"]], [["c"]]]
+    assert [h.lm_score for h in out["u"]] == [0.0, -1.0, -2.0]
+
+
+def test_rescore_rejects_a_short_score_list():
+    nbest = {"u": [hyp(["a"], 1), hyp(["b"], 2)]}
+    with pytest.raises(RescoreError, match="1 scores for the 2 hypotheses of 'u'"):
+        rescore(nbest, lambda batch: [-1.0], RescoreConfig())
+
+
+def test_per_sentence_lifts_a_one_sentence_scorer():
+    lm = per_sentence(lambda words: -0.5 * len(words))
+    assert lm([["a", "b"], [], ["c"]]) == [-1.0, -0.0, -0.5]
 
 
 def test_one_best_skips_empty_utterances():
@@ -240,7 +270,7 @@ def test_tune_searches_full_grid():
         "u2": [hyp(["c"], 1, ac=-2.0), hyp(["c", "d"], 2, ac=-1.9)],
     }
     refs = {"u1": ["a"], "u2": ["c", "d"]}
-    lm = lambda words: -0.5 * len(words)
+    lm = lambda batch: [-0.5 * len(words) for words in batch]
     cfg, best_wer, grid = tune(nbest, refs, lm)
     assert len(grid) == len(DEFAULT_SCALES) * len(DEFAULT_PENALTIES)
     assert best_wer == min(w for _, _, w in grid)
@@ -252,7 +282,8 @@ def test_tune_searches_full_grid():
 def test_tune_first_config_wins_ties():
     nbest = {"u": [hyp(["a"], 1, ac=-1.0)]}
     refs = {"u": ["a"]}
-    cfg, best_wer, grid = tune(nbest, refs, lambda w: -1.0, scales=(2.0, 4.0), penalties=(0.0, 1.0))
+    lm = lambda batch: [-1.0] * len(batch)
+    cfg, best_wer, grid = tune(nbest, refs, lm, scales=(2.0, 4.0), penalties=(0.0, 1.0))
     assert best_wer == 0.0
     assert (cfg.lm_scale, cfg.word_penalty) == (2.0, 0.0)
     assert len(grid) == 4
@@ -264,7 +295,7 @@ def test_tune_finds_separating_scale():
         "u": [hyp(["wrong"], 1, ac=-1.0), hyp(["right"], 2, ac=-1.4)]
     }
     refs = {"u": ["right"]}
-    lm = lambda words: -1.0 if words == ["right"] else -1.1
+    lm = lambda batch: [-1.0 if words == ["right"] else -1.1 for words in batch]
     cfg, best_wer, _ = tune(nbest, refs, lm, scales=(2.0, 8.0), penalties=(0.0,))
     assert best_wer == 0.0
     assert cfg.lm_scale == 8.0

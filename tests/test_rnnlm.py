@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lmexpand.expansion import expand_model
 from lmexpand.rnnlm import (
     MAGIC,
     RnnState,
@@ -25,7 +28,9 @@ from lmexpand.rnnlm import (
     loss_and_grads,
     named_parameters,
     perplexity,
+    _sigmoid,
     save_checkpoint,
+    score_batch,
     score_ids,
     score_sentence,
     softmax,
@@ -100,6 +105,32 @@ def test_zero_weights_give_zero_hidden_and_logits():
     np.testing.assert_array_equal(out.logits, 0.0)
 
 
+def masked_sigmoid(x):
+    """The split formula evaluated on each sign's elements separately."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_masked_formula():
+    rng = np.random.default_rng(4)
+    special = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2]
+    )
+    for x in (
+        special,
+        np.linspace(-800.0, 800.0, 16001),
+        rng.normal(scale=30.0, size=(32, 96)),
+        rng.normal(size=96),
+    ):
+        with np.errstate(all="ignore"):
+            expected = masked_sigmoid(x)
+        assert _sigmoid(x).tobytes() == expected.tobytes()
+
+
 def test_forward_step_rejects_out_of_range_ids():
     vocab = small_vocab(3)
     model = init_model(vocab, 3, 2, 1)
@@ -158,6 +189,57 @@ def test_score_ids_of_empty_sentence_is_sentence_end():
     np.testing.assert_array_equal(score_ids(model, []), [log_softmax(step.logits)[EOS_ID]])
 
 
+def sharp_model(num_layers, seed):
+    """A model with order-one logits, where summation-order slips show;
+    w28 and w29 are outside its shortlist."""
+    model = init_model(small_vocab(30, shortlist=31), 6, 8, num_layers, seed=seed)
+    for layer in model.layers:
+        layer.w_in *= 30.0
+        layer.w_rec *= 30.0
+    model.output_embed *= 60.0
+    return model
+
+
+BATCH_MODELS = [sharp_model(1, 1), sharp_model(2, 2)]
+BATCH_MODELS.append(
+    expand_model(BATCH_MODELS[1], {"w28": [(5, 1.0), (9, 2.0)], "w29": [(12, 1.0)]})[0]
+)
+
+
+@st.composite
+def sentence_sets(draw):
+    """Sentences that share prefixes, repeat, and may be empty."""
+    word = st.integers(0, 32)
+    roots = draw(st.lists(st.lists(word, max_size=6), min_size=1, max_size=4))
+    out = []
+    for _ in range(draw(st.integers(1, 12))):
+        root = draw(st.sampled_from(roots))
+        cut = draw(st.integers(0, len(root)))
+        out.append(root[:cut] + draw(st.lists(word, max_size=3)))
+    return out + draw(st.lists(st.sampled_from(out), max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(range(len(BATCH_MODELS))), sentence_sets())
+def test_score_batch_is_bitwise_score_ids(which, sentences):
+    model = BATCH_MODELS[which]
+    sentences = [[w % model.n_explicit for w in s] for s in sentences]
+    got = score_batch(model, sentences)
+    assert len(got) == len(sentences)
+    for ids, scores in zip(sentences, got):
+        assert scores.tobytes() == score_ids(model, ids).tobytes()
+
+
+def test_score_batch_edges():
+    model = BATCH_MODELS[0]
+    assert score_batch(model, []) == []
+    assert score_batch(model, [[]])[0].tobytes() == score_ids(model, []).tobytes()
+    with pytest.raises(IndexError):
+        score_batch(model, [[1], [model.n_explicit]])
+    with pytest.raises(IndexError):
+        score_batch(model, [[-1]])
+
+
 def test_score_sentence_rejects_empty():
     model = init_model(small_vocab(3), 3, 2, 1)
     with pytest.raises(ValueError):
@@ -169,6 +251,12 @@ def test_perplexity_frozen_value():
     assert perplexity(np.log([0.5, 0.25])) == pytest.approx(math.sqrt(8.0))
     with pytest.raises(ValueError):
         perplexity(np.array([]))
+
+
+def test_corpus_perplexity_of_empty_corpus():
+    model = init_model(small_vocab(), 3, 2, 1)
+    with pytest.raises(ValueError, match="no scoreable tokens"):
+        corpus_perplexity(model, [])
 
 
 def test_corpus_perplexity_collapses_tail_to_unk():
@@ -387,3 +475,20 @@ def test_non_finite_loss_raises():
     model.output_bias[:] = np.nan
     with pytest.raises(TrainingDivergedError):
         train_bptt(model, corpus, TrainConfig(epochs=1, dropout=0.0, batch=2))
+
+
+def test_empty_validation_corpus_is_rejected():
+    corpus = pattern_corpus(10)
+    model = init_model(build_vocabulary(corpus, 7, 7), 3, 2, 1)
+    with pytest.raises(ValueError, match="no scoreable tokens"):
+        train_bptt(model, corpus, TrainConfig(epochs=1, dropout=0.0, batch=2), val_corpus=[])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_training_perplexity_raises():
+    # a huge but finite loss: math.exp of the mean overflows
+    corpus = [["a", "b", "c"], ["b", "c", "a", "a"], ["c", "a"]]
+    model = init_model(build_vocabulary(corpus, 6, 6), 2, 2, 1, seed=0)
+    cfg = TrainConfig(lr=1e300, clip=1e300, dropout=0.0, epochs=3, batch=2, unroll=3)
+    with pytest.raises(TrainingDivergedError, match="overflows"):
+        train_bptt(model, corpus, cfg)
