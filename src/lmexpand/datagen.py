@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rescoring import Hypothesis, NBestList
-from .vocab import Corpus, Vocabulary
+from .vocab import Corpus, Hypothesis, NBestList, Vocabulary
 
 
 @dataclass

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,10 +32,7 @@ from .ngram import NgramModel
 from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_batch
 from .rnnlm import forward_step  # noqa: F401  unused; lmbench tests delete this name
 from .skipgram import WordEmbeddings, nearest_in_shortlist
-from .vocab import BOS, Corpus, Vocabulary
-
-if TYPE_CHECKING:
-    from .rescoring import Hypothesis
+from .vocab import BOS, Corpus, Hypothesis, Vocabulary
 
 POLICIES = ("shortlist", "uniform", "ngram")
 
@@ -73,7 +70,7 @@ class ExpansionReport:
 
 
 def extract_oos_words(
-    nbest: Mapping[str, Sequence["Hypothesis"]],
+    nbest: Mapping[str, Sequence[Hypothesis]],
     vocab: Vocabulary,
     n: int = 1,
 ) -> list[str]:
@@ -158,15 +155,9 @@ def expand_model(model: RnnLmModel, plan: CandidatePlan) -> tuple[RnnLmModel, Ex
     """
     vocab = model.vocab
     n_before = model.n_explicit
-    new_words = list(plan.keys())
-    seen: set[str] = set()
-    for word in new_words:
+    for word, entries in plan.items():
         if vocab.is_shortlist(word):
             raise ValueError(f"duplicate new word (already explicit): {word}")
-        if word in seen:
-            raise ValueError(f"duplicate new word in plan: {word}")
-        seen.add(word)
-    for word, entries in plan.items():
         if not entries:
             raise ValueError(f"empty candidate list for {word}")
         for wid, _ in entries:
@@ -175,41 +166,23 @@ def expand_model(model: RnnLmModel, plan: CandidatePlan) -> tuple[RnnLmModel, Ex
                     f"candidate id {wid} for {word} outside explicit range [0, {n_before})"
                 )
 
-    in_rows = []
-    out_rows = []
-    bias_entries = []
-    for word, entries in plan.items():
-        ids = [wid for wid, _ in entries]
-        weights = [wt for _, wt in entries]
-        in_rows.append(synthesize_vector([model.input_embed[i] for i in ids], weights))
-        out_rows.append(synthesize_vector([model.output_embed[i] for i in ids], weights))
-        bias_entries.append(
-            float(synthesize_vector([model.output_bias[i : i + 1] for i in ids], weights)[0])
-        )
-
-    words = (
-        vocab.shortlist_words
-        + new_words
-        + [w for w in vocab.tail_words if w not in seen]
-    )
+    # One synthesis per new word over its candidates' [input | output | bias] rows.
+    table = np.hstack([model.input_embed, model.output_embed, model.output_bias[:, None]])
+    rows = [synthesize_vector(table[[i for i, _ in e]], [wt for _, wt in e]) for e in plan.values()]
+    new = np.vstack([table[:0], *rows])  # a (0, ·) block when the plan is empty
+    new_words = list(plan)
+    words = vocab.shortlist_words + new_words + [w for w in vocab.tail_words if w not in plan]
     new_vocab = Vocabulary(words, vocab.shortlist_size + len(new_words))
-    if new_words:
-        input_embed = np.vstack([model.input_embed, np.stack(in_rows)])
-        output_embed = np.vstack([model.output_embed, np.stack(out_rows)])
-        output_bias = np.concatenate([model.output_bias, np.array(bias_entries)])
-    else:
-        input_embed = model.input_embed.copy()
-        output_embed = model.output_embed.copy()
-        output_bias = model.output_bias.copy()
+    split = model.embed_dim
     expanded = RnnLmModel(
         vocab=new_vocab,
-        input_embed=input_embed,
+        input_embed=np.vstack([model.input_embed, new[:, :split]]),
         layers=[
             LstmLayer(w_in=layer.w_in.copy(), w_rec=layer.w_rec.copy(), bias=layer.bias.copy())
             for layer in model.layers
         ],
-        output_embed=output_embed,
-        output_bias=output_bias,
+        output_embed=np.vstack([model.output_embed, new[:, split:-1]]),
+        output_bias=np.concatenate([model.output_bias, new[:, -1]]),
     )
     report = ExpansionReport(
         expanded=new_words,

@@ -315,7 +315,6 @@ def import_arpa(path: str | Path) -> NgramModel:
     order = len(declared)
     str_probs: list[dict[tuple[str, ...], float]] = [dict() for _ in range(order)]
     str_bows: list[dict[tuple[str, ...], float]] = [dict() for _ in range(max(order - 1, 0))]
-    unigram_order: list[str] = []
 
     for k in range(1, order + 1):
         expected = f"\\{k}-grams:"
@@ -339,14 +338,19 @@ def import_arpa(path: str | Path) -> NgramModel:
                 bow = float(fields[-1]) if has_bow else 0.0
             except ValueError as err:
                 raise ArpaParseError(f"bad score in entry: {line!r}", line_no) from err
+            if not (math.isfinite(log10p) and math.isfinite(bow)):
+                raise ArpaParseError(f"non-finite score in entry: {line!r}", line_no)
             words = tuple(fields[1 : k + 1])
             if words in str_probs[k - 1]:
                 raise ArpaParseError(f"duplicate {k}-gram: {line!r}", line_no)
+            unknown = [w for w in words if (w,) not in str_probs[0] and w not in RESERVED]
+            if k > 1 and unknown:  # the unigram section precedes every longer n-gram
+                raise ArpaParseError(
+                    f"{k}-gram uses word {unknown[0]!r} with no unigram entry", line_no
+                )
             str_probs[k - 1][words] = log10p * LN10
             if has_bow:
                 str_bows[k - 1][words] = bow * LN10
-            if k == 1:
-                unigram_order.append(words[0])
         item = next_content()
         if item is None:
             raise ArpaParseError("missing \\end\\ marker", n_lines)
@@ -355,15 +359,8 @@ def import_arpa(path: str | Path) -> NgramModel:
     if line != "\\end\\":
         raise ArpaParseError(f"expected \\end\\, found {line!r}", line_no)
 
-    words = list(RESERVED) + [w for w in unigram_order if w not in RESERVED]
+    words = list(RESERVED) + [w for (w,) in str_probs[0] if w not in RESERVED]
     vocab = Vocabulary(words, len(words))
-    for k in range(2, order + 1):
-        for gram in str_probs[k - 1]:
-            for w in gram:
-                if w not in vocab:
-                    raise ArpaParseError(
-                        f"{k}-gram uses word {w!r} with no unigram entry", 0
-                    )
 
     probs = [
         {tuple(vocab.encode(w) for w in gram): lp for gram, lp in str_probs[k].items()}

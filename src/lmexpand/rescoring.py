@@ -1,12 +1,8 @@
 """N-best list rescoring, word error rate, tuning and the full pipeline.
 
-N-best files carry one hypothesis per line:
-
-    <utt-id>\t<rank>\t<acoustic>\t<lm>\t<w1> <w2> ...
-
-Scores are natural-log values printed with six decimals.  The word field
-may be empty (a silence hypothesis), which rescoring treats as an
-end-of-sentence-only event.  Reference files carry "<utt-id>\t<words>".
+An empty hypothesis (a silence hypothesis) is scored as an
+end-of-sentence-only event.  The n-best and transcript readers and writers
+live in ``vocab`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -21,27 +17,20 @@ from . import expansion as _expansion
 from . import ngram as _ngram
 from . import rnnlm as _rnnlm
 from . import skipgram as _skipgram
-
-
-class NBestParseError(ValueError):
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+from .vocab import (  # noqa: F401  re-exported: callers use rescoring.parse_nbest etc.
+    Hypothesis,
+    NBestList,
+    NBestParseError,
+    load_transcripts,
+    parse_nbest,
+    write_nbest,
+    write_transcripts,
+)
 
 
 class RescoreError(RuntimeError):
     pass
 
-
-@dataclass
-class Hypothesis:
-    words: list[str]
-    acoustic_score: float
-    lm_score: float
-    rank: int  # original 1-based position
-
-
-NBestList = dict[str, list[Hypothesis]]
 
 # An LM scores a batch: it takes the word lists of one utterance's
 # hypotheses and returns one ln probability per list, in order.
@@ -57,48 +46,6 @@ def per_sentence(score: Callable[[list[str]], float]) -> LmScorer:
 class RescoreConfig:
     lm_scale: float = 10.0
     word_penalty: float = 0.0
-
-
-def parse_nbest(path: str | Path) -> NBestList:
-    nbest: NBestList = {}
-    seen: set[tuple[str, int]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 5:
-                raise NBestParseError(
-                    f"expected 5 tab-separated fields, found {len(fields)}", line_no
-                )
-            utt, rank_s, ac_s, lm_s, words_s = fields
-            try:
-                rank = int(rank_s)
-                acoustic = float(ac_s)
-                lm = float(lm_s)
-            except ValueError as err:
-                raise NBestParseError(f"bad numeric field: {err}", line_no) from err
-            if not (math.isfinite(acoustic) and math.isfinite(lm)):
-                raise NBestParseError("non-finite acoustic or LM score", line_no)
-            if (utt, rank) in seen:
-                raise NBestParseError(f"duplicate hypothesis {utt!r} rank {rank}", line_no)
-            seen.add((utt, rank))
-            nbest.setdefault(utt, []).append(
-                Hypothesis(words=words_s.split(), acoustic_score=acoustic, lm_score=lm, rank=rank)
-            )
-    for hyps in nbest.values():
-        hyps.sort(key=lambda h: h.rank)
-    return nbest
-
-
-def write_nbest(nbest: NBestList, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt, hyps in nbest.items():
-            for hyp in hyps:
-                fh.write(
-                    f"{utt}\t{hyp.rank}\t{hyp.acoustic_score:.6f}"
-                    f"\t{hyp.lm_score:.6f}\t{' '.join(hyp.words)}\n"
-                )
 
 
 def combined_score(hyp: Hypothesis, cfg: RescoreConfig) -> float:
@@ -222,29 +169,6 @@ def wer(refs: dict[str, list[str]], hyps: dict[str, list[str]]) -> WerResult:
     return WerResult(total_s, total_i, total_d, total_n)
 
 
-def load_transcripts(path: str | Path) -> dict[str, list[str]]:
-    """Read "<utt-id>\t<words>" lines (references or 1-best transcripts)."""
-    out: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"line {line_no}: expected '<utt-id>\\t<words>'")
-            utt, words_s = fields
-            if utt in out:
-                raise ValueError(f"line {line_no}: duplicate utterance {utt!r}")
-            out[utt] = words_s.split()
-    return out
-
-
-def write_transcripts(transcripts: dict[str, list[str]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt, words in transcripts.items():
-            fh.write(f"{utt}\t{' '.join(words)}\n")
-
-
 DEFAULT_SCALES = tuple(float(s) for s in range(2, 21, 2))
 DEFAULT_PENALTIES = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
@@ -301,21 +225,18 @@ def parse_config(path: str | Path) -> dict[str, str]:
     return out
 
 
-PIPELINE_KEYS = {
-    "nbest",
-    "refs",
-    "model",
-    "vectors",
-    "arpa",
-    "extract_n",
-    "candidates_k",
-    "weighted",
-    "policy",
-    "lm_scale",
-    "word_penalty",
-    "report",
-    "expanded_checkpoint",
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# Optional pipeline settings in report order: key -> (default, parser, check).
+_SETTINGS = {
+    "extract_n": ("1", int, lambda n: n >= 1),
+    "candidates_k": ("8", int, lambda k: k >= 1),
+    "weighted": ("false", lambda text: _BOOLEANS[text.lower()], lambda _: True),
+    "policy": ("uniform", str, lambda policy: policy in _expansion.POLICIES),
+    "lm_scale": ("10", float, math.isfinite),
+    "word_penalty": ("0", float, math.isfinite),
 }
+_REQUIRED = {"nbest", "refs", "model", "vectors", "arpa"}
+PIPELINE_KEYS = {*_REQUIRED, *_SETTINGS, "report", "expanded_checkpoint"}
 
 
 def run_pipeline(config: dict[str, str]) -> dict:
@@ -323,15 +244,27 @@ def run_pipeline(config: dict[str, str]) -> dict:
 
     Required keys: nbest, refs, model (checkpoint), vectors (word2vec text),
     arpa (full-vocabulary n-gram baseline).  Optional: extract_n (1),
-    candidates_k (8), weighted (false), policy (uniform), lm_scale (10),
-    word_penalty (0), report (JSON output path), expanded_checkpoint.
+    candidates_k (8), weighted (false; true/false, yes/no or 1/0), policy
+    (uniform), lm_scale (10), word_penalty (0), report (JSON output path),
+    expanded_checkpoint.  Every setting is parsed before any file is read.
     """
     unknown = set(config) - PIPELINE_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = {"nbest", "refs", "model", "vectors", "arpa"} - set(config)
+    missing = _REQUIRED - set(config)
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
+    settings = {}
+    for key, (default, parse, check) in _SETTINGS.items():
+        text = config.get(key, default)
+        try:
+            settings[key] = parse(text)
+            if not check(settings[key]):
+                raise ValueError(text)
+        except (ValueError, KeyError) as err:
+            raise ValueError(f"config key {key!r}: bad value {text!r}") from err
+    policy = settings["policy"]
+    cfg = RescoreConfig(lm_scale=settings["lm_scale"], word_penalty=settings["word_penalty"])
 
     nbest = parse_nbest(config["nbest"])
     refs = load_transcripts(config["refs"])
@@ -339,18 +272,9 @@ def run_pipeline(config: dict[str, str]) -> dict:
     embeddings = _skipgram.load_w2v_text(config["vectors"])
     ngram_model = _ngram.import_arpa(config["arpa"])
 
-    extract_n = int(config.get("extract_n", "1"))
-    candidates_k = int(config.get("candidates_k", "8"))
-    weighted = config.get("weighted", "false").lower() in ("true", "1", "yes")
-    policy = config.get("policy", "uniform")
-    cfg = RescoreConfig(
-        lm_scale=float(config.get("lm_scale", "10")),
-        word_penalty=float(config.get("word_penalty", "0")),
-    )
-
-    oos = _expansion.extract_oos_words(nbest, model.vocab, n=extract_n)
+    oos = _expansion.extract_oos_words(nbest, model.vocab, n=settings["extract_n"])
     expanded, report = _expansion.expand_with_embeddings(
-        model, oos, embeddings, k=candidates_k, weighted=weighted
+        model, oos, embeddings, k=settings["candidates_k"], weighted=settings["weighted"]
     )
 
     full_vocab = model.vocab
@@ -382,14 +306,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
         )
 
     out_report = {
-        "settings": {
-            "extract_n": extract_n,
-            "candidates_k": candidates_k,
-            "weighted": weighted,
-            "policy": policy,
-            "lm_scale": cfg.lm_scale,
-            "word_penalty": cfg.word_penalty,
-        },
+        "settings": settings,
         "new_words": {"count": len(report.expanded), **report.to_dict()},
         "systems": systems,
     }

@@ -160,14 +160,20 @@ def nearest_in_shortlist(
     if k < 1:
         raise ValueError("k must be >= 1")
     tvec = embeddings.vector(target)
-    scored: list[tuple[float, int]] = []
-    for wid in range(3, vocab.shortlist_size):
-        word = vocab.decode(wid)
-        if word == target or word not in embeddings:
-            continue
-        scored.append((cosine_similarity(tvec, embeddings.vector(word)), wid))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    return [(wid, sim) for sim, wid in scored[:k]]
+    ids = [
+        wid
+        for wid, word in enumerate(vocab.shortlist_words[3:], start=3)
+        if word != target and word in embeddings
+    ]
+    rows = embeddings.vectors[[embeddings.index[vocab.words[wid]] for wid in ids]][:, None, :]
+    # One dot product per row, each exactly as ``cosine_similarity`` computes
+    # it: a plain gemv rounds equal rows differently by position, breaking ties.
+    dots = (rows @ tvec)[:, 0]
+    norms = np.sqrt((rows @ rows.transpose(0, 2, 1))[:, 0, 0])
+    tnorm = float(np.linalg.norm(tvec))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.where((norms == 0.0) | (tnorm == 0.0), 0.0, dots / (tnorm * norms))
+    return [(ids[i], float(sims[i])) for i in np.argsort(-sims, kind="stable")[:k]]
 
 
 def save_w2v_text(embeddings: WordEmbeddings, path: str | Path) -> None:
@@ -205,6 +211,8 @@ def load_w2v_text(path: str | Path) -> WordEmbeddings:
                 rows[n] = [float(v) for v in fields[1:]]
             except ValueError as err:
                 raise ValueError(f"line {line_no}: non-numeric vector value") from err
+            if not np.isfinite(rows[n]).all():
+                raise ValueError(f"line {line_no}: non-finite vector value")
     if len(words) != count:
         raise ValueError(f"header declares {count} vectors, file has {len(words)}")
     return WordEmbeddings(words, rows)

@@ -1,9 +1,17 @@
-"""Corpus handling and frequency-ranked vocabularies with a shortlist boundary."""
+"""Corpus handling, frequency-ranked vocabularies with a shortlist boundary,
+and the n-best and transcript text formats.
+
+An n-best line is "<utt-id>\t<rank>\t<acoustic>\t<lm>\t<w1> <w2> ...", with
+natural-log scores printed with six decimals; the word field may be empty
+(a silence hypothesis).  A transcript line is "<utt-id>\t<words>".
+"""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 BOS = "<s>"
@@ -37,6 +45,14 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             fh.write(" ".join(sentence) + "\n")
 
 
+class VocabularyError(ValueError):
+    """An empty, whitespace-bearing or repeated word at list position ``word_id``."""
+
+    def __init__(self, message: str, word_id: int):
+        super().__init__(message)
+        self.word_id = word_id
+
+
 class Vocabulary:
     """Ordered word<->id map with reserved tokens and a shortlist boundary.
 
@@ -56,12 +72,12 @@ class Vocabulary:
             raise ValueError(
                 f"shortlist_size {self.shortlist_size} outside [3, {len(self.words)}]"
             )
-        self._ids: dict[str, int] = {w: i for i, w in enumerate(self.words)}
-        if len(self._ids) != len(self.words):
-            raise ValueError("vocabulary contains duplicate words")
-        for w in self.words:
+        self._ids: dict[str, int] = {}
+        for i, w in enumerate(self.words):
             if not w or w.split() != [w]:
-                raise ValueError(f"word contains whitespace or is empty: {w!r}")
+                raise VocabularyError(f"word id {i} is empty or contains whitespace: {w!r}", i)
+            if self._ids.setdefault(w, i) != i:
+                raise VocabularyError(f"duplicate word {w!r} at ids {self._ids[w]} and {i}", i)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -118,7 +134,10 @@ class Vocabulary:
             shortlist_size = int(lines[0].split("=", 1)[1])
         except ValueError as err:
             raise ValueError(f"bad shortlist header: {lines[0]!r}") from err
-        return cls(lines[1:], shortlist_size)
+        try:
+            return cls(lines[1:], shortlist_size)
+        except VocabularyError as err:  # word i sits on line i + 2, after the header
+            raise ValueError(f"line {err.word_id + 2}: {err}") from err
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8")
@@ -151,3 +170,85 @@ def build_vocabulary(corpus: Corpus, shortlist_size: int, full_size: int) -> Voc
     kept = [w for w, _ in ranked[: full_size - 3]]
     words = list(RESERVED) + kept
     return Vocabulary(words, min(shortlist_size, len(words)))
+
+
+class NBestParseError(ValueError):
+    """A malformed line of an n-best or transcript file."""
+
+    def __init__(self, message: str, line_no: int):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
+@dataclass
+class Hypothesis:
+    words: list[str]
+    acoustic_score: float
+    lm_score: float
+    rank: int  # original 1-based position
+
+
+NBestList = dict[str, list[Hypothesis]]
+
+
+def _tab_records(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of every non-blank line of a tab-separated file."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != n_fields:
+                raise NBestParseError(
+                    f"expected {n_fields} tab-separated fields, found {len(fields)}", line_no
+                )
+            yield line_no, fields
+
+
+def parse_nbest(path: str | Path) -> NBestList:
+    nbest: NBestList = {}
+    seen: set[tuple[str, int]] = set()
+    for line_no, (utt, rank_s, ac_s, lm_s, words_s) in _tab_records(path, 5):
+        try:
+            rank = int(rank_s)
+            acoustic = float(ac_s)
+            lm = float(lm_s)
+        except ValueError as err:
+            raise NBestParseError(f"bad numeric field: {err}", line_no) from err
+        if not (math.isfinite(acoustic) and math.isfinite(lm)):
+            raise NBestParseError("non-finite acoustic or LM score", line_no)
+        if (utt, rank) in seen:
+            raise NBestParseError(f"duplicate hypothesis {utt!r} rank {rank}", line_no)
+        seen.add((utt, rank))
+        nbest.setdefault(utt, []).append(
+            Hypothesis(words=words_s.split(), acoustic_score=acoustic, lm_score=lm, rank=rank)
+        )
+    for hyps in nbest.values():
+        hyps.sort(key=lambda h: h.rank)
+    return nbest
+
+
+def write_nbest(nbest: NBestList, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for utt, hyps in nbest.items():
+            for hyp in hyps:
+                fh.write(
+                    f"{utt}\t{hyp.rank}\t{hyp.acoustic_score:.6f}"
+                    f"\t{hyp.lm_score:.6f}\t{' '.join(hyp.words)}\n"
+                )
+
+
+def load_transcripts(path: str | Path) -> dict[str, list[str]]:
+    """Read "<utt-id>\t<words>" lines (references or 1-best transcripts)."""
+    out: dict[str, list[str]] = {}
+    for line_no, (utt, words_s) in _tab_records(path, 2):
+        if utt in out:
+            raise NBestParseError(f"duplicate utterance {utt!r}", line_no)
+        out[utt] = words_s.split()
+    return out
+
+
+def write_transcripts(transcripts: dict[str, list[str]], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for utt, words in transcripts.items():
+            fh.write(f"{utt}\t{' '.join(words)}\n")

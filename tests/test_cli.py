@@ -294,6 +294,29 @@ def test_pipeline_command(workdir, tmp_path, capsys):
     assert bigger.n_explicit == base.n_explicit + report["new_words"]["count"]
 
 
+@pytest.mark.parametrize("spelling, weighted", [("YES", True), ("0", False)])
+def test_pipeline_weighted_spellings(workdir, tmp_path, spelling, weighted):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "".join(
+            f"{key} = {workdir / name}\n"
+            for key, name in [
+                ("nbest", "test.nbest"),
+                ("refs", "test.refs"),
+                ("model", "model.bin"),
+                ("vectors", "vectors.txt"),
+                ("arpa", "model.arpa"),
+            ]
+        )
+        + f"weighted = {spelling}\nreport = {tmp_path / 'report.json'}\n"
+    )
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["settings"]["weighted"] is weighted
+    weights = {wt for entries in report["new_words"]["candidates"].values() for _, wt in entries}
+    assert (weights == {1.0}) is not weighted
+
+
 def test_pipeline_rejects_unknown_keys(workdir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("mystery = 1\n")

@@ -165,6 +165,35 @@ def test_batched_step_preserves_original_logits_bitwise():
         assert forward_step(model, int(ids[row]), state).logits.tobytes() == la[row].tobytes()
 
 
+def test_new_rows_match_per_block_synthesis():
+    """One synthesis over [input | output | bias] gives the input and output
+    rows bit for bit.  The bias may round differently, because numpy sums a
+    lone column pairwise; it stays within the recursive-summation error
+    bound, n * eps times the weighted mean of the candidates' |bias|."""
+    rng = np.random.default_rng(3)
+    words = [f"w{i:02d}" for i in range(40)] + [f"n{i}" for i in range(6)]
+    vocab = Vocabulary(list(RESERVED) + words, shortlist_size=43)
+    model = init_model(vocab, embed_dim=7, hidden_dim=9, num_layers=1, seed=5)
+    model.output_bias[:] = rng.normal(size=model.n_explicit)
+    plan = {
+        f"n{i}": [(int(w), float(rng.uniform(0.1, 2.0))) for w in rng.choice(43, size=n)]
+        for i, n in enumerate((1, 2, 5, 8, 13, 30))
+    }
+    expanded, _ = expand_model(model, plan)
+    for row, entries in enumerate(plan.values(), start=model.n_explicit):
+        ids = [wid for wid, _ in entries]
+        weights = [wt for _, wt in entries]
+        new_in = synthesize_vector([model.input_embed[i] for i in ids], weights)
+        new_out = synthesize_vector([model.output_embed[i] for i in ids], weights)
+        new_bias = synthesize_vector([model.output_bias[i : i + 1] for i in ids], weights)
+        assert expanded.input_embed[row].tobytes() == new_in.tobytes()
+        assert expanded.output_embed[row].tobytes() == new_out.tobytes()
+        magnitude = np.dot(weights, np.abs(model.output_bias[ids])) / sum(weights)
+        bound = len(ids) * np.finfo(float).eps * magnitude
+        assert abs(expanded.output_bias[row] - new_bias[0]) <= bound
+    assert expanded.input_embed.flags.c_contiguous and expanded.output_embed.flags.c_contiguous
+
+
 def test_new_word_logit_is_weighted_mean_of_candidates():
     model = make_model(seed=3)
     plan = {

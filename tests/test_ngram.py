@@ -297,6 +297,52 @@ class TestArpa:
         with pytest.raises(ArpaParseError, match="line 5"):
             import_arpa(path)
 
+    BIGRAM_ARPA = (
+        "\\data\\\n"
+        "ngram 1=3\n"
+        "ngram 2=2\n"
+        "\n"
+        "\\1-grams:\n"
+        "-99\t<s>\t-0.3\n"
+        "-0.5\ta\t-0.2\n"
+        "-0.4\t</s>\n"
+        "\n"
+        "\\2-grams:\n"
+        "-0.1\t<s> a\n"
+        "-0.2\ta </s>\n"
+        "\n"
+        "\\end\\\n"
+    )
+
+    def test_bigram_fixture_parses(self, tmp_path):
+        path = tmp_path / "ok.arpa"
+        path.write_text(self.BIGRAM_ARPA)
+        model = import_arpa(path)
+        assert model.order == 2 and "a" in model.vocab
+
+    def test_unknown_word_reports_its_entry_line(self, tmp_path):
+        path = tmp_path / "bad.arpa"
+        path.write_text(self.BIGRAM_ARPA.replace("-0.2\ta </s>", "-0.2\ta zzz"))
+        with pytest.raises(ArpaParseError, match="line 12: 2-gram uses word 'zzz'") as err:
+            import_arpa(path)
+        assert err.value.line_no == 12
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize(
+        "entry, bad, line_no",
+        [
+            pytest.param("-0.5\ta\t-0.2", "{}\ta\t-0.2", 7, id="unigram-prob"),
+            pytest.param("-0.5\ta\t-0.2", "-0.5\ta\t{}", 7, id="unigram-backoff"),
+            pytest.param("-0.1\t<s> a", "{}\t<s> a", 11, id="bigram-prob"),
+        ],
+    )
+    def test_non_finite_scores_report_line(self, tmp_path, value, entry, bad, line_no):
+        path = tmp_path / "bad.arpa"
+        path.write_text(self.BIGRAM_ARPA.replace(entry, bad.format(value)))
+        with pytest.raises(ArpaParseError, match=f"line {line_no}: non-finite") as err:
+            import_arpa(path)
+        assert err.value.line_no == line_no
+
     def test_count_mismatch_detected(self, tmp_path):
         path = tmp_path / "bad.arpa"
         path.write_text(

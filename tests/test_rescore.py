@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmexpand
 from lmexpand.rescoring import (
     DEFAULT_PENALTIES,
     DEFAULT_SCALES,
@@ -22,6 +25,7 @@ from lmexpand.rescoring import (
     per_sentence,
     render_report,
     rescore,
+    run_pipeline,
     tune,
     wer,
     write_nbest,
@@ -331,6 +335,64 @@ def test_parse_config_errors(tmp_path):
     path.write_text("a = 1\na = 2\n")
     with pytest.raises(ValueError, match="duplicate"):
         parse_config(path)
+
+
+def missing_inputs(tmp_path):
+    """Required pipeline keys naming files that do not exist."""
+    return {key: str(tmp_path / key) for key in ("nbest", "refs", "model", "vectors", "arpa")}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("weighted", "ture"),
+        ("weighted", ""),
+        ("weighted", "2"),
+        ("extract_n", "one"),
+        ("extract_n", "0"),
+        ("candidates_k", "1.5"),
+        ("candidates_k", "-3"),
+        ("lm_scale", "ten"),
+        ("lm_scale", "nan"),
+        ("word_penalty", "inf"),
+        ("policy", "magic"),
+    ],
+)
+def test_pipeline_rejects_bad_settings_before_reading_files(tmp_path, key, value):
+    config = {**missing_inputs(tmp_path), key: value}
+    with pytest.raises(ValueError, match=f"config key '{key}': bad value '{value}'"):
+        run_pipeline(config)
+
+
+@pytest.mark.parametrize("value", ["true", "False", "YES", "no", "1", "0"])
+def test_pipeline_accepts_boolean_spellings(tmp_path, value):
+    # settings parse, so the run gets as far as the first missing file
+    with pytest.raises(FileNotFoundError):
+        run_pipeline({**missing_inputs(tmp_path), "weighted": value})
+
+
+def test_module_graph_has_no_cycles():
+    """n-best and transcript I/O live in vocab, so no module below rescoring
+    needs it, and the package's intra-module imports form no cycle."""
+    package = Path(lmexpand.__file__).parent
+    graph = {}
+    for path in package.glob("*.py"):
+        imports = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports |= {node.module} if node.module else {a.name for a in node.names}
+        graph[path.stem] = imports
+    del graph["__init__"]
+    assert not graph["vocab"]
+    assert "rescoring" not in graph["datagen"] | graph["expansion"]
+
+    def reaches(start, goal, seen):
+        return any(
+            nxt == goal or (nxt not in seen and reaches(nxt, goal, seen | {nxt}))
+            for nxt in graph.get(start, ())
+        )
+
+    assert not [name for name in graph if reaches(name, name, {name})]
 
 
 def test_render_report_table():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmexpand.skipgram import (
     SkipgramConfig,
@@ -110,14 +112,41 @@ class TestNearestInShortlist:
         rows.sort(key=lambda r: (-r[0], r[1]))
         return [(wid, sim) for sim, wid in rows[:k]]
 
-    def test_matches_exhaustive_oracle(self):
-        vocab, emb = self.make_fixture()
-        for k in (1, 2, 3, 10):
-            got = nearest_in_shortlist(emb, "query", vocab, k=k)
-            expected = self.oracle(emb, "query", vocab, k)
-            assert [w for w, _ in got] == [w for w, _ in expected]
-            for (_, s1), (_, s2) in zip(got, expected):
-                assert s1 == pytest.approx(s2, rel=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_exhaustive_oracle(self, data):
+        """Random tables with zero vectors, unembedded words, collinear and
+        duplicate rows (exact ties), and targets inside and outside."""
+        dim = data.draw(st.sampled_from([1, 2, 3, 8, 16, 24]), label="dim")
+        n_short = data.draw(st.integers(0, 12), label="shortlist content words")
+        words = [f"s{i}" for i in range(n_short)] + ["tail", "query"]
+        vocab = Vocabulary(list(RESERVED) + words[:-1], shortlist_size=3 + n_short)
+        value = st.one_of(
+            st.integers(-3, 3).map(float),
+            st.floats(-4, 4).filter(lambda x: x == 0.0 or abs(x) > 1e-3),
+        )
+        # a few base directions, so equal and collinear rows (exact ties) are common
+        pool = [
+            np.random.default_rng(data.draw(st.integers(0, 2**32))).normal(size=dim),
+            np.array(data.draw(st.lists(value, min_size=dim, max_size=dim))),
+            np.zeros(dim),
+        ]
+        table, rows = [], []
+        for word in words:
+            base = data.draw(st.integers(-1, len(pool) - 1))  # -1: no vector
+            if base < 0 and word != "query":
+                continue
+            scale = data.draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, -1.0, -4.0]))
+            table.append(word)
+            rows.append(pool[max(base, 0)] * scale)
+        emb = WordEmbeddings(table, np.array(rows).reshape(len(rows), dim))
+        target = data.draw(st.sampled_from(table), label="target")
+        k = data.draw(st.integers(1, n_short + 2), label="k")
+        got = nearest_in_shortlist(emb, target, vocab, k=k)
+        expected = self.oracle(emb, target, vocab, k)
+        assert [w for w, _ in got] == [w for w, _ in expected]
+        for (_, s1), (_, s2) in zip(got, expected):
+            assert s1 == pytest.approx(s2, rel=1e-12)
 
     def test_excludes_reserved_tail_and_unembedded(self):
         vocab, emb = self.make_fixture()
@@ -140,6 +169,20 @@ class TestNearestInShortlist:
         )
         got = nearest_in_shortlist(emb, "q", vocab, k=2)
         assert [w for w, _ in got] == [vocab.encode("x1"), vocab.encode("x2")]
+
+    def test_equal_rows_tie_at_every_batch_position(self):
+        """Equal rows score bit-identically wherever they sit in the shortlist;
+        a plain matrix-vector product rounds some positions differently."""
+        rng = np.random.default_rng(7)
+        for n in range(2, 14):
+            words = [f"x{i}" for i in range(n)]
+            vocab = Vocabulary(list(RESERVED) + words, shortlist_size=3 + n)
+            for dim in (8, 16, 24):
+                table = np.vstack([np.tile(rng.normal(size=dim), (n, 1)), rng.normal(size=dim)])
+                emb = WordEmbeddings(words + ["q"], table)
+                got = nearest_in_shortlist(emb, "q", vocab, k=n)
+                assert [w for w, _ in got] == list(range(3, 3 + n))
+                assert len({s for _, s in got}) == 1
 
     def test_unknown_target_raises(self):
         vocab, emb = self.make_fixture()
@@ -203,6 +246,13 @@ class TestTextFormat:
         path = tmp_path / "vec.txt"
         path.write_text("1 2\na 1 oops\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_w2v_text(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"2 2\na 1 2\n\nb 3 {value}\n")
+        with pytest.raises(ValueError, match="line 4: non-finite"):
             load_w2v_text(path)
 
     def test_duplicate_words_rejected(self):

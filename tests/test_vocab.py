@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -152,6 +153,29 @@ class TestVocabularyFile:
             Vocabulary([BOS, EOS, UNK, "a", "a"], 4)  # duplicate
         with pytest.raises(ValueError):
             Vocabulary([BOS, EOS, UNK], 2)  # boundary below reserved block
+
+
+    def test_duplicate_word_is_named(self):
+        with pytest.raises(ValueError, match="duplicate word 'a' at ids 3 and 5"):
+            Vocabulary([BOS, EOS, UNK, "a", "b", "a"], 4)
+        with pytest.raises(ValueError, match="duplicate word '<s>' at ids 0 and 4"):
+            Vocabulary([BOS, EOS, UNK, "a", BOS], 4)
+
+    @pytest.mark.parametrize("word", ["", "a b", "tab\there", " "])
+    def test_empty_or_whitespace_word_is_named(self, word):
+        message = f"word id 4 is empty or contains whitespace: {word!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Vocabulary([BOS, EOS, UNK, "a", word], 4)
+
+    def test_file_errors_report_the_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("#shortlist=4\n<s>\n</s>\n<unk>\na\nb\na\n")
+        with pytest.raises(ValueError, match="line 7: duplicate word 'a'"):
+            Vocabulary.load(path)
+        with pytest.raises(ValueError, match="line 6: word id 4 is empty"):
+            Vocabulary.from_text("#shortlist=4\n<s>\n</s>\n<unk>\na\n\nb\n")
+        with pytest.raises(ValueError, match="line 5: word id 3 .*'a b'"):
+            Vocabulary.from_text("#shortlist=4\n<s>\n</s>\n<unk>\na b\n")
 
 
 class TestCorpusIO:
