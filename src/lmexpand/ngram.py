@@ -103,42 +103,24 @@ def _estimate_discounts(values, order_k: int) -> tuple[float, float, float]:
     Degenerate statistics (any of n1..n4 zero, or a non-positive discount)
     fall back to a single absolute discount of 0.5 with a warning.
     """
-    n = Counter()
-    for v in values:
-        if 1 <= v <= 4:
-            n[v] += 1
+    n = Counter(values)
     n1, n2, n3, n4 = n[1], n[2], n[3], n[4]
-    if min(n1, n2, n3, n4) == 0:
-        warnings.warn(
-            f"degenerate counts-of-counts at order {order_k}; "
-            "falling back to absolute discount 0.5",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return 0.5, 0.5, 0.5
-    y = n1 / (n1 + 2.0 * n2)
-    d1 = 1.0 - 2.0 * y * n2 / n1
-    d2 = 2.0 - 3.0 * y * n3 / n2
-    d3 = 3.0 - 4.0 * y * n4 / n3
-    if d1 <= 0.0 or d2 <= 0.0 or d3 <= 0.0:
-        warnings.warn(
-            f"non-positive estimated discount at order {order_k}; "
-            "falling back to absolute discount 0.5",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return 0.5, 0.5, 0.5
-    return d1, d2, d3
+    if min(n1, n2, n3, n4) > 0:
+        y = n1 / (n1 + 2.0 * n2)
+        d = (1.0 - 2.0 * y * n2 / n1, 2.0 - 3.0 * y * n3 / n2, 3.0 - 4.0 * y * n4 / n3)
+        if min(d) > 0.0:
+            return d
+    warnings.warn(
+        f"degenerate counts-of-counts or non-positive discount at order {order_k}; "
+        "falling back to absolute discount 0.5",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return 0.5, 0.5, 0.5
 
 
 def _discount_for(count: int, d: tuple[float, float, float]) -> float:
-    if count <= 0:
-        return 0.0
-    if count == 1:
-        return d[0]
-    if count == 2:
-        return d[1]
-    return d[2]
+    return 0.0 if count <= 0 else d[min(count, 3) - 1]
 
 
 def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
@@ -164,48 +146,21 @@ def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
     adjusted: list[dict[tuple[int, ...], int]] = [dict() for _ in range(order + 1)]
     adjusted[order] = dict(raw[order])
     for k in range(order - 1, 0, -1):
-        cont: Counter = Counter()
-        for gram in raw[k + 1]:
-            cont[gram[1:]] += 1
+        cont = Counter(gram[1:] for gram in raw[k + 1])
         adjusted[k] = {
             gram: (c if gram[0] == BOS_ID else cont.get(gram, 0))
             for gram, c in raw[k].items()
         }
-    # The sentence-begin token is context-only; drop its unigram.
-    adjusted[1].pop((BOS_ID,), None)
-
-    discounts = [
-        _estimate_discounts(adjusted[k].values(), k) for k in range(1, order + 1)
-    ]
-
-    n_predictable = len(vocab) - 1  # everything but <s>
-    uniform = 1.0 / n_predictable
+    # Every predictable word follows the empty context, with count 0 when
+    # unseen, so it keeps the uniform share; <s> is context only.
+    adjusted[1] = {(w,): adjusted[1].get((w,), 0) for w in range(len(vocab)) if w != BOS_ID}
+    uniform = 1.0 / (len(vocab) - 1)
 
     probs: list[dict[tuple[int, ...], float]] = [dict() for _ in range(order)]
-    backoffs: list[dict[tuple[int, ...], float]] = [dict() for _ in range(max(order - 1, 0))]
+    backoffs: list[dict[tuple[int, ...], float]] = [dict() for _ in range(order - 1)]
     model = NgramModel(order, vocab, probs, backoffs)
-
-    # Unigrams: every predictable word is stored so unseen words keep the
-    # uniform-interpolated share.
-    d1 = discounts[0]
-    total1 = sum(adjusted[1].values())
-    if total1 <= 0:
-        raise ValueError("corpus produced no countable unigrams")
-    gamma1 = (
-        d1[0] * sum(1 for v in adjusted[1].values() if v == 1)
-        + d1[1] * sum(1 for v in adjusted[1].values() if v == 2)
-        + d1[2] * sum(1 for v in adjusted[1].values() if v >= 3)
-    ) / total1
-    for wid in range(len(vocab)):
-        if wid == BOS_ID:
-            continue
-        a = adjusted[1].get((wid,), 0)
-        p = max(a - _discount_for(a, d1), 0.0) / total1 + gamma1 * uniform
-        probs[0][(wid,)] = math.log(p)
-    probs[0][(BOS_ID,)] = LOG10_TINY * LN10
-
-    for k in range(2, order + 1):
-        dk = discounts[k - 1]
+    for k in range(1, order + 1):
+        dk = _estimate_discounts(adjusted[k].values(), k)
         by_context: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for gram, a in adjusted[k].items():
             by_context.setdefault(gram[:-1], []).append((gram[-1], a))
@@ -215,13 +170,13 @@ def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
             n2c = sum(1 for _, a in followers if a == 2)
             n3c = sum(1 for _, a in followers if a >= 3)
             gamma = (dk[0] * n1c + dk[1] * n2c + dk[2] * n3c) / total
-            backoffs[k - 2][h] = math.log(gamma)
-            lower_ctx = h[1:]
+            if h:
+                backoffs[k - 2][h] = math.log(gamma)
             for w, a in followers:
-                lower = math.exp(model.conditional_logprob(w, lower_ctx))
+                lower = math.exp(model.conditional_logprob(w, h[1:])) if h else uniform
                 p = max(a - _discount_for(a, dk), 0.0) / total + gamma * lower
                 probs[k - 1][h + (w,)] = math.log(p)
-
+    probs[0][(BOS_ID,)] = LOG10_TINY * LN10
     return model
 
 
@@ -240,30 +195,18 @@ def ngram_perplexity(model: NgramModel, corpus: Corpus) -> float:
 
 def export_arpa(model: NgramModel, path: str | Path) -> None:
     """Write the model in the ARPA text format (log10 scores)."""
-    sections: list[list[str]] = []
-    counts: list[int] = []
-    for k in range(1, model.order + 1):
-        entries = sorted(model.probs[k - 1].keys())
-        counts.append(len(entries))
-        lines = []
-        for gram in entries:
-            log10p = model.probs[k - 1][gram] / LN10
-            words = " ".join(model.vocab.decode(i) for i in gram)
-            if k < model.order:
-                bow = model.backoffs[k - 1].get(gram, 0.0) / LN10
-                lines.append(f"{log10p:.6f}\t{words}\t{bow:.6f}")
-            else:
-                lines.append(f"{log10p:.6f}\t{words}")
-        sections.append(lines)
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\\n")
-        for k, c in enumerate(counts, start=1):
-            fh.write(f"ngram {k}={c}\n")
-        for k, lines in enumerate(sections, start=1):
+        for k, table in enumerate(model.probs, start=1):
+            fh.write(f"ngram {k}={len(table)}\n")
+        for k, table in enumerate(model.probs, start=1):
             fh.write(f"\n\\{k}-grams:\n")
-            for line in lines:
-                fh.write(line + "\n")
+            for gram in sorted(table):
+                words = " ".join(model.vocab.decode(i) for i in gram)
+                bow = ""
+                if k < model.order:
+                    bow = f"\t{model.backoffs[k - 1].get(gram, 0.0) / LN10:.6f}"
+                fh.write(f"{table[gram] / LN10:.6f}\t{words}{bow}\n")
         fh.write("\n\\end\\\n")
 
 
@@ -276,56 +219,44 @@ def import_arpa(path: str | Path) -> NgramModel:
     """
     with open(path, encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
-
-    i = 0
     n_lines = len(raw_lines)
+    content = ((line, no) for no, raw in enumerate(raw_lines, start=1) if (line := raw.strip()))
+    end = ("", n_lines)  # what ``content`` yields past the last line
 
-    def next_content() -> tuple[str, int] | None:
-        nonlocal i
-        while i < n_lines:
-            line = raw_lines[i].strip()
-            i += 1
-            if line:
-                return line, i
-        return None
-
-    item = next_content()
-    if item is None or item[0] != "\\data\\":
-        raise ArpaParseError("expected \\data\\ header", item[1] if item else n_lines)
+    line, line_no = next(content, end)
+    if line != "\\data\\":
+        raise ArpaParseError("expected \\data\\ header", line_no)
     declared: list[int] = []
-    while True:
-        item = next_content()
-        if item is None:
-            raise ArpaParseError("unexpected end of file in \\data\\ section", n_lines)
-        line, line_no = item
-        if line.startswith("ngram "):
-            try:
-                k_str, count_str = line[len("ngram ") :].split("=")
-                k, count = int(k_str), int(count_str)
-            except ValueError as err:
-                raise ArpaParseError(f"bad count line: {line!r}", line_no) from err
-            if k != len(declared) + 1:
-                raise ArpaParseError(f"out-of-order count line: {line!r}", line_no)
-            declared.append(count)
-            continue
-        break
+    for line, line_no in content:
+        if not line.startswith("ngram "):
+            break
+        try:
+            k_str, count_str = line[len("ngram ") :].split("=")
+            k, count = int(k_str), int(count_str)
+        except ValueError as err:
+            raise ArpaParseError(f"bad count line: {line!r}", line_no) from err
+        if k != len(declared) + 1:
+            raise ArpaParseError(f"out-of-order count line: {line!r}", line_no)
+        declared.append(count)
+    else:
+        raise ArpaParseError("unexpected end of file in \\data\\ section", n_lines)
     if not declared:
-        raise ArpaParseError("no ngram counts declared", item[1])
+        raise ArpaParseError("no ngram counts declared", line_no)
 
     order = len(declared)
-    str_probs: list[dict[tuple[str, ...], float]] = [dict() for _ in range(order)]
-    str_bows: list[dict[tuple[str, ...], float]] = [dict() for _ in range(max(order - 1, 0))]
-
+    # Word ids in file order after the reserved tokens; the unigram section
+    # assigns them, so every longer n-gram is encoded as it is read.
+    index = {w: i for i, w in enumerate(RESERVED)}
+    probs: list[dict[tuple[int, ...], float]] = [dict() for _ in range(order)]
+    backoffs: list[dict[tuple[int, ...], float]] = [dict() for _ in range(order - 1)]
     for k in range(1, order + 1):
         expected = f"\\{k}-grams:"
-        line, line_no = item
         if line != expected:
             raise ArpaParseError(f"expected {expected}, found {line!r}", line_no)
         for _ in range(declared[k - 1]):
-            entry = next_content()
-            if entry is None:
+            line, line_no = next(content, end)
+            if not line:
                 raise ArpaParseError(f"unexpected end of file in {expected}", n_lines)
-            line, line_no = entry
             fields = line.split()
             if len(fields) == k + 1:
                 has_bow = False
@@ -340,34 +271,24 @@ def import_arpa(path: str | Path) -> NgramModel:
                 raise ArpaParseError(f"bad score in entry: {line!r}", line_no) from err
             if not (math.isfinite(log10p) and math.isfinite(bow)):
                 raise ArpaParseError(f"non-finite score in entry: {line!r}", line_no)
-            words = tuple(fields[1 : k + 1])
-            if words in str_probs[k - 1]:
-                raise ArpaParseError(f"duplicate {k}-gram: {line!r}", line_no)
-            unknown = [w for w in words if (w,) not in str_probs[0] and w not in RESERVED]
-            if k > 1 and unknown:  # the unigram section precedes every longer n-gram
+            words = fields[1 : k + 1]
+            if k == 1:
+                index.setdefault(words[0], len(index))
+            unknown = [w for w in words if w not in index]
+            if unknown:  # the unigram section precedes every longer n-gram
                 raise ArpaParseError(
                     f"{k}-gram uses word {unknown[0]!r} with no unigram entry", line_no
                 )
-            str_probs[k - 1][words] = log10p * LN10
+            gram = tuple(index[w] for w in words)
+            if gram in probs[k - 1]:
+                raise ArpaParseError(f"duplicate {k}-gram: {line!r}", line_no)
+            probs[k - 1][gram] = log10p * LN10
             if has_bow:
-                str_bows[k - 1][words] = bow * LN10
-        item = next_content()
-        if item is None:
+                backoffs[k - 1][gram] = bow * LN10
+        line, line_no = next(content, end)
+        if not line:
             raise ArpaParseError("missing \\end\\ marker", n_lines)
 
-    line, line_no = item
     if line != "\\end\\":
         raise ArpaParseError(f"expected \\end\\, found {line!r}", line_no)
-
-    words = list(RESERVED) + [w for (w,) in str_probs[0] if w not in RESERVED]
-    vocab = Vocabulary(words, len(words))
-
-    probs = [
-        {tuple(vocab.encode(w) for w in gram): lp for gram, lp in str_probs[k].items()}
-        for k in range(order)
-    ]
-    backoffs = [
-        {tuple(vocab.encode(w) for w in gram): b for gram, b in str_bows[k].items()}
-        for k in range(max(order - 1, 0))
-    ]
-    return NgramModel(order, vocab, probs, backoffs)
+    return NgramModel(order, Vocabulary(list(index), len(index)), probs, backoffs)

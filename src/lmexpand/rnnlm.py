@@ -293,6 +293,8 @@ def loss_and_grads(
     T, B = inputs.shape
     L = model.num_layers
     hdim = model.hidden_dim
+    if masks is None:
+        masks = [[1.0] * (L + 1)] * T
 
     h_prev = h0.copy()
     c_prev = c0.copy()
@@ -301,9 +303,7 @@ def loss_and_grads(
     logps = []
     loss = 0.0
     for t in range(T):
-        x = model.input_embed[inputs[t]]
-        if masks is not None:
-            x = x * masks[t][0]
+        x = model.input_embed[inputs[t]] * masks[t][0]
         layer_caches = []
         for l, layer in enumerate(model.layers):
             z = x @ layer.w_in.T + h_prev[l] @ layer.w_rec.T + layer.bias
@@ -311,7 +311,7 @@ def loss_and_grads(
             layer_caches.append((x, h_prev[l].copy(), c_prev[l].copy(), i, f, o, g, tc))
             h_prev[l] = h_new
             c_prev[l] = c_new
-            x = h_new * masks[t][l + 1] if masks is not None else h_new
+            x = h_new * masks[t][l + 1]
         caches.append(layer_caches)
         tops.append(x)
         logits = x @ model.output_embed.T + model.output_bias
@@ -331,7 +331,7 @@ def loss_and_grads(
         grads["output_embed"] += dlogits.T @ tops[t]
         grads["output_bias"] += dlogits.sum(axis=0)
         dx = dlogits @ model.output_embed
-        pending = dx * masks[t][L] if masks is not None else dx
+        pending = dx * masks[t][L]
         for l in range(L - 1, -1, -1):
             x_l, h_l_prev, c_l_prev, i, f, o, g, tc = caches[t][l]
             layer = model.layers[l]
@@ -353,10 +353,9 @@ def loss_and_grads(
             dc_time[l] = dc * f
             dxin = dz @ layer.w_in
             if l > 0:
-                pending = dxin * masks[t][l] if masks is not None else dxin
+                pending = dxin * masks[t][l]
             else:
-                demb = dxin * masks[t][0] if masks is not None else dxin
-                np.add.at(grads["input_embed"], inputs[t], demb)
+                np.add.at(grads["input_embed"], inputs[t], dxin * masks[t][0])
     return float(loss), grads, h_prev, c_prev
 
 
@@ -404,12 +403,13 @@ def train_bptt(
         raise ValueError("empty corpus")
     if val_corpus is not None and not val_corpus:
         raise ValueError("empty validation corpus: no scoreable tokens")
+    for name in ("unroll", "batch"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
     rng = np.random.default_rng(config.seed)
     inp, tgt = _training_stream(corpus, model.vocab)
-    batch = max(1, min(config.batch, inp.size // max(config.unroll, 1), inp.size))
+    batch = max(1, min(config.batch, inp.size // config.unroll))
     cols = inp.size // batch
-    if cols == 0:
-        raise ValueError("corpus too small for the requested batch size")
     X = inp[: batch * cols].reshape(batch, cols)
     Y = tgt[: batch * cols].reshape(batch, cols)
     L, hdim = model.num_layers, model.hidden_dim

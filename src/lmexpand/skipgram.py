@@ -16,7 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .vocab import Corpus, Vocabulary
+from .vocab import Corpus, Vocabulary, VocabularyError
+
+# Floor of the linearly decaying learning rate.
+MIN_LR = 1e-4
 
 
 class UnknownTargetError(KeyError):
@@ -31,7 +34,6 @@ class SkipgramConfig:
     subsample: float = 1e-3
     epochs: int = 5
     lr: float = 0.025
-    min_lr: float = 1e-4
     min_count: int = 1
     seed: int = 0
 
@@ -44,9 +46,10 @@ class WordEmbeddings:
             raise ValueError("word count disagrees with vector rows")
         self.words = list(words)
         self.vectors = np.asarray(vectors, dtype=float)
-        self.index = {w: i for i, w in enumerate(self.words)}
-        if len(self.index) != len(self.words):
-            raise ValueError("duplicate words in embedding table")
+        self.index: dict[str, int] = {}
+        for i, w in enumerate(self.words):
+            if self.index.setdefault(w, i) != i:
+                raise VocabularyError(f"duplicate word {w!r} at rows {self.index[w]} and {i}", i)
 
     def __contains__(self, word: str) -> bool:
         return word in self.index
@@ -68,6 +71,9 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
     """Train embeddings covering every corpus word with count >= min_count."""
     if not corpus:
         raise ValueError("empty corpus")
+    for name in ("dim", "window"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
     counts = Counter()
     for sentence in corpus:
         counts.update(sentence)
@@ -113,7 +119,7 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
                 ctx = ids[max(0, pos - reduced) : pos] + ids[pos + 1 : pos + reduced + 1]
                 if not ctx:
                     continue
-                lr = max(config.min_lr, config.lr * (1.0 - seen / planned))
+                lr = max(MIN_LR, config.lr * (1.0 - seen / planned))
                 ctx_arr = np.array(ctx, dtype=np.int64)
                 n_neg = len(ctx) * config.negatives
                 neg = cum.searchsorted(rng.random(n_neg) * cum_total)
@@ -194,6 +200,7 @@ def load_w2v_text(path: str | Path) -> WordEmbeddings:
         except ValueError as err:
             raise ValueError("line 1: non-integer header fields") from err
         words: list[str] = []
+        line_nos: list[int] = []
         rows = np.empty((count, dim))
         for line_no, line in enumerate(fh, start=2):
             fields = line.split()
@@ -207,6 +214,7 @@ def load_w2v_text(path: str | Path) -> WordEmbeddings:
                     f"line {line_no}: expected {dim} values, found {len(fields) - 1}"
                 )
             words.append(fields[0])
+            line_nos.append(line_no)
             try:
                 rows[n] = [float(v) for v in fields[1:]]
             except ValueError as err:
@@ -215,4 +223,7 @@ def load_w2v_text(path: str | Path) -> WordEmbeddings:
                 raise ValueError(f"line {line_no}: non-finite vector value")
     if len(words) != count:
         raise ValueError(f"header declares {count} vectors, file has {len(words)}")
-    return WordEmbeddings(words, rows)
+    try:
+        return WordEmbeddings(words, rows)
+    except VocabularyError as err:  # report the line of the repeated word
+        raise ValueError(f"line {line_nos[err.word_id]}: {err}") from err

@@ -46,7 +46,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 class VocabularyError(ValueError):
-    """An empty, whitespace-bearing or repeated word at list position ``word_id``."""
+    """A misplaced reserved, empty, whitespace-bearing or repeated word at position ``word_id``."""
 
     def __init__(self, message: str, word_id: int):
         super().__init__(message)
@@ -66,8 +66,9 @@ class Vocabulary:
     def __init__(self, words: Iterable[str], shortlist_size: int):
         self.words: list[str] = list(words)
         self.shortlist_size = int(shortlist_size)
-        if self.words[:3] != list(RESERVED):
-            raise ValueError("ids 0, 1, 2 must be <s>, </s>, <unk> in that order")
+        for i, token in enumerate(RESERVED):
+            if self.words[i : i + 1] != [token]:
+                raise VocabularyError("ids 0, 1, 2 must be <s>, </s>, <unk> in that order", i)
         if not 3 <= self.shortlist_size <= len(self.words):
             raise ValueError(
                 f"shortlist_size {self.shortlist_size} outside [3, {len(self.words)}]"

@@ -375,6 +375,30 @@ def test_overflowing_training_reports_error(tmp_path, capsys):
     assert err.startswith("error: training perplexity overflows") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, setting, value",
+    [
+        ("train-lm", "unroll", "-1"),
+        ("train-lm", "unroll", "0"),
+        ("train-lm", "batch", "0"),
+        ("train-skipgram", "window", "0"),
+        ("train-skipgram", "dim", "0"),
+    ],
+)
+def test_out_of_range_training_settings_report_error(tmp_path, capsys, command, setting, value):
+    corpus = tmp_path / "tiny.txt"
+    corpus.write_text("a b c\nb c a a\nc a\n")
+    assert main(["build-vocab", "--corpus", str(corpus), "--shortlist", "6", "--full", "6",
+                 "--out", str(tmp_path / "vocab.txt")]) == 0
+    capsys.readouterr()
+    args = [command, "--corpus", str(corpus), f"--{setting}", value, "--out", str(tmp_path / "out")]
+    if command == "train-lm":
+        args += ["--vocab", str(tmp_path / "vocab.txt"), "--embed-dim", "2", "--hidden-dim", "2"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {setting} must be >= 1, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_rescore_requires_exactly_one_lm(workdir, tmp_path):
     with pytest.raises(SystemExit):
         main(

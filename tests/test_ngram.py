@@ -10,6 +10,7 @@ uniform distribution over all predictable words.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 from collections import Counter
@@ -17,6 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lmexpand.datagen import make_template_grammar, sample_corpus
 from lmexpand.ngram import (
     ArpaParseError,
     NgramModel,
@@ -230,9 +232,60 @@ def test_more_copies_never_decrease_conditional_probability():
         last = p
 
 
+# n1..n4 = 2, 1, 1, 3 at order 1, so D3 = 3 - 4 * (2 / 4) * 3 / 1 < 0.
+NON_POSITIVE_DISCOUNT = [["a"] + ["b"] * 2 + ["c"] * 3 + ["d"] * 4 + ["e"] * 4 + ["f"] * 4]
+
+
 def test_degenerate_counts_warn():
     with pytest.warns(RuntimeWarning, match="0.5"):
         train_kn([["a", "b"]], build_vocabulary([["a", "b"]], 5, 5), order=2)
+    with pytest.warns(RuntimeWarning, match="order 1; falling back to absolute discount 0.5"):
+        train_kn(NON_POSITIVE_DISCOUNT, build_vocabulary(NON_POSITIVE_DISCOUNT, 9, 9), order=1)
+
+
+def _table_digest(model):
+    """SHA-256 of every table entry in insertion order, values in exact hex."""
+    h = hashlib.sha256()
+    for table in model.probs + model.backoffs:
+        for gram, value in table.items():
+            h.update(f"{gram} {value.hex()}\n".encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "make_corpus, sizes, order, digest",
+    [
+        pytest.param(
+            lambda: sample_corpus(make_template_grammar(seed=0), 2_000, seed=1),
+            (300, 600),
+            3,
+            "485b29218e0515576ecd7f30d7b401ec7822e4a42b8071a21280e55a35ed80ee",
+            id="template-trigram",
+        ),
+        pytest.param(
+            lambda: [["a", "b"]],
+            (5, 5),
+            2,
+            "4602173db1233a25ece8d84b2c39ef60ede4c1cf4a397fab360d2a0835e9ff03",
+            id="zero-count-of-counts-fallback",
+        ),
+        pytest.param(
+            lambda: NON_POSITIVE_DISCOUNT,
+            (9, 9),
+            1,
+            "76190bff7da3729fa33fa036b518a84548c9ac56172e0144539e414495dfc25f",
+            id="non-positive-discount-fallback",
+        ),
+    ],
+)
+def test_train_kn_tables_are_pinned(make_corpus, sizes, order, digest):
+    """Keys, values and insertion order of every table, bit for bit."""
+    corpus = make_corpus()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = train_kn(corpus, build_vocabulary(corpus, *sizes), order=order)
+    assert _table_digest(model) == digest
 
 
 class TestArpa:

@@ -91,6 +91,13 @@ def test_empty_corpus_rejected():
         train_skipgram([], SkipgramConfig(dim=4))
 
 
+@pytest.mark.parametrize("setting, value", [("dim", 0), ("dim", -2), ("window", 0)])
+def test_out_of_range_settings_are_named(setting, value):
+    config = SkipgramConfig(**{"dim": 4, setting: value})
+    with pytest.raises(ValueError, match=f"{setting} must be >= 1, got {value}"):
+        train_skipgram([["a", "b", "c"]], config)
+
+
 class TestNearestInShortlist:
     def make_fixture(self):
         # hand-placed vectors make every cosine checkable by the oracle below
@@ -258,3 +265,13 @@ class TestTextFormat:
     def test_duplicate_words_rejected(self):
         with pytest.raises(ValueError):
             WordEmbeddings(["a", "a"], np.ones((2, 2)))
+
+    def test_duplicate_word_is_named_with_both_rows(self):
+        with pytest.raises(ValueError, match="duplicate word 'a' at rows 0 and 2"):
+            WordEmbeddings(["a", "b", "a"], np.ones((3, 2)))
+
+    def test_duplicate_word_reports_line_of_second_occurrence(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("3 2\na 1 2\nb 0 1\n\na 3 4\n")
+        with pytest.raises(ValueError, match="line 5: duplicate word 'a' at rows 0 and 2"):
+            load_w2v_text(path)

@@ -177,6 +177,20 @@ class TestVocabularyFile:
         with pytest.raises(ValueError, match="line 5: word id 3 .*'a b'"):
             Vocabulary.from_text("#shortlist=4\n<s>\n</s>\n<unk>\na b\n")
 
+    @pytest.mark.parametrize(
+        "body, line_no",
+        [
+            pytest.param("<s>\n<unk>\n</s>\n", 3, id="swapped"),
+            pytest.param("</s>\n<s>\n<unk>\n", 2, id="rotated"),
+            pytest.param("<s>\n</s>\na\n<unk>\n", 4, id="word-before-unk"),
+            pytest.param("<s>\n</s>\n", 4, id="unk-missing"),
+        ],
+    )
+    def test_misordered_reserved_tokens_report_the_line(self, body, line_no):
+        message = f"line {line_no}: ids 0, 1, 2 must be <s>, </s>, <unk> in that order"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Vocabulary.from_text("#shortlist=3\n" + body)
+
 
 class TestCorpusIO:
     def test_round_trip_skips_blank_lines(self, tmp_path):
