@@ -192,8 +192,10 @@ def _cmd_tune(args) -> int:
     nb = rescoring.parse_nbest(args.nbest)
     refs = rescoring.load_transcripts(args.refs)
     lm = _lm_from_args(args)
-    scales = _parse_grid(args.scales) if args.scales else rescoring.DEFAULT_SCALES
-    penalties = _parse_grid(args.penalties) if args.penalties else rescoring.DEFAULT_PENALTIES
+    scales = rescoring.DEFAULT_SCALES if args.scales is None else _parse_grid(args.scales)
+    penalties = (
+        rescoring.DEFAULT_PENALTIES if args.penalties is None else _parse_grid(args.penalties)
+    )
     cfg, best, grid = rescoring.tune(nb, refs, lm, scales, penalties)
     for scale, penalty, w in grid:
         print(f"scale {scale:g} penalty {penalty:g}: wer {w:.2f}%")

@@ -214,8 +214,9 @@ def import_arpa(path: str | Path) -> NgramModel:
     """Read an ARPA file back into an NgramModel.
 
     The vocabulary is reconstructed from the unigram section; reserved
-    tokens are prepended when the file does not carry them.  Parse errors
-    report 1-based line numbers.
+    tokens are prepended when the file does not carry them.  Declared counts
+    must be positive, and the unigrams must include </s> or <unk>, so that
+    every sentence can be scored.  Parse errors report 1-based line numbers.
     """
     with open(path, encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
@@ -237,6 +238,8 @@ def import_arpa(path: str | Path) -> NgramModel:
             raise ArpaParseError(f"bad count line: {line!r}", line_no) from err
         if k != len(declared) + 1:
             raise ArpaParseError(f"out-of-order count line: {line!r}", line_no)
+        if count < 1:
+            raise ArpaParseError(f"count must be positive: {line!r}", line_no)
         declared.append(count)
     else:
         raise ArpaParseError("unexpected end of file in \\data\\ section", n_lines)
@@ -285,6 +288,9 @@ def import_arpa(path: str | Path) -> NgramModel:
             probs[k - 1][gram] = log10p * LN10
             if has_bow:
                 backoffs[k - 1][gram] = bow * LN10
+        if k == 1 and (EOS_ID,) not in probs[0] and (UNK_ID,) not in probs[0]:
+            # every sentence ends with a </s> event, scored by </s> or <unk>
+            raise ArpaParseError("unigram section has neither </s> nor <unk>", line_no)
         line, line_no = next(content, end)
         if not line:
             raise ArpaParseError("missing \\end\\ marker", n_lines)

@@ -47,6 +47,11 @@ class RescoreConfig:
     lm_scale: float = 10.0
     word_penalty: float = 0.0
 
+    def __post_init__(self):
+        for name in ("lm_scale", "word_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+
 
 def combined_score(hyp: Hypothesis, cfg: RescoreConfig) -> float:
     return (
@@ -77,16 +82,32 @@ def _lm_scores(utt: str, hyps: list[Hypothesis], lm: LmScorer) -> list[float]:
     return scores
 
 
+def _list_lm_scores(nbest: NBestList, lm: LmScorer) -> list[list[float]]:
+    """One LM call for every hypothesis of the list, in file order; the
+    scores come back split per utterance.  If that call fails or answers
+    with the wrong number of scores, each utterance is scored on its own by
+    ``_lm_scores``, so an error names the utterance and the rank."""
+    batch = [hyp.words for hyps in nbest.values() for hyp in hyps]
+    try:
+        scores = [float(lp) for lp in lm(batch)]
+    except Exception:
+        scores = []
+    if len(scores) != len(batch):
+        return [_lm_scores(utt, hyps, lm) for utt, hyps in nbest.items()]
+    flat = iter(scores)
+    return [[next(flat) for _ in hyps] for hyps in nbest.values()]
+
+
 def rescore(nbest: NBestList, lm: LmScorer, cfg: RescoreConfig) -> NBestList:
     """Re-rank every utterance by acoustic + scale * lm + penalty * length.
 
-    The LM is called once per utterance with all of its hypotheses.
-    Returns a new list with lm_score replaced by the new LM's value; the
-    sort is stable so equal combined scores keep their original order.
-    Original rank fields are preserved for traceability.
+    The LM is called once with every hypothesis of the list (see
+    ``_list_lm_scores``).  Returns a new list with lm_score replaced by the
+    new LM's value; the sort is stable so equal combined scores keep their
+    original order.  Original rank fields are preserved for traceability.
     """
     out: NBestList = {}
-    for utt, hyps in nbest.items():
+    for (utt, hyps), lm_lps in zip(nbest.items(), _list_lm_scores(nbest, lm)):
         rescored = [
             Hypothesis(
                 words=list(hyp.words),
@@ -94,7 +115,7 @@ def rescore(nbest: NBestList, lm: LmScorer, cfg: RescoreConfig) -> NBestList:
                 lm_score=lm_lp,
                 rank=hyp.rank,
             )
-            for hyp, lm_lp in zip(hyps, _lm_scores(utt, hyps, lm))
+            for hyp, lm_lp in zip(hyps, lm_lps)
         ]
         rescored.sort(key=lambda h: -combined_score(h, cfg))
         out[utt] = rescored
@@ -182,26 +203,27 @@ def tune(
 ) -> tuple[RescoreConfig, float, list[tuple[float, float, float]]]:
     """Grid-search lm_scale and word penalty against reference WER.
 
-    The LM is evaluated once per hypothesis; grid points only re-rank.
-    Returns the best config (first in grid order on ties), its WER, and the
-    full (scale, penalty, wer) grid.
+    The LM is evaluated once per hypothesis, in one call for the whole
+    list; grid points only re-rank.  Returns the best config (first in grid
+    order on ties), its WER, and the full (scale, penalty, wer) grid.  An
+    empty grid or a non-finite grid value raises ``ValueError``.
     """
+    configs = [RescoreConfig(scale, penalty) for scale in scales for penalty in penalties]
+    if not configs:
+        raise ValueError("empty tuning grid: give at least one scale and one penalty")
     scored = rescore(nbest, lm, RescoreConfig(lm_scale=1.0, word_penalty=0.0))
     grid: list[tuple[float, float, float]] = []
-    best_cfg: RescoreConfig | None = None
-    best_wer = math.inf
-    for scale in scales:
-        for penalty in penalties:
-            cfg = RescoreConfig(lm_scale=scale, word_penalty=penalty)
-            reranked: NBestList = {}
-            for utt, hyps in scored.items():
-                reranked[utt] = sorted(hyps, key=lambda h: -combined_score(h, cfg))
-            result = wer(refs, one_best(reranked))
-            grid.append((scale, penalty, result.wer))
-            if result.wer < best_wer:
-                best_wer = result.wer
-                best_cfg = cfg
-    assert best_cfg is not None
+    best_cfg, best_wer = configs[0], math.inf
+    for cfg in configs:
+        reranked = {
+            utt: sorted(hyps, key=lambda h: -combined_score(h, cfg))
+            for utt, hyps in scored.items()
+        }
+        result = wer(refs, one_best(reranked))
+        grid.append((cfg.lm_scale, cfg.word_penalty, result.wer))
+        if result.wer < best_wer:
+            best_wer = result.wer
+            best_cfg = cfg
     return best_cfg, best_wer, grid
 
 

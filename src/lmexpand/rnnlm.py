@@ -23,6 +23,7 @@ import numpy as np
 from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary
 
 MAGIC = b"RNNLM1"
+_BLOCK_ROWS = 128  # trie nodes per batched step in score_batch
 _MAX_LN = math.log(sys.float_info.max)  # math.exp overflows above this
 
 
@@ -76,6 +77,12 @@ class StepOutput:
     state: RnnState
 
 
+def _check_positive(**settings: int) -> None:
+    for name, value in settings.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def init_model(
     vocab: Vocabulary,
     embed_dim: int,
@@ -84,6 +91,7 @@ def init_model(
     seed: int = 0,
 ) -> RnnLmModel:
     """Uniform [-0.05, 0.05] weights, zero biases except forget-gate bias 1."""
+    _check_positive(embed_dim=embed_dim, hidden_dim=hidden_dim, num_layers=num_layers)
     rng = np.random.default_rng(seed)
     n = vocab.shortlist_size
 
@@ -155,18 +163,55 @@ def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     numpy runs one gemv per row here, so a row's result does not depend on
     how many rows share the call; a plain 2-D product runs gemm, whose
-    blocking changes the last bits with the row count.
+    blocking changes the last bits with the row count.  The LSTM cell uses
+    it; the output projection uses the faster ``_project``.
     """
     return (x[..., None, :] @ w.T)[..., 0, :]
+
+
+_TILE_ROWS, _TILE_COLS = 8, 64  # the one gemm shape _project runs
+
+
+def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` built only from fixed (8, K) x (K, 64) tile products.
+
+    BLAS rounds a product by its shape, so a plain product changes a row's
+    last bits with the number of rows beside it.  Here the rows of x are
+    zero-padded to whole 8-row tiles and w is cut into 64-row tiles (views
+    of w; only a last partial tile is copied and zero-padded), and every
+    tile pair is one gemm of that one shape.  A row's result therefore does
+    not depend on the batch it is in, and rows appended to w never move the
+    tile of an earlier column, so its values stay bit-identical.
+    """
+    k = x.shape[-1]
+    rows = x.reshape(-1, k)
+    m, v = rows.shape[0], w.shape[0]
+    row_tiles = -(-m // _TILE_ROWS)
+    full, rest = divmod(v, _TILE_COLS)
+    padded = np.zeros((row_tiles * _TILE_ROWS, k))
+    padded[:m] = rows
+    x_tiles = padded.reshape(row_tiles, 1, _TILE_ROWS, k)
+    out = np.empty((row_tiles * _TILE_ROWS, (full + (rest > 0)) * _TILE_COLS))
+    # out viewed as (row tile, column tile, 8, 64): matmul writes in place
+    out_tiles = out.reshape(row_tiles, _TILE_ROWS, -1, _TILE_COLS).transpose(0, 2, 1, 3)
+    if full:
+        w_tiles = w[: full * _TILE_COLS].reshape(full, _TILE_COLS, k).transpose(0, 2, 1)
+        np.matmul(x_tiles, w_tiles, out=out_tiles[:, :full])
+    if rest:
+        last = np.zeros((_TILE_COLS, k))
+        last[:rest] = w[full * _TILE_COLS :]
+        np.matmul(x_tiles, last.T, out=out_tiles[:, full:])
+    return out[:m, :v].reshape(*x.shape[:-1], v)
 
 
 def _step(model: RnnLmModel, words, h: np.ndarray, c: np.ndarray):
     """Inference step for one word (h, c: (L, H)) or a row of words (h, c:
     (L, B, H)); returns the logits and the new h and c.
 
-    Every reduction is row-independent, so a batched row equals the single
-    step bit for bit, and appending output rows for new words leaves the
-    logits of the original words bit-identical.
+    The cell's products run one row at a time (``_rowwise``) and the output
+    projection in fixed tiles (``_project``), so a batched row equals the
+    single step bit for bit, and appending output rows for new words leaves
+    the logits of the original words bit-identical.
     """
     x = model.input_embed[words]
     h_out = np.empty_like(h)
@@ -175,7 +220,7 @@ def _step(model: RnnLmModel, words, h: np.ndarray, c: np.ndarray):
         z = _rowwise(x, layer.w_in) + _rowwise(h[l], layer.w_rec) + layer.bias
         *_, c_out[l], _, h_out[l] = _lstm_cell(z, c[l])
         x = h_out[l]
-    logits = np.einsum("...d,vd->...v", x, model.output_embed) + model.output_bias
+    logits = _project(x, model.output_embed) + model.output_bias
     return logits, h_out, c_out
 
 
@@ -210,9 +255,10 @@ def score_batch(model: RnnLmModel, sentences: Sequence[Sequence[int]]) -> list[n
     """``score_ids`` of every sentence, bit for bit, sharing common prefixes.
 
     The sentences form a prefix trie: its nodes at depth d are the distinct
-    inputs <s> w1 .. wd, and each depth is one batched step over its nodes,
-    whose states are gathered from their parents at depth d - 1.  Only the
-    ln probabilities the sentences need are kept from each depth.
+    inputs <s> w1 .. wd, and each depth is stepped in batches of up to
+    ``_BLOCK_ROWS`` nodes, whose states are gathered from their parents at
+    depth d - 1.  Only the ln probabilities the sentences need are kept from
+    each block, so memory stays flat however many sentences share the call.
     """
     if not sentences:
         return []
@@ -226,19 +272,28 @@ def score_batch(model: RnnLmModel, sentences: Sequence[Sequence[int]]) -> list[n
     scores = np.empty(targets.shape)
     active = np.arange(len(sentences))  # sentences still predicting
     rows = np.zeros(len(sentences), dtype=np.int64)  # their trie node at this depth
-    words = np.array([BOS_ID])
+    parents, words = np.array([0]), np.array([BOS_ID])  # this depth's nodes
     h = np.zeros((model.num_layers, 1, model.hidden_dim))
     c = np.zeros_like(h)
     for depth in range(targets.shape[1]):
-        logits, h, c = _step(model, words, h, c)
-        scores[active, depth] = log_softmax(logits)[rows, targets[active, depth]]
+        h_next = np.empty((model.num_layers, len(words), model.hidden_dim))
+        c_next = np.empty_like(h_next)
+        for start in range(0, len(words), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            up = parents[block]
+            logits, h_next[:, block], c_next[:, block] = _step(
+                model, words[block], h[:, up], c[:, up]
+            )
+            mine = (rows >= start) & (rows < start + _BLOCK_ROWS)
+            k = active[mine]
+            scores[k, depth] = log_softmax(logits)[rows[mine] - start, targets[k, depth]]
+        h, c = h_next, c_next
         going = lengths[active] > depth
         active, rows = active[going], rows[going]
         keys, rows = np.unique(
             rows * model.n_explicit + targets[active, depth], return_inverse=True
         )
         parents, words = np.divmod(keys, model.n_explicit)
-        h, c = h[:, parents], c[:, parents]
     return [scores[k, : n + 1] for k, n in enumerate(lengths)]
 
 
@@ -403,9 +458,7 @@ def train_bptt(
         raise ValueError("empty corpus")
     if val_corpus is not None and not val_corpus:
         raise ValueError("empty validation corpus: no scoreable tokens")
-    for name in ("unroll", "batch"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
+    _check_positive(unroll=config.unroll, batch=config.batch)
     rng = np.random.default_rng(config.seed)
     inp, tgt = _training_stream(corpus, model.vocab)
     batch = max(1, min(config.batch, inp.size // config.unroll))
@@ -521,6 +574,10 @@ def load_checkpoint(path: str) -> RnnLmModel:
         off += vlen
     except struct.error as err:
         raise ValueError(f"truncated checkpoint: {path}") from err
+    try:
+        _check_positive(embed_dim=embed_dim, hidden_dim=hidden_dim, num_layers=num_layers)
+    except ValueError as err:
+        raise ValueError(f"bad checkpoint header: {err}: {path}") from None
     vocab = Vocabulary.from_text(vocab_blob.decode("utf-8"))
     if len(vocab) != total_words or vocab.shortlist_size != shortlist:
         raise ValueError("checkpoint header disagrees with embedded vocabulary")

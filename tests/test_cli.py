@@ -257,6 +257,40 @@ def test_tune_command(workdir, capsys):
     assert "best: scale" in out
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["tune", "--scales=,"], "error: empty tuning grid"),
+        (["tune", "--penalties="], "error: empty tuning grid"),
+        (["tune", "--scales=nan"], "error: lm_scale must be finite, got nan"),
+        (["tune", "--penalties=1,inf"], "error: word_penalty must be finite, got inf"),
+        (["rescore", "--scale", "nan"], "error: lm_scale must be finite, got nan"),
+        (["rescore", "--penalty=-inf"], "error: word_penalty must be finite, got -inf"),
+    ],
+)
+def test_bad_rescoring_settings_report_error(workdir, tmp_path, capsys, args, message):
+    files = {
+        "tune": ["--refs", str(workdir / "test.refs")],
+        "rescore": ["--out", str(tmp_path / "never.nbest")],
+    }[args[0]]
+    rc = main(args + files + ["--nbest", str(workdir / "test.nbest"),
+                              "--arpa", str(workdir / "model.arpa")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert "best:" not in captured.out
+    assert not (tmp_path / "never.nbest").exists()
+
+
+def test_zero_layer_model_reports_error(workdir, tmp_path, capsys):
+    rc = main(["train-lm", "--corpus", str(workdir / "train.txt"),
+               "--vocab", str(workdir / "vocab.txt"), "--layers", "0",
+               "--out", str(tmp_path / "m.bin")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: num_layers must be >= 1, got 0\n"
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_pipeline_command(workdir, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     expanded_path = tmp_path / "pipeline-expanded.bin"

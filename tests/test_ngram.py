@@ -322,11 +322,12 @@ class TestArpa:
     def test_hand_written_unigram_arpa(self, tmp_path):
         text = (
             "\\data\\\n"
-            "ngram 1=2\n"
+            "ngram 1=3\n"
             "\n"
             "\\1-grams:\n"
             "-0.301030\tyes\n"
             "-0.698970\tno\n"
+            "-1.000000\t</s>\n"
             "\n"
             "\\end\\\n"
         )
@@ -337,6 +338,34 @@ class TestArpa:
         no = model.vocab.encode("no")
         assert model.conditional_prob(yes) == pytest.approx(0.5, rel=1e-5)
         assert model.conditional_prob(no) == pytest.approx(0.2, rel=1e-4)
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    @pytest.mark.parametrize("declared, line_no", [("ngram 1=3", 2), ("ngram 2=2", 3)])
+    def test_non_positive_count_reports_its_line(self, tmp_path, count, declared, line_no):
+        path = tmp_path / "bad.arpa"
+        path.write_text(self.BIGRAM_ARPA.replace(declared, declared[:-1] + count))
+        with pytest.raises(ArpaParseError, match=f"line {line_no}: count must be positive") as err:
+            import_arpa(path)
+        assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize("keep", ["</s>", "<unk>"])
+    def test_one_of_sentence_end_and_unknown_is_enough(self, tmp_path, keep):
+        path = tmp_path / "ok.arpa"
+        path.write_text(
+            f"\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3\ta\n-0.4\t{keep}\n\n\\end\\\n"
+        )
+        model = import_arpa(path)
+        assert model.sentence_logprob(["a"]) == pytest.approx((-0.3 - 0.4) * math.log(10))
+
+    def test_unigrams_without_sentence_end_or_unknown_are_rejected(self, tmp_path):
+        path = tmp_path / "bad.arpa"
+        path.write_text(
+            "\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n"
+            "-99\t<s>\t-0.3\n-0.5\tyes\t-0.2\n-0.4\tno\n\n\\2-grams:\n-0.1\t<s> yes\n\n\\end\\\n"
+        )
+        with pytest.raises(ArpaParseError, match="line 8: unigram section has neither") as err:
+            import_arpa(path)
+        assert err.value.line_no == 8
 
     def test_missing_end_marker(self, tmp_path):
         path = tmp_path / "bad.arpa"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +162,7 @@ def test_rescore_wraps_lm_failures():
         rescore(nbest, lm, RescoreConfig())
 
 
-def test_rescore_scores_each_utterance_in_one_call():
+def test_rescore_scores_the_whole_list_in_one_call():
     nbest = {
         "u": [hyp(["a", "b"], 1), hyp([], 2), hyp(["a"], 3)],
         "v": [hyp(["c"], 1)],
@@ -173,8 +174,31 @@ def test_rescore_scores_each_utterance_in_one_call():
         return [-float(len(w)) for w in batch]
 
     out = rescore(nbest, lm, RescoreConfig(lm_scale=1.0))
-    assert calls == [[["a", "b"], [], ["a"]], [["c"]]]
+    assert calls == [[["a", "b"], [], ["a"], ["c"]]]
     assert [h.lm_score for h in out["u"]] == [0.0, -1.0, -2.0]
+    assert [h.lm_score for h in out["v"]] == [-1.0]
+
+
+@pytest.mark.parametrize("failure", ["raises", "miscounts"])
+def test_rescore_falls_back_to_one_call_per_utterance(failure):
+    nbest = {
+        "u": [hyp(["a", "b"], 1), hyp([], 2)],
+        "v": [hyp(["c"], 1)],
+    }
+    calls = []
+
+    def lm(batch):
+        calls.append([list(w) for w in batch])
+        if len(batch) == 3:
+            if failure == "raises":
+                raise RuntimeError("batch too large")
+            return [-1.0]
+        return [-float(len(w)) for w in batch]
+
+    out = rescore(nbest, lm, RescoreConfig(lm_scale=1.0))
+    assert calls == [[["a", "b"], [], ["c"]], [["a", "b"], []], [["c"]]]
+    assert [h.lm_score for h in out["u"]] == [0.0, -2.0]
+    assert [h.lm_score for h in out["v"]] == [-1.0]
 
 
 def test_rescore_rejects_a_short_score_list():
@@ -291,6 +315,29 @@ def test_tune_first_config_wins_ties():
     assert best_wer == 0.0
     assert (cfg.lm_scale, cfg.word_penalty) == (2.0, 0.0)
     assert len(grid) == 4
+
+
+@pytest.mark.parametrize("scales, penalties", [((), (0.0,)), ((1.0,), ()), ((), ())])
+def test_tune_rejects_an_empty_grid(scales, penalties):
+    nbest = {"u": [hyp(["a"], 1)]}
+    with pytest.raises(ValueError, match="empty tuning grid"):
+        tune(nbest, {"u": ["a"]}, lambda batch: [-1.0] * len(batch), scales, penalties)
+
+
+@pytest.mark.parametrize("scales, penalties", [((math.nan,), (0.0,)), ((1.0,), (math.inf,))])
+def test_tune_rejects_non_finite_grid_values(scales, penalties):
+    def lm(batch):
+        raise AssertionError("the grid is checked before the LM runs")
+
+    with pytest.raises(ValueError, match="must be finite"):
+        tune({"u": [hyp(["a"], 1)]}, {"u": ["a"]}, lm, scales, penalties)
+
+
+@pytest.mark.parametrize("field", ["lm_scale", "word_penalty"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rescore_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RescoreConfig(**{field: value})
 
 
 def test_tune_finds_separating_scale():

@@ -28,6 +28,8 @@ from lmexpand.rnnlm import (
     loss_and_grads,
     named_parameters,
     perplexity,
+    _BLOCK_ROWS,
+    _project,
     _sigmoid,
     save_checkpoint,
     score_batch,
@@ -230,6 +232,57 @@ def test_score_batch_is_bitwise_score_ids(which, sentences):
         assert scores.tobytes() == score_ids(model, ids).tobytes()
 
 
+def test_score_batch_crosses_row_blocks_bitwise():
+    # more distinct prefixes per depth than one block holds
+    model = BATCH_MODELS[2]
+    rng = np.random.default_rng(3)
+    sentences = [
+        [int(w) for w in rng.integers(0, model.n_explicit, size=rng.integers(2, 6))]
+        for _ in range(3 * _BLOCK_ROWS)
+    ]
+    sentences += [[], sentences[5][:1], sentences[7]]
+    assert len({tuple(s[:2]) for s in sentences}) > 2 * _BLOCK_ROWS
+    for ids, scores in zip(sentences, score_batch(model, sentences)):
+        assert scores.tobytes() == score_ids(model, ids).tobytes()
+
+
+@st.composite
+def projections(draw):
+    """A weight table w, a batch x, and appended rows for w."""
+    k = draw(st.integers(1, 130))
+    v = draw(st.integers(1, 400))
+    m = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # order-one products of mixed magnitude, where summation order shows
+    w = rng.standard_normal((v, k)) * rng.choice([1e-3, 1.0, 1e3], size=(v, 1))
+    x = rng.standard_normal((m, k))
+    extra = rng.standard_normal((draw(st.integers(1, 70)), k))
+    return x, w, extra
+
+
+@settings(max_examples=80, deadline=None)
+@given(projections(), st.data())
+def test_project_rows_and_columns_are_position_independent(case, data):
+    x, w, extra = case
+    got = _project(x, w)
+    assert got.shape == (len(x), len(w))
+    np.testing.assert_allclose(got, x @ w.T, rtol=1e-9, atol=1e-9 * np.abs(w).max())
+    row = data.draw(st.integers(0, len(x) - 1))
+    alone = _project(x[row], w)
+    assert alone.shape == (len(w),)
+    assert alone.tobytes() == got[row].tobytes()
+    # the same row at another position of another batch size
+    size = data.draw(st.integers(1, 3 * len(x) + 9))
+    at = data.draw(st.integers(0, size - 1))
+    batch = np.random.default_rng(size).standard_normal((size, x.shape[1]))
+    batch[at] = x[row]
+    assert _project(batch, w)[at].tobytes() == got[row].tobytes()
+    # appended rows of w leave the earlier columns bit-identical
+    grown = _project(x, np.vstack([w, extra]))
+    assert grown[:, : len(w)].tobytes() == np.ascontiguousarray(got).tobytes()
+
+
 def test_score_batch_edges():
     model = BATCH_MODELS[0]
     assert score_batch(model, []) == []
@@ -339,6 +392,13 @@ def test_final_state_matches_stepwise_forward():
     np.testing.assert_allclose(c_t[:, 0, :], state.c, rtol=1e-12)
 
 
+@pytest.mark.parametrize("field", ["embed_dim", "hidden_dim", "num_layers"])
+def test_init_model_rejects_zero_sizes(field):
+    sizes = {"embed_dim": 3, "hidden_dim": 2, "num_layers": 1, field: 0}
+    with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+        init_model(small_vocab(3), **sizes)
+
+
 # ------------------------------------------------------------- checkpoints
 
 
@@ -382,6 +442,18 @@ def test_checkpoint_rejects_non_finite_weights(tmp_path, block, bad):
     path = tmp_path / "model.bin"
     save_checkpoint(model, path)
     with pytest.raises(ValueError, match=f"non-finite value in checkpoint block {block}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("slot, field", [(0, "embed_dim"), (1, "hidden_dim"), (2, "num_layers")])
+def test_checkpoint_rejects_zero_sizes(tmp_path, slot, field):
+    path = tmp_path / "model.bin"
+    save_checkpoint(checkpoint_model(), path)
+    raw = bytearray(path.read_bytes())
+    header = len(MAGIC) + 4 * slot
+    raw[header : header + 4] = bytes(4)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"bad checkpoint header: {field} must be >= 1, got 0"):
         load_checkpoint(path)
 
 
