@@ -42,7 +42,6 @@ from .rnnlm import (
     save_checkpoint,
     score_batch,
     score_ids,
-    score_sentence,
     train_bptt,
     zero_state,
 )

@@ -23,7 +23,7 @@ the unknown-word probability mass over the full vocabulary:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -55,18 +55,7 @@ class ExpansionReport:
     explicit_after: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "expanded": list(self.expanded),
-            "skipped": [list(pair) for pair in self.skipped],
-            "candidates": {
-                w: [[c, float(s)] for c, s in entries]
-                for w, entries in self.candidates.items()
-            },
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "explicit_before": self.explicit_before,
-            "explicit_after": self.explicit_after,
-        }
+        return asdict(self)
 
 
 def extract_oos_words(
@@ -244,28 +233,30 @@ class FullVocabScorer:
         self.n_oos = len(self.oos_words)
         if ngram is not None:
             self._oos_ngram_ids = [ngram.vocab.encode(w) for w in self.oos_words]
-            self._denom_cache: dict[tuple[int, ...], float] = {}
+            self._log_denoms: dict[tuple[int, ...], float] = {}
 
     def _oos_share(self, word: str, context: Sequence[str]) -> float:
-        """ln share of the unknown mass that an out-of-shortlist word gets."""
+        """ln share of the unknown mass that an out-of-shortlist word gets.
+
+        The ngram share is ln p(word | ctx) minus the log-sum-exp of every
+        out-of-shortlist word's ln p under ctx, shifted by the largest, so
+        probabilities that underflow in linear space still give a share.
+        """
         if self.policy == "uniform":
             return -math.log(self.n_oos + 1)
         if self.policy == "shortlist" or self.n_oos == 0:
             # no spreading, or no out-of-shortlist words to spread over
             return 0.0
         assert self.ngram is not None
-        ctx = tuple(
-            self.ngram.vocab.encode(t) for t in list(context)[-(self.ngram.order - 1) :]
-        )
-        denom = self._denom_cache.get(ctx)
-        if denom is None:
-            denom = sum(
-                math.exp(self.ngram.conditional_logprob(w, ctx))
-                for w in self._oos_ngram_ids
-            )
-            self._denom_cache[ctx] = denom
-        word_id = self.ngram.vocab.encode(word)
-        return math.log(math.exp(self.ngram.conditional_logprob(word_id, ctx)) / denom)
+        start = max(0, len(context) - self.ngram.order + 1)
+        ctx = tuple(self.ngram.vocab.encode(t) for t in context[start:])
+        log_denom = self._log_denoms.get(ctx)
+        if log_denom is None:
+            lps = [self.ngram.conditional_logprob(w, ctx) for w in self._oos_ngram_ids]
+            top = max(lps)
+            log_denom = top + math.log(sum(math.exp(lp - top) for lp in lps))
+            self._log_denoms[ctx] = log_denom
+        return self.ngram.conditional_logprob(self.ngram.vocab.encode(word), ctx) - log_denom
 
     def word_logprob(
         self,

@@ -25,7 +25,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
-from .vocab import BOS, BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, Vocabulary
+from .vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, Vocabulary, check_sentence
 
 LN10 = math.log(10.0)
 # Conventional placeholder for the never-predicted sentence-begin unigram.
@@ -127,7 +127,8 @@ def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
     """Estimate a modified Kneser-Ney model of the given order.
 
     Counts run over the full vocabulary: tail words keep their own ids and
-    only true out-of-vocabulary tokens collapse to the unknown id.
+    only true out-of-vocabulary tokens collapse to the unknown id.  A literal
+    <s> or </s> inside a sentence is rejected with the sentence index.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -135,7 +136,8 @@ def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
         raise ValueError("empty corpus")
 
     raw: list[Counter] = [Counter() for _ in range(order + 1)]  # raw[k], k in 1..order
-    for sentence in corpus:
+    for index, sentence in enumerate(corpus):
+        check_sentence(sentence, f"sentence {index}")
         padded = [BOS_ID] + [vocab.encode(t) for t in sentence] + [EOS_ID]
         for k in range(1, order + 1):
             for i in range(len(padded) - k + 1):

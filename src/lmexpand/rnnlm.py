@@ -158,17 +158,6 @@ def _lstm_cell(z: np.ndarray, c: np.ndarray):
     return i, f, o, g, c_new, tc, h_new
 
 
-def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w.T`` for a vector or for each row of a matrix on its own.
-
-    numpy runs one gemv per row here, so a row's result does not depend on
-    how many rows share the call; a plain 2-D product runs gemm, whose
-    blocking changes the last bits with the row count.  The LSTM cell uses
-    it; the output projection uses the faster ``_project``.
-    """
-    return (x[..., None, :] @ w.T)[..., 0, :]
-
-
 _TILE_ROWS, _TILE_COLS = 8, 64  # the one gemm shape _project runs
 
 
@@ -181,7 +170,8 @@ def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     of w; only a last partial tile is copied and zero-padded), and every
     tile pair is one gemm of that one shape.  A row's result therefore does
     not depend on the batch it is in, and rows appended to w never move the
-    tile of an earlier column, so its values stay bit-identical.
+    tile of an earlier column, so its values stay bit-identical.  Every
+    product of the inference step runs here.
     """
     k = x.shape[-1]
     rows = x.reshape(-1, k)
@@ -206,18 +196,14 @@ def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _step(model: RnnLmModel, words, h: np.ndarray, c: np.ndarray):
     """Inference step for one word (h, c: (L, H)) or a row of words (h, c:
-    (L, B, H)); returns the logits and the new h and c.
-
-    The cell's products run one row at a time (``_rowwise``) and the output
-    projection in fixed tiles (``_project``), so a batched row equals the
-    single step bit for bit, and appending output rows for new words leaves
-    the logits of the original words bit-identical.
+    (L, B, H)); returns the logits and the new h and c.  Every product runs
+    on ``_project``, so a batched row equals the single step bit for bit.
     """
     x = model.input_embed[words]
     h_out = np.empty_like(h)
     c_out = np.empty_like(c)
     for l, layer in enumerate(model.layers):
-        z = _rowwise(x, layer.w_in) + _rowwise(h[l], layer.w_rec) + layer.bias
+        z = _project(x, layer.w_in) + _project(h[l], layer.w_rec) + layer.bias
         *_, c_out[l], _, h_out[l] = _lstm_cell(z, c[l])
         x = h_out[l]
     logits = _project(x, model.output_embed) + model.output_bias
@@ -297,13 +283,6 @@ def score_batch(model: RnnLmModel, sentences: Sequence[Sequence[int]]) -> list[n
     return [scores[k, : n + 1] for k, n in enumerate(lengths)]
 
 
-def score_sentence(model: RnnLmModel, ids: list[int]) -> np.ndarray:
-    """``score_ids`` for a non-empty sentence."""
-    if not ids:
-        raise ValueError("empty sentence")
-    return score_ids(model, ids)
-
-
 def perplexity(logprobs: np.ndarray) -> float:
     logprobs = np.asarray(logprobs, dtype=float)
     if logprobs.size == 0:
@@ -314,7 +293,7 @@ def perplexity(logprobs: np.ndarray) -> float:
 def corpus_perplexity(model: RnnLmModel, corpus: Corpus) -> float:
     """Shortlist perplexity: tail and unknown tokens collapse to <unk>."""
     parts = [
-        score_sentence(model, [model.vocab.encode(t, shortlist_only=True) for t in s])
+        score_ids(model, [model.vocab.encode(t, shortlist_only=True) for t in s])
         for s in corpus
     ]
     return perplexity(np.concatenate(parts) if parts else [])

@@ -26,12 +26,21 @@ Sentence = list[str]
 Corpus = list[Sentence]
 
 
+def check_sentence(tokens: Sentence, where: str) -> None:
+    """Reject a literal <s> or </s>: sentence bounds are implicit in a corpus."""
+    for token in (BOS, EOS):
+        if token in tokens:
+            raise ValueError(f"{where}: reserved token {token} inside a sentence")
+
+
 def load_corpus(path: str | Path) -> Corpus:
-    """Read one whitespace-tokenized sentence per line.  Blank lines are dropped."""
+    """Read one whitespace-tokenized sentence per line.  Blank lines are
+    dropped; a literal <s> or </s> is rejected with its line."""
     sentences: Corpus = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             tokens = line.split()
+            check_sentence(tokens, f"{path}: line {line_no}")
             if tokens:
                 sentences.append(tokens)
     if not sentences:

@@ -7,16 +7,18 @@ wiring and file-format interop, not statistical quality (covered elsewhere).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 import pytest
 
 from lmexpand import rnnlm
 from lmexpand.cli import main
+from lmexpand.expansion import expand_with_embeddings, extract_oos_words
 from lmexpand.ngram import import_arpa
-from lmexpand.rnnlm import load_checkpoint
+from lmexpand.rnnlm import init_model, load_checkpoint, save_checkpoint
 from lmexpand.skipgram import load_w2v_text
-from lmexpand.vocab import Vocabulary
+from lmexpand.vocab import Vocabulary, parse_nbest
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +137,34 @@ def test_ppl_modes(workdir, capsys):
     # full-vocabulary modes pay for spreading the unknown mass
     assert values["uniform"] > values["shortlist"]
     assert values["ngram"] > values["shortlist"]
+
+
+def test_ppl_ngram_policy_survives_underflowing_probabilities(tmp_path, capsys):
+    # zz's n-gram probability (10^-400) is 0 in linear space
+    vocab = Vocabulary(["<s>", "</s>", "<unk>", "a", "zz"], shortlist_size=4)
+    save_checkpoint(init_model(vocab, 2, 3, 1, seed=0), tmp_path / "m.bin")
+    vocab.save(tmp_path / "full.txt")
+    (tmp_path / "u.arpa").write_text(
+        "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\t</s>\n-0.3\ta\n-400\tzz\n\n\\end\\\n"
+    )
+    (tmp_path / "t.txt").write_text("a zz\n")
+    rc = main(["ppl", "--model", str(tmp_path / "m.bin"), "--text", str(tmp_path / "t.txt"),
+               "--unk-mode", "ngram", "--full-vocab", str(tmp_path / "full.txt"),
+               "--arpa", str(tmp_path / "u.arpa")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("perplexity: ") and math.isfinite(float(out.split()[1]))
+
+
+def test_boundary_token_in_corpus_reports_error(workdir, tmp_path, capsys):
+    corpus = tmp_path / "bad.txt"
+    corpus.write_text("a b\nb <s> a c\n")
+    rc = main(["build-ngram", "--order", "2", "--corpus", str(corpus),
+               "--vocab", str(workdir / "vocab.txt"), "--out", str(tmp_path / "never.arpa")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {corpus}: line 2: reserved token <s> inside a sentence\n"
+    assert not (tmp_path / "never.arpa").exists()
 
 
 def test_neighbors_command(workdir, capsys):
@@ -349,6 +379,57 @@ def test_pipeline_weighted_spellings(workdir, tmp_path, spelling, weighted):
     assert report["settings"]["weighted"] is weighted
     weights = {wt for entries in report["new_words"]["candidates"].values() for _, wt in entries}
     assert (weights == {1.0}) is not weighted
+
+
+def report_fields(report):
+    """The expansion report as its JSON files have always laid it out."""
+    return {
+        "expanded": list(report.expanded),
+        "skipped": [list(pair) for pair in report.skipped],
+        "candidates": {
+            w: [[c, float(s)] for c, s in entries] for w, entries in report.candidates.items()
+        },
+        "embed_dim": report.embed_dim,
+        "hidden_dim": report.hidden_dim,
+        "explicit_before": report.explicit_before,
+        "explicit_after": report.explicit_after,
+    }
+
+
+def test_report_json_is_pinned(workdir, tmp_path, capsys):
+    model = load_checkpoint(workdir / "model.bin")
+    oos = extract_oos_words(parse_nbest(workdir / "test.nbest"), model.vocab, n=1)
+    # one word without a vector, so the skipped list is not empty
+    oos_file = tmp_path / "oos.txt"
+    oos_file.write_text("\n".join(oos + ["never-seen"]) + "\n")
+    _, report = expand_with_embeddings(
+        model, oos + ["never-seen"], load_w2v_text(workdir / "vectors.txt"), k=3
+    )
+    assert report.expanded and report.skipped
+    assert main(["expand", "--model", str(workdir / "model.bin"),
+                 "--vectors", str(workdir / "vectors.txt"), "--oos", str(oos_file), "-k", "3",
+                 "--out", str(tmp_path / "e.bin"), "--report", str(tmp_path / "e.json")]) == 0
+    expected = json.dumps(report_fields(report), indent=2) + "\n"
+    assert (tmp_path / "e.json").read_text() == expected
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "".join(
+            f"{key} = {workdir / name}\n"
+            for key, name in [("nbest", "test.nbest"), ("refs", "test.refs"),
+                              ("model", "model.bin"), ("vectors", "vectors.txt"),
+                              ("arpa", "model.arpa")]
+        )
+        + f"candidates_k = 3\nreport = {tmp_path / 'report.json'}\n"
+    )
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    _, report = expand_with_embeddings(model, oos, load_w2v_text(workdir / "vectors.txt"), k=3)
+    text = (tmp_path / "report.json").read_text()
+    written = json.loads(text)
+    assert written["new_words"] == {"count": len(report.expanded), **report_fields(report)}
+    assert list(written["new_words"]) == ["count", *report_fields(report)]
+    assert text == json.dumps(written, indent=2) + "\n"
 
 
 def test_pipeline_rejects_unknown_keys(workdir, tmp_path, capsys):

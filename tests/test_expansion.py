@@ -10,6 +10,7 @@ The two load-bearing properties:
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -19,6 +20,7 @@ import pytest
 from lmexpand.expansion import (
     SKIP_IN_SHORTLIST,
     SKIP_NO_VECTOR,
+    ExpansionReport,
     FullVocabScorer,
     build_candidate_plan,
     expand_model,
@@ -26,7 +28,7 @@ from lmexpand.expansion import (
     extract_oos_words,
     synthesize_vector,
 )
-from lmexpand.ngram import train_kn
+from lmexpand.ngram import import_arpa, train_kn
 from lmexpand.rescoring import Hypothesis
 from lmexpand.rnnlm import (
     RnnState,
@@ -35,7 +37,7 @@ from lmexpand.rnnlm import (
     init_model,
     log_softmax,
     named_parameters,
-    score_sentence,
+    score_ids,
     softmax,
     zero_state,
 )
@@ -288,6 +290,23 @@ def test_expand_with_embeddings_reports_skips():
     assert d["explicit_before"] == model.n_explicit
 
 
+def test_report_dict_layout_is_pinned():
+    report = ExpansionReport(
+        expanded=["w4"],
+        skipped=[("w6", SKIP_NO_VECTOR)],
+        candidates={"w4": [("w0", 1.0), ("w1", 0.5)]},
+        embed_dim=5,
+        hidden_dim=6,
+        explicit_before=7,
+        explicit_after=8,
+    )
+    assert json.dumps(report.to_dict()) == (
+        '{"expanded": ["w4"], "skipped": [["w6", "absent from embedding vocabulary"]],'
+        ' "candidates": {"w4": [["w0", 1.0], ["w1", 0.5]]}, "embed_dim": 5,'
+        ' "hidden_dim": 6, "explicit_before": 7, "explicit_after": 8}'
+    )
+
+
 def test_weighted_plan_uses_cosine_weights():
     vocab = make_vocab()
     emb = WordEmbeddings(
@@ -364,6 +383,33 @@ def test_ngram_policy_accounting_identity(policy_setup):
             if w != UNK
         )
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "unigrams, shares",
+    [
+        # zz alone takes the whole unknown mass although 10^-400 is 0 as a float
+        (["-400\tzz"], {"zz": 0.0}),
+        (["-400\tzz", "-401\tzy"], {"zz": -math.log1p(0.1), "zy": -math.log(11.0)}),
+        # one underflowing word among ordinary ones
+        (["-400\tzz", "-1\tzy"], {"zz": -399 * math.log(10.0), "zy": 0.0}),
+    ],
+)
+def test_ngram_share_survives_underflowing_probabilities(tmp_path, unigrams, shares):
+    lines = ["-0.3\t</s>", "-0.3\ta", *unigrams]
+    arpa = tmp_path / "u.arpa"
+    arpa.write_text(
+        f"\\data\\\nngram 1={len(lines)}\n\n\\1-grams:\n" + "\n".join(lines) + "\n\n\\end\\\n"
+    )
+    vocab = Vocabulary([*RESERVED, "a", *shares], shortlist_size=4)
+    model = init_model(vocab, 2, 3, 1, seed=0)
+    scorer = FullVocabScorer(model, "ngram", vocab, import_arpa(arpa))
+    plain = FullVocabScorer(model, "shortlist", vocab)
+    for word, share in shares.items():
+        [got] = scorer.batch_logprob([["a", word]])
+        [unk] = plain.batch_logprob([["a", word]])
+        assert math.isfinite(got)
+        assert got - unk == pytest.approx(share, abs=1e-9)
 
 
 def test_shortlist_policy_scores_oos_as_unk(policy_setup):
@@ -443,7 +489,7 @@ def test_scorer_shortlist_matches_plain_scoring(policy_setup):
     scorer = FullVocabScorer(model, "shortlist", full_vocab)
     tokens = ["w0", "w4", "w2"]
     ids = [full_vocab.encode(t, shortlist_only=True) for t in tokens]
-    np.testing.assert_array_equal(scorer.score_tokens(tokens), score_sentence(model, ids))
+    np.testing.assert_array_equal(scorer.score_tokens(tokens), score_ids(model, ids))
 
 
 def test_empty_hypothesis_scores_sentence_end(policy_setup):

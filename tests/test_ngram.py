@@ -453,3 +453,20 @@ def test_order_one_errors():
         train_kn([["a"]], build_vocabulary([["a"]], 4, 4), order=0)
     with pytest.raises(ValueError):
         train_kn([], build_vocabulary([["a"]], 4, 4), order=2)
+
+
+@pytest.mark.parametrize("token", ["<s>", "</s>"])
+def test_boundary_tokens_inside_a_sentence_are_rejected(token):
+    vocab = Vocabulary(["<s>", "</s>", "<unk>", "a", "b", "c"], 6)
+    with pytest.raises(ValueError, match=f"sentence 1: reserved token {token} inside"):
+        train_kn([["a", "c"], ["b", token, "a", "c"]], vocab, order=2)
+
+
+def test_unknown_token_in_a_sentence_stays_legal():
+    vocab = Vocabulary(["<s>", "</s>", "<unk>", "a", "b", "c"], 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = train_kn([["b", "<unk>", "a", "c"], ["a", "b"]], vocab, order=2)
+    b = vocab.encode("b")
+    total = sum(model.conditional_prob(w, (b,)) for w in range(1, len(vocab)))
+    assert total == pytest.approx(1.0, abs=1e-12)

@@ -8,6 +8,8 @@ in the implementation cannot cancel out in the test.  Gate rows are packed
 from __future__ import annotations
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from lmexpand.rnnlm import (
     save_checkpoint,
     score_batch,
     score_ids,
-    score_sentence,
     softmax,
     train_bptt,
     zero_state,
@@ -167,11 +168,11 @@ def test_log_softmax_agrees_with_softmax():
     np.testing.assert_allclose(np.exp(log_softmax(x)), softmax(x), rtol=1e-13)
 
 
-def test_score_sentence_matches_stepwise_chain():
+def test_score_ids_matches_stepwise_chain():
     vocab = small_vocab(6)
     model = init_model(vocab, 4, 3, 2, seed=5)
     ids = [vocab.encode(w) for w in ["w3", "w0", "w0", "w5"]]
-    got = score_sentence(model, ids)
+    got = score_ids(model, ids)
 
     state = zero_state(model)
     expected = []
@@ -293,10 +294,9 @@ def test_score_batch_edges():
         score_batch(model, [[-1]])
 
 
-def test_score_sentence_rejects_empty():
+def test_corpus_perplexity_scores_an_empty_sentence_as_sentence_end():
     model = init_model(small_vocab(3), 3, 2, 1)
-    with pytest.raises(ValueError):
-        score_sentence(model, [])
+    assert corpus_perplexity(model, [[]]) == perplexity(score_ids(model, []))
 
 
 def test_perplexity_frozen_value():
@@ -430,8 +430,37 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     corpus = [["w0", "w1", "w2"], ["w2", "w0", "w1", "w1"]]
     for sentence in corpus:
         ids = [wide.vocab.encode(t, shortlist_only=True) for t in sentence]
-        np.testing.assert_array_equal(score_sentence(again, ids), score_sentence(wide, ids))
+        np.testing.assert_array_equal(score_ids(again, ids), score_ids(wide, ids))
     assert corpus_perplexity(again, corpus) == corpus_perplexity(wide, corpus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 9),  # embed_dim
+    st.integers(1, 9),  # hidden_dim
+    st.integers(1, 3),  # layers
+    st.integers(3, 12),  # shortlist size
+    st.integers(0, 4),  # tail size
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_checkpoint_round_trip_property(embed, hidden, layers, shortlist, tail, seed, data):
+    model = init_model(small_vocab(shortlist + tail - 3, shortlist), embed, hidden, layers, seed)
+    for _, arr in named_parameters(model):
+        arr *= 20.0  # order-one logits, where a changed summation order shows
+    word = st.integers(0, model.n_explicit - 1)
+    sentences = data.draw(st.lists(st.lists(word, max_size=5), min_size=1, max_size=6))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, copy = Path(tmp) / "m.bin", Path(tmp) / "again.bin"
+        save_checkpoint(model, path)
+        again = load_checkpoint(path)
+        save_checkpoint(again, copy)
+        assert copy.read_bytes() == path.read_bytes()
+    assert again.vocab == model.vocab
+    for (name, a), (_, b) in zip(named_parameters(model), named_parameters(again)):
+        assert a.tobytes() == b.tobytes(), name
+    for got, want in zip(score_batch(again, sentences), score_batch(model, sentences)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("block", ["layers.0.w_rec", "layers.1.bias", "output_embed"])

@@ -3,22 +3,32 @@
 from __future__ import annotations
 
 import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmexpand.vocab import (
     BOS,
     BOS_ID,
     EOS,
     EOS_ID,
+    RESERVED,
     UNK,
     UNK_ID,
+    Hypothesis,
     Vocabulary,
     build_vocabulary,
     load_corpus,
+    load_transcripts,
+    parse_nbest,
     save_corpus,
+    write_nbest,
+    write_transcripts,
 )
 
 
@@ -204,8 +214,88 @@ class TestCorpusIO:
         save_corpus(corpus, path)
         assert load_corpus(path) == corpus
 
+    @pytest.mark.parametrize("token", [BOS, EOS])
+    def test_boundary_tokens_are_rejected_with_the_line(self, tmp_path, token):
+        path = tmp_path / "c.txt"
+        path.write_text(f"a b\n\nb {token} a\n", encoding="utf-8")
+        message = f"{path}: line 3: reserved token {token} inside a sentence"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_corpus(path)
+
+    def test_unknown_token_stays_legal(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text(f"a {UNK} b\n", encoding="utf-8")
+        assert load_corpus(path) == [["a", UNK, "b"]]
+
     def test_empty_corpus_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("\n\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_corpus(path)
+
+
+# ------------------------------------------------------ round-trip properties
+
+# one whitespace-free token: a vocabulary word, an utterance id or a word of
+# a hypothesis; surrogates cannot be written as UTF-8
+tokens = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8
+).filter(lambda t: t.split() == [t])
+scores = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def vocabularies(draw):
+    words = draw(st.lists(tokens.filter(lambda t: t not in RESERVED), unique=True, max_size=30))
+    shortlist = draw(st.integers(3, len(words) + 3))
+    return Vocabulary([*RESERVED, *words], shortlist)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vocabularies())
+def test_vocabulary_text_round_trip(vocab):
+    text = vocab.to_text()
+    again = Vocabulary.from_text(text)
+    assert again == vocab
+    assert again.to_text() == text
+    with tempfile.TemporaryDirectory() as tmp:
+        vocab.save(Path(tmp) / "v.txt")
+        assert Vocabulary.load(Path(tmp) / "v.txt") == vocab
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        tokens,
+        st.lists(st.tuples(st.lists(tokens, max_size=5), scores, scores), max_size=4),
+        max_size=5,
+    )
+)
+def test_nbest_round_trip_at_six_decimals(lists):
+    nbest = {
+        utt: [Hypothesis(words, ac, lm, rank) for rank, (words, ac, lm) in enumerate(hyps, 1)]
+        for utt, hyps in lists.items()
+        if hyps
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "n.nbest"
+        write_nbest(nbest, path)
+        again = parse_nbest(path)
+        assert list(again) == list(nbest)
+        for utt, hyps in nbest.items():
+            assert [(h.words, h.rank) for h in again[utt]] == [(h.words, h.rank) for h in hyps]
+            for got, want in zip(again[utt], hyps):
+                assert got.acoustic_score == pytest.approx(want.acoustic_score, abs=5e-7)
+                assert got.lm_score == pytest.approx(want.lm_score, abs=5e-7)
+        # what was read back is written back byte for byte
+        write_nbest(again, Path(tmp) / "again.nbest")
+        assert (Path(tmp) / "again.nbest").read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(tokens, st.lists(tokens, max_size=6), max_size=6))
+def test_transcripts_round_trip(transcripts):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.txt"
+        write_transcripts(transcripts, path)
+        assert load_transcripts(path) == transcripts
