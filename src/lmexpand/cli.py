@@ -50,14 +50,18 @@ def _cmd_train_lm(args) -> int:
     return 0
 
 
+def _scorer(model_path, policy, full_vocab_path, arpa_path) -> expansion.FullVocabScorer:
+    """A checkpoint scored over the full vocabulary; the n-gram model at
+    ``arpa_path``, if given, feeds the ngram policy."""
+    model = rnnlm.load_checkpoint(model_path)
+    full_vocab = vocab.Vocabulary.load(full_vocab_path) if full_vocab_path else model.vocab
+    ng = ngram.import_arpa(arpa_path) if arpa_path else None
+    return expansion.FullVocabScorer(model, policy, full_vocab, ng)
+
+
 def _cmd_ppl(args) -> int:
-    model = rnnlm.load_checkpoint(args.model)
+    scorer = _scorer(args.model, args.unk_mode, args.full_vocab, args.arpa)
     corpus = vocab.load_corpus(args.text)
-    full_vocab = (
-        vocab.Vocabulary.load(args.full_vocab) if args.full_vocab else model.vocab
-    )
-    ng = ngram.import_arpa(args.arpa) if args.arpa else None
-    scorer = expansion.FullVocabScorer(model, args.unk_mode, full_vocab, ng)
     print(f"perplexity: {scorer.corpus_perplexity(corpus):.4f}")
     return 0
 
@@ -147,17 +151,10 @@ def _cmd_make_fixture(args) -> int:
     return 0
 
 
-def _lm_from_args(args):
-    if (args.model is None) == (getattr(args, "arpa", None) is None):
-        raise SystemExit("exactly one of --model or --arpa must be given")
-    if args.model is not None:
-        model = rnnlm.load_checkpoint(args.model)
-        full_vocab = (
-            vocab.Vocabulary.load(args.full_vocab) if args.full_vocab else model.vocab
-        )
-        ng = ngram.import_arpa(args.policy_arpa) if args.policy_arpa else None
-        return expansion.FullVocabScorer(model, args.policy, full_vocab, ng).batch_logprob
-    return rescoring.per_sentence(ngram.import_arpa(args.arpa).sentence_logprob)
+def _lm_from_args(args) -> rescoring.LmScorer:
+    if args.arpa is not None:
+        return rescoring.per_sentence(ngram.import_arpa(args.arpa).sentence_logprob)
+    return _scorer(args.model, args.policy, args.full_vocab, args.policy_arpa).batch_logprob
 
 
 def _cmd_rescore(args) -> int:
@@ -293,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expand)
 
     def add_lm_args(p):
-        p.add_argument("--model")
-        p.add_argument("--arpa")
+        lm = p.add_mutually_exclusive_group(required=True)
+        lm.add_argument("--model")
+        lm.add_argument("--arpa")
         p.add_argument("--policy", choices=list(expansion.POLICIES), default="uniform")
         p.add_argument("--full-vocab")
         p.add_argument("--policy-arpa", help="n-gram model for the ngram policy")

@@ -32,8 +32,8 @@ class RescoreError(RuntimeError):
     pass
 
 
-# An LM scores a batch: it takes the word lists of one utterance's
-# hypotheses and returns one ln probability per list, in order.
+# An LM scores a batch: it takes the word lists of every hypothesis of an
+# n-best list and returns one ln probability per list, in order.
 LmScorer = Callable[[list[list[str]]], Sequence[float]]
 
 
@@ -61,65 +61,57 @@ def combined_score(hyp: Hypothesis, cfg: RescoreConfig) -> float:
     )
 
 
-def _lm_scores(utt: str, hyps: list[Hypothesis], lm: LmScorer) -> list[float]:
-    """One LM call for all of an utterance's hypotheses.  If it fails, the
-    hypotheses are scored one at a time so the error can name the rank."""
-    try:
-        scores = [float(lp) for lp in lm([hyp.words for hyp in hyps])]
-    except Exception as err:
-        for hyp in hyps:
-            try:
-                lm([hyp.words])
-            except Exception as one_err:
-                raise RescoreError(
-                    f"LM failed on utterance {utt!r} rank {hyp.rank}: {one_err}"
-                ) from one_err
-        raise RescoreError(f"LM failed on utterance {utt!r}: {err}") from err
-    if len(scores) != len(hyps):
-        raise RescoreError(
-            f"LM returned {len(scores)} scores for the {len(hyps)} hypotheses of {utt!r}"
-        )
-    return scores
+def _with_lm_scores(nbest: NBestList, lm: LmScorer) -> NBestList:
+    """Copies of every hypothesis with ``lm_score`` from one LM call over the
+    whole list, in file order.
 
-
-def _list_lm_scores(nbest: NBestList, lm: LmScorer) -> list[list[float]]:
-    """One LM call for every hypothesis of the list, in file order; the
-    scores come back split per utterance.  If that call fails or answers
-    with the wrong number of scores, each utterance is scored on its own by
-    ``_lm_scores``, so an error names the utterance and the rank."""
+    If the call raises, the hypotheses are scored one at a time, in file
+    order, so the error names the utterance and rank of the first that fails
+    alone.  A wrong number of scores is an error.
+    """
     batch = [hyp.words for hyps in nbest.values() for hyp in hyps]
     try:
         scores = [float(lp) for lp in lm(batch)]
-    except Exception:
-        scores = []
+    except Exception as err:
+        for utt, hyps in nbest.items():
+            for hyp in hyps:
+                try:
+                    lm([hyp.words])
+                except Exception as one_err:
+                    raise RescoreError(
+                        f"LM failed on utterance {utt!r} rank {hyp.rank}: {one_err}"
+                    ) from one_err
+        raise RescoreError(f"LM failed on the n-best list: {err}") from err
     if len(scores) != len(batch):
-        return [_lm_scores(utt, hyps, lm) for utt, hyps in nbest.items()]
+        raise RescoreError(
+            f"LM returned {len(scores)} scores for the {len(batch)} hypotheses"
+            " of the n-best list"
+        )
     flat = iter(scores)
-    return [[next(flat) for _ in hyps] for hyps in nbest.values()]
+    return {
+        utt: [Hypothesis(list(h.words), h.acoustic_score, next(flat), h.rank) for h in hyps]
+        for utt, hyps in nbest.items()
+    }
+
+
+def _rerank(scored: NBestList, cfg: RescoreConfig) -> NBestList:
+    """Each utterance sorted best first by combined score.  The sort is
+    stable, so equal scores keep their order in ``scored``."""
+    return {
+        utt: sorted(hyps, key=lambda h: -combined_score(h, cfg))
+        for utt, hyps in scored.items()
+    }
 
 
 def rescore(nbest: NBestList, lm: LmScorer, cfg: RescoreConfig) -> NBestList:
     """Re-rank every utterance by acoustic + scale * lm + penalty * length.
 
-    The LM is called once with every hypothesis of the list (see
-    ``_list_lm_scores``).  Returns a new list with lm_score replaced by the
-    new LM's value; the sort is stable so equal combined scores keep their
-    original order.  Original rank fields are preserved for traceability.
+    The LM is called once with every hypothesis of the list.  Returns a new
+    list with lm_score replaced by the new LM's value; equal combined scores
+    keep their file order.  Original rank fields are preserved for
+    traceability.
     """
-    out: NBestList = {}
-    for (utt, hyps), lm_lps in zip(nbest.items(), _list_lm_scores(nbest, lm)):
-        rescored = [
-            Hypothesis(
-                words=list(hyp.words),
-                acoustic_score=hyp.acoustic_score,
-                lm_score=lm_lp,
-                rank=hyp.rank,
-            )
-            for hyp, lm_lp in zip(hyps, lm_lps)
-        ]
-        rescored.sort(key=lambda h: -combined_score(h, cfg))
-        out[utt] = rescored
-    return out
+    return _rerank(_with_lm_scores(nbest, lm), cfg)
 
 
 def one_best(nbest: NBestList) -> dict[str, list[str]]:
@@ -203,23 +195,19 @@ def tune(
 ) -> tuple[RescoreConfig, float, list[tuple[float, float, float]]]:
     """Grid-search lm_scale and word penalty against reference WER.
 
-    The LM is evaluated once per hypothesis, in one call for the whole
-    list; grid points only re-rank.  Returns the best config (first in grid
+    The LM is called once for the whole list, and each grid point re-ranks
+    exactly as ``rescore`` does.  Returns the best config (first in grid
     order on ties), its WER, and the full (scale, penalty, wer) grid.  An
     empty grid or a non-finite grid value raises ``ValueError``.
     """
     configs = [RescoreConfig(scale, penalty) for scale in scales for penalty in penalties]
     if not configs:
         raise ValueError("empty tuning grid: give at least one scale and one penalty")
-    scored = rescore(nbest, lm, RescoreConfig(lm_scale=1.0, word_penalty=0.0))
+    scored = _with_lm_scores(nbest, lm)
     grid: list[tuple[float, float, float]] = []
     best_cfg, best_wer = configs[0], math.inf
     for cfg in configs:
-        reranked = {
-            utt: sorted(hyps, key=lambda h: -combined_score(h, cfg))
-            for utt, hyps in scored.items()
-        }
-        result = wer(refs, one_best(reranked))
+        result = wer(refs, one_best(_rerank(scored, cfg)))
         grid.append((cfg.lm_scale, cfg.word_penalty, result.wer))
         if result.wer < best_wer:
             best_wer = result.wer

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary
+from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_sentence
 
 MAGIC = b"RNNLM1"
 _BLOCK_ROWS = 128  # trie nodes per batched step in score_batch
@@ -413,7 +413,8 @@ class TrainConfig:
 def _training_stream(corpus: Corpus, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     inputs: list[int] = []
     targets: list[int] = []
-    for sentence in corpus:
+    for index, sentence in enumerate(corpus):
+        check_sentence(sentence, f"sentence {index}")
         ids = [vocab.encode(t, shortlist_only=True) for t in sentence]
         inputs.extend([BOS_ID] + ids)
         targets.extend(ids + [EOS_ID])
@@ -431,7 +432,8 @@ def train_bptt(
     Sentences are concatenated into one stream, split across ``batch``
     parallel sub-streams; hidden state is carried across window boundaries
     within an epoch.  Without a validation corpus the history holds training
-    perplexity instead.
+    perplexity instead.  A literal <s> or </s> inside a training sentence is
+    rejected with the sentence index.
     """
     if not corpus:
         raise ValueError("empty corpus")

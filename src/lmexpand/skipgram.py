@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .vocab import Corpus, Vocabulary, VocabularyError
+from .vocab import Corpus, Vocabulary, VocabularyError, check_sentence
 
 # Floor of the linearly decaying learning rate.
 MIN_LR = 1e-4
@@ -68,14 +68,16 @@ class WordEmbeddings:
 
 
 def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) -> WordEmbeddings:
-    """Train embeddings covering every corpus word with count >= min_count."""
+    """Train embeddings covering every corpus word with count >= min_count.
+    A literal <s> or </s> inside a sentence is rejected with its index."""
     if not corpus:
         raise ValueError("empty corpus")
     for name in ("dim", "window"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
     counts = Counter()
-    for sentence in corpus:
+    for index, sentence in enumerate(corpus):
+        check_sentence(sentence, f"sentence {index}")
         counts.update(sentence)
     vocab_items = sorted(
         ((w, c) for w, c in counts.items() if c >= config.min_count),
@@ -191,6 +193,8 @@ def save_w2v_text(embeddings: WordEmbeddings, path: str | Path) -> None:
 
 
 def load_w2v_text(path: str | Path) -> WordEmbeddings:
+    """Read the text format; rows are gathered as read, so the header only
+    bounds the file, never an allocation."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -199,15 +203,16 @@ def load_w2v_text(path: str | Path) -> WordEmbeddings:
             count, dim = int(header[0]), int(header[1])
         except ValueError as err:
             raise ValueError("line 1: non-integer header fields") from err
+        if count < 0 or dim < 1:
+            raise ValueError(f"line 1: need count >= 0 and dim >= 1, got {count} {dim}")
         words: list[str] = []
         line_nos: list[int] = []
-        rows = np.empty((count, dim))
+        rows: list[list[float]] = []
         for line_no, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
                 continue
-            n = len(words)
-            if n >= count:
+            if len(words) >= count:
                 raise ValueError(f"line {line_no}: more vectors than the header declares")
             if len(fields) != dim + 1:
                 raise ValueError(
@@ -216,14 +221,14 @@ def load_w2v_text(path: str | Path) -> WordEmbeddings:
             words.append(fields[0])
             line_nos.append(line_no)
             try:
-                rows[n] = [float(v) for v in fields[1:]]
+                rows.append([float(v) for v in fields[1:]])
             except ValueError as err:
                 raise ValueError(f"line {line_no}: non-numeric vector value") from err
-            if not np.isfinite(rows[n]).all():
+            if not all(map(math.isfinite, rows[-1])):
                 raise ValueError(f"line {line_no}: non-finite vector value")
     if len(words) != count:
         raise ValueError(f"header declares {count} vectors, file has {len(words)}")
     try:
-        return WordEmbeddings(words, rows)
+        return WordEmbeddings(words, np.array(rows, dtype=float).reshape(count, dim))
     except VocabularyError as err:  # report the line of the repeated word
         raise ValueError(f"line {line_nos[err.word_id]}: {err}") from err

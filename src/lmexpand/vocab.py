@@ -163,7 +163,8 @@ def build_vocabulary(corpus: Corpus, shortlist_size: int, full_size: int) -> Voc
     Words are ranked by descending frequency, ties broken lexicographically.
     The three reserved tokens always occupy ids 0..2 and count toward both
     sizes.  When the corpus has fewer unique words than requested, the
-    shortlist and the full vocabulary shrink to what exists.
+    shortlist and the full vocabulary shrink to what exists.  A literal <s>
+    or </s> is rejected with the sentence index; <unk> keeps its reserved id.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -172,10 +173,10 @@ def build_vocabulary(corpus: Corpus, shortlist_size: int, full_size: int) -> Voc
     if full_size < shortlist_size:
         raise ValueError("full_size must be >= shortlist_size")
     counts = Counter()
-    for sentence in corpus:
+    for index, sentence in enumerate(corpus):
+        check_sentence(sentence, f"sentence {index}")
         counts.update(sentence)
-    for token in RESERVED:
-        counts.pop(token, None)
+    counts.pop(UNK, None)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     kept = [w for w, _ in ranked[: full_size - 3]]
     words = list(RESERVED) + kept

@@ -447,6 +447,23 @@ def test_missing_file_reports_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("-1 2", "line 1: need count >= 0 and dim >= 1, got -1 2"),
+        ("1 0", "line 1: need count >= 0 and dim >= 1, got 1 0"),
+        ("3000000000 1000", "header declares 3000000000 vectors, file has 0"),
+    ],
+)
+def test_bad_w2v_header_reports_error(tmp_path, capsys, header, message):
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text(f"{header}\n")
+    rc = main(["neighbors", "--vectors", str(vectors), "--vocab", str(tmp_path / "v.txt"),
+               "--word", "a"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_rescore_error_reports_error(tmp_path, capsys):
     # without an <unk> unigram the n-gram model cannot score an unseen word
     arpa = tmp_path / "no-unk.arpa"

@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tempfile
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmexpand.datagen import make_template_grammar, sample_corpus
 from lmexpand.ngram import (
@@ -432,6 +436,25 @@ class TestArpa:
         )
         with pytest.raises(ArpaParseError):
             import_arpa(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=7), min_size=1, max_size=6),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_arpa_export_import_export_is_byte_identical(corpus, order, data):
+    full = data.draw(st.integers(3, 9))
+    vocab = build_vocabulary(corpus, data.draw(st.integers(3, full)), full)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = train_kn(corpus, vocab, order=order)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.arpa", Path(tmp) / "b.arpa"
+        export_arpa(model, first)
+        export_arpa(import_arpa(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_perplexity_matches_manual_chain(toy_vocab):

@@ -5,10 +5,13 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lmexpand
 from lmexpand.rescoring import (
@@ -179,8 +182,7 @@ def test_rescore_scores_the_whole_list_in_one_call():
     assert [h.lm_score for h in out["v"]] == [-1.0]
 
 
-@pytest.mark.parametrize("failure", ["raises", "miscounts"])
-def test_rescore_falls_back_to_one_call_per_utterance(failure):
+def test_rescore_probes_each_hypothesis_when_only_the_list_fails():
     nbest = {
         "u": [hyp(["a", "b"], 1), hyp([], 2)],
         "v": [hyp(["c"], 1)],
@@ -189,21 +191,31 @@ def test_rescore_falls_back_to_one_call_per_utterance(failure):
 
     def lm(batch):
         calls.append([list(w) for w in batch])
-        if len(batch) == 3:
-            if failure == "raises":
-                raise RuntimeError("batch too large")
-            return [-1.0]
-        return [-float(len(w)) for w in batch]
+        if len(batch) > 1:
+            raise RuntimeError("batch too large")
+        return [-1.0]
 
-    out = rescore(nbest, lm, RescoreConfig(lm_scale=1.0))
-    assert calls == [[["a", "b"], [], ["c"]], [["a", "b"], []], [["c"]]]
-    assert [h.lm_score for h in out["u"]] == [0.0, -2.0]
-    assert [h.lm_score for h in out["v"]] == [-1.0]
+    with pytest.raises(RescoreError, match="LM failed on the n-best list: batch too large"):
+        rescore(nbest, lm, RescoreConfig())
+    assert calls == [[["a", "b"], [], ["c"]], [["a", "b"]], [[]], [["c"]]]
+
+
+def test_rescore_miscount_raises_after_one_call():
+    nbest = {"u": [hyp(["a"], 1), hyp(["b"], 2)], "v": [hyp(["c"], 1)]}
+    calls = []
+
+    def lm(batch):
+        calls.append(len(batch))
+        return [-1.0] * (len(batch) + 1)
+
+    with pytest.raises(RescoreError, match="4 scores for the 3 hypotheses of the n-best list"):
+        rescore(nbest, lm, RescoreConfig())
+    assert calls == [3]
 
 
 def test_rescore_rejects_a_short_score_list():
     nbest = {"u": [hyp(["a"], 1), hyp(["b"], 2)]}
-    with pytest.raises(RescoreError, match="1 scores for the 2 hypotheses of 'u'"):
+    with pytest.raises(RescoreError, match="1 scores for the 2 hypotheses of the n-best list"):
         rescore(nbest, lambda batch: [-1.0], RescoreConfig())
 
 
@@ -307,6 +319,34 @@ def test_tune_searches_full_grid():
     assert wer(refs, one_best(redone)).wer == pytest.approx(best_wer)
 
 
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_tune_grid_wer_is_the_wer_of_rescore(seed):
+    # seed None: at scale 0.5 "a" and "b" tie on -2.0, and file order keeps "a"
+    nbest = {"u": [hyp(["a"], 1, ac=-1.0), hyp(["b"], 2, ac=-2.0)]}
+    refs = {"u": ["a"]}
+    table = {("a",): -2.0, ("b",): 0.0}
+    scales, penalties = (0.5, 1.0, 2.0), (-0.5, 0.0, 0.5)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        words = ["a", "b", "c"]
+        nbest, refs, table = {}, {}, {}
+        for u in range(6):
+            hyps = []
+            for rank in range(1, 5):
+                ws = tuple(words[i] for i in rng.integers(0, 3, int(rng.integers(0, 4))))
+                table[ws] = float(rng.integers(-4, 1))
+                hyps.append(hyp(ws, rank, ac=float(rng.integers(-4, 1))))
+            nbest[f"u{u}"] = hyps
+            refs[f"u{u}"] = list(hyps[int(rng.integers(0, 4))].words)
+    lm = lambda batch: [table[tuple(w)] for w in batch]
+    _, _, grid = tune(nbest, refs, lm, scales, penalties)
+    for scale, penalty, grid_wer in grid:
+        redone = rescore(nbest, lm, RescoreConfig(scale, penalty))
+        assert grid_wer == wer(refs, one_best(redone)).wer
+    if seed is None:
+        assert grid[0] == (0.5, -0.5, 0.0) and grid[1] == (0.5, 0.0, 0.0)
+
+
 def test_tune_first_config_wins_ties():
     nbest = {"u": [hyp(["a"], 1, ac=-1.0)]}
     refs = {"u": ["a"]}
@@ -382,6 +422,22 @@ def test_parse_config_errors(tmp_path):
     path.write_text("a = 1\na = 2\n")
     with pytest.raises(ValueError, match="duplicate"):
         parse_config(path)
+
+
+# a key or value as written on one "key = value" line: no line break, no
+# comment mark, no surrounding whitespace; keys hold no "=" and are not empty
+config_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12).filter(
+    lambda t: t == t.strip() and not any(c in t for c in "#\n\r")
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(config_text.filter(lambda k: k and "=" not in k), config_text, max_size=8))
+def test_parse_config_round_trips_written_pairs(pairs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in pairs.items()), encoding="utf-8")
+        assert parse_config(path) == pairs
 
 
 def missing_inputs(tmp_path):

@@ -392,6 +392,23 @@ def test_final_state_matches_stepwise_forward():
     np.testing.assert_allclose(c_t[:, 0, :], state.c, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ([["w0", "</s>", "w1"], ["w1", "w0"]], "sentence 0: reserved token </s> inside"),
+        ([["w0", "w1"], ["w1", "<s>", "w0"]], "sentence 1: reserved token <s> inside"),
+    ],
+)
+def test_train_bptt_rejects_boundary_tokens_inside_a_sentence(corpus, message):
+    model = init_model(small_vocab(2), 2, 2, 1, seed=0)
+    config = TrainConfig(unroll=2, dropout=0.0, epochs=1, batch=1)
+    with pytest.raises(ValueError, match=message):
+        train_bptt(model, corpus, config)
+    # <unk> stays legal
+    _, history = train_bptt(model, [["w0", "<unk>", "w1"]], config)
+    assert len(history) == 1 and math.isfinite(history[0])
+
+
 @pytest.mark.parametrize("field", ["embed_dim", "hidden_dim", "num_layers"])
 def test_init_model_rejects_zero_sizes(field):
     sizes = {"embed_dim": 3, "hidden_dim": 2, "num_layers": 1, field: 0}

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +87,20 @@ def test_same_context_words_cluster():
         for b in tools:
             across.append(cosine_similarity(emb.vector(a), emb.vector(b)))
     assert min(within) > max(across)
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ([["a", "</s>", "b"], ["b", "a"]], "sentence 0: reserved token </s> inside"),
+        ([["a", "b"], ["b", "<s>", "a"]], "sentence 1: reserved token <s> inside"),
+    ],
+)
+def test_boundary_tokens_inside_a_sentence_are_rejected(corpus, message):
+    with pytest.raises(ValueError, match=message):
+        train_skipgram(corpus, SkipgramConfig(dim=2, epochs=1))
+    emb = train_skipgram([["a", "<unk>", "b"]], SkipgramConfig(dim=2, epochs=1))
+    assert "<unk>" in emb
 
 
 def test_empty_corpus_rejected():
@@ -275,3 +292,41 @@ class TestTextFormat:
         path.write_text("3 2\na 1 2\nb 0 1\n\na 3 4\n")
         with pytest.raises(ValueError, match="line 5: duplicate word 'a' at rows 0 and 2"):
             load_w2v_text(path)
+
+    @pytest.mark.parametrize("header", ["-1 2", "1 0", "0 0", "2 -3"])
+    def test_header_rejects_negative_count_or_empty_vectors(self, tmp_path, header):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"{header}\na 1 2\n")
+        with pytest.raises(ValueError, match=f"line 1: need count >= 0 and dim >= 1, got {header}"):
+            load_w2v_text(path)
+
+    def test_huge_header_count_allocates_nothing(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("3000000000 1000\n")
+        with pytest.raises(ValueError, match="header declares 3000000000 vectors, file has 0"):
+            load_w2v_text(path)
+
+
+# one whitespace-free word; surrogates cannot be written as UTF-8
+w2v_words = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8
+).filter(lambda t: t.split() == [t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(w2v_words, unique=True, max_size=8), st.integers(1, 6), st.data())
+def test_w2v_round_trip_keeps_nine_digits_exactly(words, dim, data):
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    rows = data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                              min_size=len(words), max_size=len(words)))
+    emb = WordEmbeddings(words, np.array(rows, dtype=float).reshape(len(words), dim))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vec.txt"
+        save_w2v_text(emb, path)
+        again = load_w2v_text(path)
+        assert again.words == words
+        want = [[float(format(v, ".9g")) for v in row] for row in emb.vectors]
+        assert again.vectors.tolist() == want
+        # what was read back is written back byte for byte
+        save_w2v_text(again, Path(tmp) / "again.txt")
+        assert (Path(tmp) / "again.txt").read_bytes() == path.read_bytes()

@@ -90,6 +90,17 @@ class TestBuildVocabulary:
         assert v.words.count(UNK) == 1
         assert v.words == [BOS, EOS, UNK, "a"]
 
+    @pytest.mark.parametrize(
+        "corpus, message",
+        [
+            ([["a", EOS, "b"], ["b", "a"]], "sentence 0: reserved token </s> inside"),
+            ([["a", "b"], ["b", BOS, "a"]], "sentence 1: reserved token <s> inside"),
+        ],
+    )
+    def test_boundary_tokens_inside_a_sentence_are_rejected(self, corpus, message):
+        with pytest.raises(ValueError, match=message):
+            build_vocabulary(corpus, 5, 10)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             build_vocabulary([], 5, 10)
