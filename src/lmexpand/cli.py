@@ -86,6 +86,8 @@ def _cmd_train_skipgram(args) -> int:
 
 def _cmd_neighbors(args) -> int:
     emb = skipgram.load_w2v_text(args.vectors)
+    if args.word not in emb:
+        raise ValueError(f"{args.vectors}: no vector for word {args.word!r}")
     v = vocab.Vocabulary.load(args.vocab)
     for wid, sim in skipgram.nearest_in_shortlist(emb, args.word, v, k=args.k):
         print(f"{v.decode(wid)}\t{sim:.6f}")

@@ -60,21 +60,39 @@ def make_template_grammar(
     return TemplateGrammar(classes, class_weights, templates, template_weights, word_class)
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice`` draws from: ``cdf.searchsorted(rng.random(),
+    side="right")`` is ``rng.choice(len(p), p=p)``, draw for draw."""
+    cdf = np.cumsum(p)
+    return cdf / cdf[-1]
+
+
+def _sentence_sampler(grammar: TemplateGrammar):
+    """``sample_sentence`` for one grammar, with its tables built once."""
+    template_cdf = _cdf(grammar.template_weights)
+    class_cdfs = [_cdf(w) for w in grammar.class_weights]
+
+    def sample(rng: np.random.Generator) -> list[str]:
+        t = int(template_cdf.searchsorted(rng.random(), side="right"))
+        return [
+            grammar.classes[ci][int(class_cdfs[ci].searchsorted(rng.random(), side="right"))]
+            for ci in grammar.templates[t]
+        ]
+
+    return sample
+
+
 def sample_sentence(grammar: TemplateGrammar, rng: np.random.Generator) -> list[str]:
-    t = rng.choice(len(grammar.templates), p=grammar.template_weights)
-    sentence = []
-    for ci in grammar.templates[t]:
-        ri = rng.choice(len(grammar.classes[ci]), p=grammar.class_weights[ci])
-        sentence.append(grammar.classes[ci][ri])
-    return sentence
+    return _sentence_sampler(grammar)(rng)
 
 
 def sample_corpus(grammar: TemplateGrammar, target_tokens: int, seed: int = 0) -> Corpus:
     rng = np.random.default_rng(seed)
+    sample = _sentence_sampler(grammar)
     corpus: Corpus = []
     tokens = 0
     while tokens < target_tokens:
-        sentence = sample_sentence(grammar, rng)
+        sentence = sample(rng)
         corpus.append(sentence)
         tokens += len(sentence)
     return corpus

@@ -291,12 +291,10 @@ def perplexity(logprobs: np.ndarray) -> float:
 
 
 def corpus_perplexity(model: RnnLmModel, corpus: Corpus) -> float:
-    """Shortlist perplexity: tail and unknown tokens collapse to <unk>."""
-    parts = [
-        score_ids(model, [model.vocab.encode(t, shortlist_only=True) for t in s])
-        for s in corpus
-    ]
-    return perplexity(np.concatenate(parts) if parts else [])
+    """Shortlist perplexity: tail and unknown tokens collapse to <unk>.  One
+    ``score_batch`` call scores the whole corpus."""
+    encoded = [[model.vocab.encode(t, shortlist_only=True) for t in s] for s in corpus]
+    return perplexity(np.concatenate(score_batch(model, encoded)) if encoded else [])
 
 
 def named_parameters(model: RnnLmModel) -> list[tuple[str, np.ndarray]]:

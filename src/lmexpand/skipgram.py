@@ -3,8 +3,16 @@
 Single-threaded and fully deterministic for a given seed.  Defaults follow
 the common word2vec settings: dimension 100, window 5, five negative
 samples, subsampling threshold 1e-3, five epochs, starting learning rate
-0.025 decaying linearly, minimum count 1.  Noise words are drawn from the
-unigram distribution raised to the 3/4 power.
+0.025 decaying linearly per sentence, minimum count 1.  Noise words are
+drawn from the unigram distribution raised to the 3/4 power.
+
+Updates are chunked (Ji et al., arXiv:1604.04661): the (centre, context)
+pairs of successive sentences are gathered into chunks of exactly
+``_CHUNK_PAIRS`` pairs (the last chunk may be shorter, and a long sentence
+spans several), and each chunk is one vectorised SGD step whose gradients
+are all taken at the chunk's starting weights.  The budget is fixed in
+pairs, not sentences, because staleness grows with the chunk: the more
+often a word repeats within one chunk, the larger its combined step.
 """
 
 from __future__ import annotations
@@ -16,10 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .rnnlm import _sigmoid
 from .vocab import Corpus, Vocabulary, VocabularyError, check_sentence
 
 # Floor of the linearly decaying learning rate.
 MIN_LR = 1e-4
+# (centre, context) pairs per update; larger chunks train on staler weights
+_CHUNK_PAIRS = 256
 
 
 class UnknownTargetError(KeyError):
@@ -89,11 +100,10 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
     freqs = np.array([c for _, c in vocab_items], dtype=float)
     index = {w: i for i, w in enumerate(words)}
     total = freqs.sum()
+    encoded = [np.array([index[t] for t in s if t in index], dtype=np.int64) for s in corpus]
 
     # Noise distribution: unigram^(3/4), sampled via the cumulative table.
-    noise = freqs**0.75
-    cum = np.cumsum(noise)
-    cum_total = cum[-1]
+    cum = np.cumsum(freqs**0.75)
 
     keep_prob = np.ones(len(words))
     if config.subsample > 0:
@@ -105,44 +115,86 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
     rng = np.random.default_rng(config.seed)
     w_in = (rng.random((len(words), config.dim)) - 0.5) / config.dim
     w_out = np.zeros((len(words), config.dim))
+    # context offsets -window .. -1, 1 .. window, farthest left first
+    offsets = np.concatenate([np.arange(-config.window, 0), np.arange(1, config.window + 1)])
 
     planned = max(1, config.epochs * int(total))
     seen = 0
-
+    pending: list[tuple[np.ndarray, ...]] = []  # (centre, context, lr) per sentence
+    n_pending = 0
     for _ in range(config.epochs):
-        for sentence in corpus:
-            ids = [index[t] for t in sentence if t in index]
+        for sentence, ids in zip(corpus, encoded):
             seen += len(sentence)
             if config.subsample > 0:
-                ids = [i for i in ids if rng.random() < keep_prob[i]]
-            n = len(ids)
-            for pos, center in enumerate(ids):
-                reduced = int(rng.integers(1, config.window + 1))
-                ctx = ids[max(0, pos - reduced) : pos] + ids[pos + 1 : pos + reduced + 1]
-                if not ctx:
-                    continue
-                lr = max(MIN_LR, config.lr * (1.0 - seen / planned))
-                ctx_arr = np.array(ctx, dtype=np.int64)
-                n_neg = len(ctx) * config.negatives
-                neg = cum.searchsorted(rng.random(n_neg) * cum_total)
-                # Resample negatives that collide with the center word; after
-                # a few rounds drop survivors (degenerate one-word corpora).
-                for _attempt in range(16):
-                    bad = neg == center
-                    if not bad.any():
-                        break
-                    neg[bad] = cum.searchsorted(rng.random(int(bad.sum())) * cum_total)
-                neg = neg[neg != center]
-                targets = np.concatenate([ctx_arr, neg])
-                lbl = np.zeros(len(targets))
-                lbl[: len(ctx)] = 1.0
-                l1 = w_in[center]
-                out_rows = w_out[targets]  # copy (fancy index)
-                act = 1.0 / (1.0 + np.exp(-(out_rows @ l1)))
-                g = (lbl - act) * lr
-                np.add.at(w_out, targets, np.outer(g, l1))
-                w_in[center] = l1 + g @ out_rows
+                ids = ids[rng.random(len(ids)) < keep_prob[ids]]
+            reduced = rng.integers(1, config.window + 1, size=len(ids))
+            pos = np.arange(len(ids))[:, None] + offsets
+            centre, slot = np.nonzero(
+                (np.abs(offsets) <= reduced[:, None]) & (pos >= 0) & (pos < len(ids))
+            )
+            lr = max(MIN_LR, config.lr * (1.0 - seen / planned))
+            pending.append((ids[centre], ids[pos[centre, slot]], np.full(len(centre), lr)))
+            n_pending += len(centre)
+            if n_pending >= _CHUNK_PAIRS:
+                pairs = [np.concatenate(part) for part in zip(*pending)]
+                full = n_pending - n_pending % _CHUNK_PAIRS
+                for start in range(0, full, _CHUNK_PAIRS):
+                    chunk = (a[start : start + _CHUNK_PAIRS] for a in pairs)
+                    _update(w_in, w_out, *chunk, cum, config.negatives, rng)
+                pending = [tuple(a[full:] for a in pairs)]
+                n_pending -= full
+    if n_pending:
+        pairs = (np.concatenate(part) for part in zip(*pending))
+        _update(w_in, w_out, *pairs, cum, config.negatives, rng)
     return WordEmbeddings(words, w_in)
+
+
+def _update(
+    w_in: np.ndarray,
+    w_out: np.ndarray,
+    centre: np.ndarray,
+    context: np.ndarray,
+    lr: np.ndarray,
+    cum: np.ndarray,
+    negatives: int,
+    rng: np.random.Generator,
+) -> None:
+    """One SGD step on a chunk of (centre, context) pairs, each with its own
+    learning rate and ``negatives`` noise words drawn from the cumulative
+    table ``cum``.  Every gradient is taken at the chunk's starting weights."""
+    neg = cum.searchsorted(rng.random((len(centre), negatives)) * cum[-1])
+    # Resample negatives that collide with their centre word; after a few
+    # rounds drop survivors (degenerate one-word corpora).
+    for _attempt in range(16):
+        bad = neg == centre[:, None]
+        if not bad.any():
+            break
+        neg[bad] = cum.searchsorted(rng.random(int(bad.sum())) * cum[-1])
+    targets = np.concatenate([context[:, None], neg], axis=1)
+    labels = np.zeros(targets.shape)
+    labels[:, 0] = 1.0
+    l1 = w_in[centre]
+    out_rows = w_out[targets]
+    act = _sigmoid(np.einsum("pd,ptd->pt", l1, out_rows))
+    g = (labels - act) * lr[:, None]
+    g[:, 1:][neg == centre[:, None]] = 0.0
+    # the w_out rows g[p, t] * l1[p] are formed already grouped by target
+    rows, order, starts = _segments(targets.ravel())
+    pair = order // targets.shape[1]
+    w_out[rows] += np.add.reduceat(g.ravel()[order, None] * l1[pair], starts, axis=0)
+    rows, order, starts = _segments(centre)
+    w_in[rows] += np.add.reduceat(np.einsum("pt,ptd->pd", g, out_rows)[order], starts, axis=0)
+
+
+def _segments(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group equal ids for a segment sum: the distinct ids in ascending
+    order, the stable order that sorts ``ids``, and where each group starts
+    in it.  ``np.add.at(table, ids, values)`` is then
+    ``table[rows] += np.add.reduceat(values[order], starts, axis=0)``."""
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.concatenate([[True], ids[1:] != ids[:-1]]))
+    return ids[starts], order, starts
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -447,6 +447,16 @@ def test_missing_file_reports_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_neighbors_of_a_word_without_vector_reports_error(workdir, capsys):
+    vectors = workdir / "vectors.txt"
+    rc = main(["neighbors", "--vectors", str(vectors), "--vocab", str(workdir / "vocab.txt"),
+               "--word", "zz"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {vectors}: no vector for word 'zz'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "header, message",
     [

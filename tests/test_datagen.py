@@ -52,6 +52,31 @@ def test_sample_corpus_token_budget_and_determinism():
     assert corpus != sample_corpus(GRAMMAR, 500, seed=2)
 
 
+def choice_sentence(grammar, rng):
+    """The sampler written with ``Generator.choice``."""
+    t = rng.choice(len(grammar.templates), p=grammar.template_weights)
+    return [
+        grammar.classes[ci][rng.choice(len(grammar.classes[ci]), p=grammar.class_weights[ci])]
+        for ci in grammar.templates[t]
+    ]
+
+
+@pytest.mark.parametrize("grammar", [GRAMMAR, make_template_grammar(seed=0)])
+def test_sample_corpus_draws_as_generator_choice(grammar):
+    # the precomputed tables must give rng.choice's words draw for draw
+    for seed in range(1, 6):
+        rng = np.random.default_rng(seed)
+        want, tokens = [], 0
+        while tokens < 400:
+            want.append(choice_sentence(grammar, rng))
+            tokens += len(want[-1])
+        assert sample_corpus(grammar, 400, seed=seed) == want
+    rng, again = np.random.default_rng(9), np.random.default_rng(9)
+    assert [sample_sentence(grammar, rng) for _ in range(20)] == [
+        choice_sentence(grammar, again) for _ in range(20)
+    ]
+
+
 @pytest.fixture(scope="module")
 def fixture_setup():
     train = sample_corpus(GRAMMAR, 4000, seed=5)

@@ -1,8 +1,8 @@
 """The demos stay runnable: every name they import from lmexpand exists, and
 the quick ones run to completion.
 
-Demos 03 and 04 train skip-gram vectors for about half a minute each, so
-they are only import-checked here.
+Demos 03 and 04 train skip-gram vectors on 80k tokens and take about 11 s
+and 13 s on a 2-core x86-64 machine, so they are only import-checked here.
 """
 
 from __future__ import annotations

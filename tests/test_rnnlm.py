@@ -7,6 +7,7 @@ in the implementation cannot cancel out in the test.  Gate rows are packed
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tempfile
 from pathlib import Path
@@ -40,7 +41,7 @@ from lmexpand.rnnlm import (
     train_bptt,
     zero_state,
 )
-from lmexpand.vocab import BOS_ID, EOS_ID, RESERVED, Vocabulary, build_vocabulary
+from lmexpand.vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Vocabulary, build_vocabulary
 
 
 def small_vocab(n_words=5, shortlist=None):
@@ -292,6 +293,25 @@ def test_score_batch_edges():
         score_batch(model, [[1], [model.n_explicit]])
     with pytest.raises(IndexError):
         score_batch(model, [[-1]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(range(2)),
+    st.lists(
+        st.lists(st.sampled_from(BATCH_MODELS[0].vocab.words[3:] + ["zz", "<unk>"]), max_size=6),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_corpus_perplexity_is_bitwise_the_per_sentence_reference(which, corpus):
+    """One and two layers; empty sentences; tail words (w28, w29) and
+    unknown words collapse to <unk>."""
+    model = BATCH_MODELS[which]
+    vocab = model.vocab
+    ids = [[vocab.encode(t) if vocab.is_shortlist(t) else UNK_ID for t in s] for s in corpus]
+    want = perplexity(np.concatenate([score_ids(model, s) for s in ids]))
+    assert corpus_perplexity(model, corpus) == want
 
 
 def test_corpus_perplexity_scores_an_empty_sentence_as_sentence_end():
@@ -584,6 +604,24 @@ def test_validation_corpus_drives_history():
     model, history = train_bptt(model, corpus, cfg, val_corpus=val)
     assert history and all(np.isfinite(h) for h in history)
     assert history[-1] == pytest.approx(corpus_perplexity(model, val), rel=1e-9)
+
+
+def test_validated_training_run_is_pinned(tmp_path):
+    """History (one halving, then the early stop) and checkpoint bytes of
+    a run whose validation corpus has tail, unknown and empty sentences."""
+    corpus = pattern_corpus(40) + [["w0", "w9", "w1"], ["w2", "w8", "w3"], ["w9"]]
+    val = pattern_corpus(12, seed=5) + [["w1", "w9", "zz"], [], ["w8"]]
+    vocab = build_vocabulary(corpus, 7, 9)  # w9 and w8 are outside the shortlist
+    model = init_model(vocab, 6, 8, 2, seed=4)
+    cfg = TrainConfig(unroll=6, dropout=0.2, lr=3.0, epochs=5, batch=4, seed=2)
+    model, history = train_bptt(model, corpus, cfg, val_corpus=val)
+    assert repr(history) == (
+        "[5.846596785813687, 5.822621678086635, 5.727360166893797, 5.727731842286881]"
+    )
+    save_checkpoint(model, tmp_path / "m.bin")
+    assert hashlib.sha256((tmp_path / "m.bin").read_bytes()).hexdigest() == (
+        "3a4b5eb28db7e114b8b8d81c26dbf6147624f563bffc4b0281cac54b55ced610"
+    )
 
 
 def test_non_finite_loss_raises():

@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lmexpand.skipgram as skipgram
 from lmexpand.skipgram import (
+    _CHUNK_PAIRS,
     SkipgramConfig,
     UnknownTargetError,
     WordEmbeddings,
     cosine_similarity,
     load_w2v_text,
     nearest_in_shortlist,
+    _segments,
     save_w2v_text,
     train_skipgram,
 )
@@ -87,6 +90,62 @@ def test_same_context_words_cluster():
         for b in tools:
             across.append(cosine_similarity(emb.vector(a), emb.vector(b)))
     assert min(within) > max(across)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_scores_give_finite_vectors(monkeypatch):
+    """A learning rate far too large for a five-word corpus drives scores
+    past where exp overflows; the sigmoid must neither warn nor give NaN."""
+    scores = []
+    real = skipgram._sigmoid
+
+    def recording(x):
+        scores.append(float(np.abs(x).max()))
+        return real(x)
+
+    monkeypatch.setattr(skipgram, "_sigmoid", recording)
+    corpus = [["a", "b", "c", "d"], ["b", "c", "e"], ["d", "a", "e", "b"]] * 20
+    emb = train_skipgram(corpus, SkipgramConfig(dim=4, window=2, epochs=3, lr=1.0, subsample=0))
+    assert max(scores) > 1e3  # exp(-1e3) underflows, exp(1e3) overflows
+    assert np.isfinite(emb.vectors).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=300),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_segment_sums_match_add_at(ids, dim, seed):
+    ids = np.array(ids, dtype=np.int64)
+    values = np.random.default_rng(seed).standard_normal((len(ids), dim))
+    want = np.zeros((7, dim))
+    np.add.at(want, ids, values)
+    rows, order, starts = _segments(ids)
+    assert rows.tolist() == sorted(set(ids.tolist()))
+    got = np.zeros((7, dim))
+    got[rows] += np.add.reduceat(values[order], starts, axis=0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * len(ids))
+
+
+def test_sentence_longer_than_a_chunk_trains_in_whole_chunks(monkeypatch):
+    sizes = []
+    real = skipgram._update
+
+    def recording(w_in, w_out, centre, *rest):
+        sizes.append(len(centre))
+        return real(w_in, w_out, centre, *rest)
+
+    monkeypatch.setattr(skipgram, "_update", recording)
+    sentence = [f"w{i % 40}" for i in range(300)]  # at least 598 pairs, window >= 1
+    config = SkipgramConfig(dim=8, window=3, epochs=1, subsample=0, seed=4)
+    emb = train_skipgram([sentence], config)
+    untrained = train_skipgram([sentence], SkipgramConfig(dim=8, epochs=0, seed=4))
+    assert len(sizes) >= 3 and sum(sizes) >= 598
+    assert all(n == _CHUNK_PAIRS for n in sizes[:-1]) and 0 < sizes[-1] <= _CHUNK_PAIRS
+    assert np.isfinite(emb.vectors).all()
+    assert emb.words == untrained.words
+    assert not np.array_equal(emb.vectors, untrained.vectors)
 
 
 @pytest.mark.parametrize(
