@@ -32,7 +32,7 @@ from .ngram import NgramModel
 from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_batch
 from .rnnlm import forward_step  # noqa: F401  unused; lmbench tests delete this name
 from .skipgram import WordEmbeddings, nearest_in_shortlist
-from .vocab import BOS, Corpus, Hypothesis, Vocabulary
+from .vocab import BOS, UNK_ID, Corpus, Hypothesis, Vocabulary
 
 POLICIES = ("shortlist", "uniform", "ngram")
 
@@ -232,8 +232,18 @@ class FullVocabScorer:
         ]
         self.n_oos = len(self.oos_words)
         if ngram is not None:
-            self._oos_ngram_ids = [ngram.vocab.encode(w) for w in self.oos_words]
+            self._oos_ngram_ids = np.array(
+                [ngram.vocab.encode(w) for w in self.oos_words], dtype=np.intp
+            )
             self._log_denoms: dict[tuple[int, ...], float] = {}
+            if (UNK_ID,) not in ngram.probs[0]:
+                # a closed-vocabulary n-gram model has nothing to back off to
+                for word, wid in zip(self.oos_words, self._oos_ngram_ids.tolist()):
+                    if (wid,) not in ngram.probs[0]:
+                        raise ValueError(
+                            f"full-vocabulary word {word!r} has no unigram in the n-gram"
+                            " model, which has no <unk> either"
+                        )
 
     def _oos_share(self, word: str, context: Sequence[str]) -> float:
         """ln share of the unknown mass that an out-of-shortlist word gets.
@@ -252,9 +262,10 @@ class FullVocabScorer:
         ctx = tuple(self.ngram.vocab.encode(t) for t in context[start:])
         log_denom = self._log_denoms.get(ctx)
         if log_denom is None:
-            lps = [self.ngram.conditional_logprob(w, ctx) for w in self._oos_ngram_ids]
-            top = max(lps)
-            log_denom = top + math.log(sum(math.exp(lp - top) for lp in lps))
+            lps = self.ngram.logprobs(self._oos_ngram_ids, ctx)
+            top = float(lps.max())
+            # math.exp and a left-to-right sum, not np.exp / np.sum: same last bits
+            log_denom = top + math.log(sum(map(math.exp, (lps - top).tolist())))
             self._log_denoms[ctx] = log_denom
         return self.ngram.conditional_logprob(self.ngram.vocab.encode(word), ctx) - log_denom
 

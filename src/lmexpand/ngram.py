@@ -16,6 +16,11 @@ vocabulary, so every word in the vocabulary gets strictly positive
 probability.  The sentence-begin token is never predicted.
 
 Probabilities are held as natural logs; the ARPA text format uses log10.
+
+``NgramModel.logprobs`` scores many words under one context from a follower
+index (context -> follower ids and ln p, per order, as in KenLM's sorted
+per-context arrays).  The index is built from the tables on the first call,
+so the tables must not change after that.
 """
 
 from __future__ import annotations
@@ -23,7 +28,10 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, Vocabulary, check_sentence
 
@@ -60,6 +68,7 @@ class NgramModel:
         self.vocab = vocab
         self.probs = probs
         self.backoffs = backoffs
+        self._index: tuple | None = None  # built by ``_follower_index`` on first use
 
     def conditional_logprob(self, word: int, context: tuple[int, ...] = ()) -> float:
         """ln P(word | context), backing off through shorter contexts."""
@@ -79,6 +88,67 @@ class NgramModel:
                 return acc + unk
             acc += self.backoffs[len(h) - 1].get(h, 0.0)
             h = h[1:]
+
+    def _follower_index(self) -> tuple:
+        """(unigram ln p by word id, per context length k >= 1:
+        (context -> slice, follower ids, ln p)).
+
+        Each longer order's n-grams are sorted by context, so the followers
+        of one context are one slice of the two arrays.  An id without a
+        unigram takes the <unk> score, or NaN when there is no <unk>: the
+        tables themselves hold only finite scores.
+        """
+        if self._index is None:
+            unk = self.probs[0].get((UNK_ID,))
+            unigrams = np.full(len(self.vocab), math.nan if unk is None else unk)
+            for (word,), lp in self.probs[0].items():
+                unigrams[word] = lp
+            levels = []
+            for n, table in enumerate(self.probs[1:], start=2):
+                grams = list(table)
+                flat = np.fromiter(chain.from_iterable(grams), np.intp, n * len(grams))
+                flat = flat.reshape(-1, n)
+                by_context = np.lexsort(flat[:, -2::-1].T)  # stable, first word major
+                flat = flat[by_context]
+                first = np.ones(len(grams), dtype=bool)
+                first[1:] = (flat[1:, :-1] != flat[:-1, :-1]).any(axis=1)
+                starts = np.flatnonzero(first)
+                bounds = [*starts.tolist(), len(grams)]
+                spans = {
+                    grams[i][:-1]: slice(lo, hi)
+                    for i, lo, hi in zip(by_context[starts].tolist(), bounds, bounds[1:])
+                }
+                lps = np.fromiter(table.values(), float, len(grams))[by_context]
+                levels.append((spans, flat[:, -1].copy(), lps))
+            self._index = (unigrams, levels)
+        return self._index
+
+    def logprobs(self, ids, context: tuple[int, ...] = ()) -> np.ndarray:
+        """ln P(w | context) for each vocabulary id w in ``ids``, bit for bit
+        ``conditional_logprob(w, context)``.
+
+        One vector over the vocabulary starts at the unigram level; the
+        followers of each longer context suffix overwrite it.  The backoff
+        weights are summed longest context first, as the scalar walk adds
+        them, so each score is the same two-term sum.
+        """
+        unigrams, levels = self._follower_index()
+        h = tuple(context)[-(self.order - 1) :] if self.order > 1 else ()
+        # acc[j]: backoff weights added before a walk from h reaches level j
+        acc = [0.0] * (len(h) + 1)
+        for j in range(len(h), 0, -1):
+            acc[j - 1] = acc[j] + self.backoffs[j - 1].get(h[-j:], 0.0)
+        scores = acc[0] + unigrams
+        for j, (spans, followers, lps) in enumerate(levels[: len(h)], start=1):
+            span = spans.get(h[-j:])
+            if span is not None:
+                scores[followers[span]] = acc[j] + lps[span]
+        ids = np.asarray(ids, dtype=np.intp)
+        out = scores[ids]
+        fell_through = np.isnan(out)  # reached the unigram level, which lacks them
+        if fell_through.any():
+            raise KeyError(f"word id {int(ids[fell_through][0])} has no unigram probability")
+        return out
 
     def conditional_prob(self, word: int, context: tuple[int, ...] = ()) -> float:
         return math.exp(self.conditional_logprob(word, context))
@@ -222,7 +292,7 @@ def import_arpa(path: str | Path) -> NgramModel:
     """
     with open(path, encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
-    n_lines = len(raw_lines)
+    n_lines = max(len(raw_lines), 1)  # an empty file ends on its line 1
     content = ((line, no) for no, raw in enumerate(raw_lines, start=1) if (line := raw.strip()))
     end = ("", n_lines)  # what ``content`` yields past the last line
 
@@ -254,20 +324,22 @@ def import_arpa(path: str | Path) -> NgramModel:
     index = {w: i for i, w in enumerate(RESERVED)}
     probs: list[dict[tuple[int, ...], float]] = [dict() for _ in range(order)]
     backoffs: list[dict[tuple[int, ...], float]] = [dict() for _ in range(order - 1)]
+    lookup = index.__getitem__
     for k in range(1, order + 1):
         expected = f"\\{k}-grams:"
         if line != expected:
             raise ArpaParseError(f"expected {expected}, found {line!r}", line_no)
+        table = probs[k - 1]
+        bows = backoffs[k - 1] if k < order else None
+        width = k + 1  # the score and k words
+        bow_width = k + 2 if k < order else -1  # and a backoff weight, below the top order
         for _ in range(declared[k - 1]):
             line, line_no = next(content, end)
             if not line:
                 raise ArpaParseError(f"unexpected end of file in {expected}", n_lines)
             fields = line.split()
-            if len(fields) == k + 1:
-                has_bow = False
-            elif len(fields) == k + 2 and k < order:
-                has_bow = True
-            else:
+            has_bow = len(fields) == bow_width
+            if not has_bow and len(fields) != width:
                 raise ArpaParseError(f"malformed {k}-gram entry: {line!r}", line_no)
             try:
                 log10p = float(fields[0])
@@ -276,20 +348,20 @@ def import_arpa(path: str | Path) -> NgramModel:
                 raise ArpaParseError(f"bad score in entry: {line!r}", line_no) from err
             if not (math.isfinite(log10p) and math.isfinite(bow)):
                 raise ArpaParseError(f"non-finite score in entry: {line!r}", line_no)
-            words = fields[1 : k + 1]
             if k == 1:
-                index.setdefault(words[0], len(index))
-            unknown = [w for w in words if w not in index]
-            if unknown:  # the unigram section precedes every longer n-gram
-                raise ArpaParseError(
-                    f"{k}-gram uses word {unknown[0]!r} with no unigram entry", line_no
-                )
-            gram = tuple(index[w] for w in words)
-            if gram in probs[k - 1]:
+                gram = (index.setdefault(fields[1], len(index)),)
+            else:
+                try:  # the unigram section precedes every longer n-gram
+                    gram = tuple(map(lookup, fields[1:width]))
+                except KeyError as err:
+                    raise ArpaParseError(
+                        f"{k}-gram uses word {err.args[0]!r} with no unigram entry", line_no
+                    ) from None
+            if gram in table:
                 raise ArpaParseError(f"duplicate {k}-gram: {line!r}", line_no)
-            probs[k - 1][gram] = log10p * LN10
+            table[gram] = log10p * LN10
             if has_bow:
-                backoffs[k - 1][gram] = bow * LN10
+                bows[gram] = bow * LN10
         if k == 1 and (EOS_ID,) not in probs[0] and (UNK_ID,) not in probs[0]:
             # every sentence ends with a </s> event, scored by </s> or <unk>
             raise ArpaParseError("unigram section has neither </s> nor <unk>", line_no)

@@ -6,6 +6,7 @@ wiring and file-format interop, not statistical quality (covered elsewhere).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import warnings
@@ -19,6 +20,12 @@ from lmexpand.ngram import import_arpa
 from lmexpand.rnnlm import init_model, load_checkpoint, save_checkpoint
 from lmexpand.skipgram import load_w2v_text
 from lmexpand.vocab import Vocabulary, parse_nbest
+
+
+# Digests of the ngram-policy outputs on the ``workdir`` fixture: the policy
+# denominators may be computed faster, never differently.
+PPL_NGRAM_SHA256 = "859dafea7267ea66311f4fa1a5789dfc112c8e47ccfdf4d3dc3e8a385e685fac"
+NGRAM_REPORT_SHA256 = "76ea915e2459a28f2f1f4d47c626e1076289321d052f6d24f7eaf41f24e192e4"
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +161,33 @@ def test_ppl_ngram_policy_survives_underflowing_probabilities(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("perplexity: ") and math.isfinite(float(out.split()[1]))
+
+
+def test_ppl_ngram_policy_rejects_a_word_the_closed_arpa_lacks(tmp_path, capsys):
+    # the ARPA has no <unk>, so qq from the full vocabulary would have no n-gram score
+    vocab = Vocabulary(["<s>", "</s>", "<unk>", "a", "zz", "qq"], shortlist_size=4)
+    save_checkpoint(init_model(vocab, 2, 3, 1, seed=0), tmp_path / "m.bin")
+    vocab.save(tmp_path / "full.txt")
+    (tmp_path / "c.arpa").write_text(
+        "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\t</s>\n-0.3\ta\n-1\tzz\n\n\\end\\\n"
+    )
+    (tmp_path / "t.txt").write_text("a zz\n")
+    rc = main(["ppl", "--model", str(tmp_path / "m.bin"), "--text", str(tmp_path / "t.txt"),
+               "--unk-mode", "ngram", "--full-vocab", str(tmp_path / "full.txt"),
+               "--arpa", str(tmp_path / "c.arpa")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "'qq'" in captured.err
+
+
+def test_ppl_ngram_policy_output_is_pinned(workdir, capsys):
+    rc = main(["ppl", "--model", str(workdir / "model.bin"), "--text", str(workdir / "val.txt"),
+               "--unk-mode", "ngram", "--arpa", str(workdir / "model.arpa")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PPL_NGRAM_SHA256, out
 
 
 def test_boundary_token_in_corpus_reports_error(workdir, tmp_path, capsys):
@@ -430,6 +464,23 @@ def test_report_json_is_pinned(workdir, tmp_path, capsys):
     assert written["new_words"] == {"count": len(report.expanded), **report_fields(report)}
     assert list(written["new_words"]) == ["count", *report_fields(report)]
     assert text == json.dumps(written, indent=2) + "\n"
+
+
+def test_ngram_policy_report_is_pinned(workdir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "".join(
+            f"{key} = {workdir / name}\n"
+            for key, name in [("nbest", "test.nbest"), ("refs", "test.refs"),
+                              ("model", "model.bin"), ("vectors", "vectors.txt"),
+                              ("arpa", "model.arpa")]
+        )
+        + f"policy = ngram\nweighted = true\nextract_n = 10\nreport = {tmp_path / 'r.json'}\n"
+    )
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "r.json").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == NGRAM_REPORT_SHA256, text.decode()
 
 
 def test_pipeline_rejects_unknown_keys(workdir, tmp_path, capsys):

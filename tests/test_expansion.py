@@ -16,6 +16,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmexpand.expansion import (
     SKIP_IN_SHORTLIST,
@@ -42,7 +44,16 @@ from lmexpand.rnnlm import (
     zero_state,
 )
 from lmexpand.skipgram import WordEmbeddings
-from lmexpand.vocab import BOS_ID, EOS_ID, RESERVED, UNK, UNK_ID, Vocabulary
+from lmexpand.vocab import (
+    BOS,
+    BOS_ID,
+    EOS_ID,
+    RESERVED,
+    UNK,
+    UNK_ID,
+    Vocabulary,
+    build_vocabulary,
+)
 
 
 def make_vocab(content=7, shortlist_content=4):
@@ -410,6 +421,51 @@ def test_ngram_share_survives_underflowing_probabilities(tmp_path, unigrams, sha
         [unk] = plain.batch_logprob([["a", word]])
         assert math.isfinite(got)
         assert got - unk == pytest.approx(share, abs=1e-9)
+
+
+def test_ngram_policy_rejects_a_word_the_closed_arpa_lacks(tmp_path):
+    arpa = tmp_path / "closed.arpa"
+    arpa.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\t</s>\n-0.3\ta\n-1\tzz\n\n\\end\\\n")
+    ngram = import_arpa(arpa)
+    vocab = Vocabulary([*RESERVED, "a", "zz", "qq"], shortlist_size=4)
+    model = init_model(vocab, 2, 3, 1, seed=0)
+    with pytest.raises(ValueError, match="'qq' has no unigram"):
+        FullVocabScorer(model, "ngram", vocab, ngram)
+    covered = Vocabulary([*RESERVED, "a", "zz"], shortlist_size=4)
+    scorer = FullVocabScorer(model, "ngram", covered, ngram)
+    [lp] = scorer.batch_logprob([["a", "zz"]])
+    assert math.isfinite(lp)
+
+
+def reference_oos_share(scorer, word, context):
+    """The per-word walk and log-sum-exp the ngram policy share is defined by."""
+    ng = scorer.ngram
+    start = max(0, len(context) - ng.order + 1)
+    ctx = tuple(ng.vocab.encode(t) for t in context[start:])
+    lps = [ng.conditional_logprob(ng.vocab.encode(w), ctx) for w in scorer.oos_words]
+    top = max(lps)
+    log_denom = top + math.log(sum(math.exp(lp - top) for lp in lps))
+    return ng.conditional_logprob(ng.vocab.encode(word), ctx) - log_denom
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8), min_size=1, max_size=8),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_ngram_share_matches_per_word_reference_bit_for_bit(corpus, order, data):
+    full_vocab = build_vocabulary(corpus, 3, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ngram = train_kn(corpus, full_vocab, order=order)
+    shortlist = Vocabulary(full_vocab.words, data.draw(st.integers(3, len(full_vocab) - 1)))
+    scorer = FullVocabScorer(init_model(shortlist, 2, 3, 1, seed=0), "ngram", full_vocab, ngram)
+    tokens = st.sampled_from([BOS, *full_vocab.words[3:], "unheard-of"])
+    for context in data.draw(st.lists(st.lists(tokens, max_size=order + 1), min_size=1, max_size=4)):
+        for word in [*scorer.oos_words, "unheard-of"]:
+            got = scorer._oos_share(word, context)
+            assert got.hex() == reference_oos_share(scorer, word, context).hex()
 
 
 def test_shortlist_policy_scores_oos_as_unk(policy_setup):

@@ -10,8 +10,10 @@ uniform distribution over all predictable words.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import random
 import tempfile
 import warnings
 from collections import Counter
@@ -377,6 +379,13 @@ class TestArpa:
         with pytest.raises(ArpaParseError):
             import_arpa(path)
 
+    def test_empty_file_reports_line_one(self, tmp_path):
+        path = tmp_path / "empty.arpa"
+        path.write_text("")
+        with pytest.raises(ArpaParseError, match="line 1: expected \\\\data\\\\ header") as err:
+            import_arpa(path)
+        assert err.value.line_no == 1
+
     def test_malformed_entry_reports_line(self, tmp_path):
         path = tmp_path / "bad.arpa"
         path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\nnot-a-number x y z w\n\n\\end\\\n")
@@ -455,6 +464,162 @@ def test_arpa_export_import_export_is_byte_identical(corpus, order, data):
         export_arpa(model, first)
         export_arpa(import_arpa(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+
+# ------------------------------------------------------ ARPA reader fuzzing
+
+
+@functools.cache
+def _export_lines(order):
+    """ARPA lines of a trained model of the given order."""
+    grammar = make_template_grammar(num_classes=3, words_per_class=4, seed=0)
+    corpus = sample_corpus(grammar, 120, seed=5) + [["<unk>"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = train_kn(corpus, build_vocabulary(corpus, 8, 14), order=order)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.arpa"
+        export_arpa(model, path)
+        return tuple(path.read_text().splitlines())
+
+
+MUTANT_FIELDS = [
+    "nan", "NaN", "inf", "-inf", "1e400", "x", "", "0", "-0.5", "ngram", "1=1", "ngram 1=0",
+    "\\data\\", "\\end\\", "\\1-grams:", "\\2-grams:", "\\3-grams:", "<s>", "</s>", "<unk>",
+]
+
+
+@st.composite
+def mutated_arpa(draw):
+    """A train_kn export of order 1 to 3 after a few line mutations."""
+    lines = list(_export_lines(draw(st.integers(1, 3))))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["truncate", "delete", "duplicate", "replace", "cut"]))
+        if op == "truncate":
+            lines = lines[: draw(st.integers(0, len(lines)))]
+            continue
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "replace":
+            fields = lines[i].split() or [""]
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(MUTANT_FIELDS))
+            lines[i] = "\t".join(fields)
+        else:
+            lines[i] = lines[i][: draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+    return lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_arpa())
+def test_mutated_arpa_loads_or_reports_a_line(lines):
+    """A damaged file either loads or fails with ArpaParseError at a line
+    inside the file; no other exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.arpa"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        try:
+            import_arpa(path)
+        except ArpaParseError as err:
+            assert 1 <= err.line_no <= max(len(lines), 1)
+
+
+# ------------------------------------------- vector lookup against the walk
+
+
+def _shuffled_arpa(model, path, seed):
+    """The model's ARPA text with each section's entries in random order."""
+    export_arpa(model, path)
+    rng = random.Random(seed)
+    sections = path.read_text().split("\n\n")
+    for i, section in enumerate(sections[1:-1], start=1):
+        header, *entries = section.split("\n")
+        rng.shuffle(entries)
+        sections[i] = "\n".join([header, *entries])
+    path.write_text("\n\n".join(sections))
+    return import_arpa(path)
+
+
+def _assert_logprobs_match_walk(model, context):
+    ids = np.arange(len(model.vocab))
+    got = model.logprobs(ids, context)
+    want = [model.conditional_logprob(int(w), context) for w in ids]
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], context
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=8), min_size=1, max_size=8),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_logprobs_match_conditional_logprob_bit_for_bit(corpus, order, data):
+    full = data.draw(st.integers(4, 10))
+    vocab = build_vocabulary(corpus, data.draw(st.integers(3, full)), full)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = train_kn(corpus, vocab, order=order)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.arpa"
+        export_arpa(model, path)
+        models = [model, import_arpa(path), _shuffled_arpa(model, path, data.draw(st.integers()))]
+    for m in models:
+        n = len(m.vocab)
+        seen = [gram[:-1] for gram in m.probs[-1]]
+        contexts = [
+            (),
+            (BOS_ID,),
+            data.draw(st.sampled_from(seen)),  # a context of the highest order
+            (n + 3,) * (order - 1),  # ids the model has never seen
+            *data.draw(
+                st.lists(st.lists(st.integers(0, n + 1), max_size=order + 1), max_size=4)
+            ),
+        ]
+        for context in contexts:
+            _assert_logprobs_match_walk(m, tuple(context))
+
+
+def test_logprobs_add_backoffs_longest_context_first():
+    """(0.3 + 0.2) + 0.1 and (0.1 + 0.2) + 0.3 differ in the last bit."""
+    vocab = Vocabulary(["<s>", "</s>", "<unk>", "a", "b"], 5)
+    a, b = vocab.encode("a"), vocab.encode("b")
+    probs = [
+        {(w,): -1.0 for w in (EOS_ID, UNK_ID, a, b)},
+        {(a, a): -0.5},
+        {(a, a, a): -0.5},
+        {(a, a, a, a): -0.5},
+    ]
+    backoffs = [{(a,): 0.1}, {(a, a): 0.2}, {(a, a, a): 0.3}]
+    model = NgramModel(4, vocab, probs, backoffs)
+    [got] = model.logprobs([b], (a, a, a)).tolist()
+    assert got == model.conditional_logprob(b, (a, a, a)) == ((0.3 + 0.2) + 0.1) + -1.0
+    _assert_logprobs_match_walk(model, (b, a, a, a))
+
+
+def test_logprobs_fall_back_and_fail_like_the_walk(tmp_path):
+    """Without <unk>, an id reached only through a bigram scores there and
+    raises the walk's KeyError where it would fall to the unigram level."""
+    path = tmp_path / "closed.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=2\nngram 2=2\n\n\\1-grams:\n-0.3\ta\t-0.2\n-0.4\t</s>\n\n"
+        "\\2-grams:\n-0.1\ta <unk>\n-0.2\ta </s>\n\n\\end\\\n"
+    )
+    model = import_arpa(path)
+    a = model.vocab.encode("a")
+    for context in [(), (EOS_ID,), (a,)]:
+        known = [a, EOS_ID] + [UNK_ID] * (context == (a,))
+        got = model.logprobs(known, context).tolist()
+        assert got == [model.conditional_logprob(w, context) for w in known]
+        for missing in [BOS_ID, UNK_ID][: 1 + (context != (a,))]:
+            with pytest.raises(KeyError) as walk:
+                model.conditional_logprob(missing, context)
+            with pytest.raises(KeyError) as vector:
+                model.logprobs([a, missing, EOS_ID], context)
+            assert str(vector.value) == str(walk.value)
 
 
 def test_perplexity_matches_manual_chain(toy_vocab):
