@@ -206,10 +206,11 @@ def expand_with_embeddings(
 class FullVocabScorer:
     """Scores words over a full vocabulary under a redistribution policy.
 
-    The model's softmax covers only its explicit columns; mass assigned to
-    the unknown token is redistributed to out-of-shortlist words according
-    to the policy.  Out-of-shortlist words are those present in
-    ``full_vocab`` but without an explicit column in the model.
+    The model's softmax covers its first ``width`` explicit columns (all by
+    default); mass assigned to the unknown token is redistributed to
+    out-of-shortlist words, those in ``full_vocab`` without a column inside
+    the width, according to the policy.  At the width of the model it was
+    expanded from, an expanded model scores exactly as that model.
     """
 
     def __init__(
@@ -218,32 +219,37 @@ class FullVocabScorer:
         policy: str,
         full_vocab: Vocabulary,
         ngram: NgramModel | None = None,
+        width: int | None = None,
     ):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
         if policy == "ngram" and ngram is None:
             raise ValueError("ngram policy requires an n-gram model")
         self.model = model
+        self.vocab = model.vocab if width is None else Vocabulary(model.vocab.words, width)
+        self.width = self.vocab.shortlist_size
+        if self.width > model.n_explicit:
+            raise ValueError(f"width {width} above the model's {model.n_explicit} columns")
         self.policy = policy
         self.full_vocab = full_vocab
         self.ngram = ngram
-        self.oos_words = [
-            w for w in full_vocab.words if not model.vocab.is_shortlist(w)
-        ]
+        self.oos_words = [w for w in full_vocab.words if not self.vocab.is_shortlist(w)]
         self.n_oos = len(self.oos_words)
         if ngram is not None:
             self._oos_ngram_ids = np.array(
-                [ngram.vocab.encode(w) for w in self.oos_words], dtype=np.intp
+                [self._ngram_id(w) for w in self.oos_words], dtype=np.intp
             )
             self._log_denoms: dict[tuple[int, ...], float] = {}
-            if (UNK_ID,) not in ngram.probs[0]:
-                # a closed-vocabulary n-gram model has nothing to back off to
-                for word, wid in zip(self.oos_words, self._oos_ngram_ids.tolist()):
-                    if (wid,) not in ngram.probs[0]:
-                        raise ValueError(
-                            f"full-vocabulary word {word!r} has no unigram in the n-gram"
-                            " model, which has no <unk> either"
-                        )
+
+    def _ngram_id(self, word: str) -> int:
+        """The n-gram model's id for ``word``, which must have a unigram or
+        an ``<unk>`` to fall back to: a closed n-gram model is checked here."""
+        wid = self.ngram.vocab.encode(word)
+        if (UNK_ID,) not in self.ngram.probs[0] and (wid,) not in self.ngram.probs[0]:
+            raise ValueError(
+                f"word {word!r} has no unigram in the n-gram model, which has no <unk> either"
+            )
+        return wid
 
     def _oos_share(self, word: str, context: Sequence[str]) -> float:
         """ln share of the unknown mass that an out-of-shortlist word gets.
@@ -267,7 +273,7 @@ class FullVocabScorer:
             # math.exp and a left-to-right sum, not np.exp / np.sum: same last bits
             log_denom = top + math.log(sum(map(math.exp, (lps - top).tolist())))
             self._log_denoms[ctx] = log_denom
-        return self.ngram.conditional_logprob(self.ngram.vocab.encode(word), ctx) - log_denom
+        return self.ngram.conditional_logprob(self._ngram_id(word), ctx) - log_denom
 
     def word_logprob(
         self,
@@ -277,31 +283,19 @@ class FullVocabScorer:
     ) -> float:
         """ln probability of ``word`` under the policy given prediction logits.
 
-        Words beyond even the full vocabulary never fail: they take the
-        unseen-word residual share (uniform), the unknown token's share
-        (ngram), or the plain unknown score (shortlist), so arbitrary
-        hypothesis text can always be scored.
+        Words beyond even the full vocabulary take the unseen-word residual
+        share (uniform), the unknown token's share (ngram), or the plain
+        unknown score (shortlist), so arbitrary hypothesis text can be
+        scored; only an ngram policy whose n-gram model has no ``<unk>``
+        rejects such a word, with a ``ValueError`` naming it.
         """
-        vocab = self.model.vocab
-        lp = float(log_softmax(logits)[vocab.encode(word, shortlist_only=True)])
-        return lp if vocab.is_shortlist(word) else lp + self._oos_share(word, context)
+        lp = float(log_softmax(logits[: self.width])[self.vocab.encode(word, shortlist_only=True)])
+        return lp if self.vocab.is_shortlist(word) else lp + self._oos_share(word, context)
 
     def score_batch(self, sentences: Sequence[Sequence[str]]) -> list[np.ndarray]:
-        """Per-position ln probabilities of each token sequence plus sentence end.
-
-        Out-of-shortlist words are fed back into the network as the unknown
-        token; n-gram contexts use the true word identities.  One
-        ``rnnlm.score_batch`` call scores every sequence.
-        """
-        vocab = self.model.vocab
-        scores = score_batch(
-            self.model, [[vocab.encode(t, shortlist_only=True) for t in s] for s in sentences]
-        )
-        for tokens, out in zip(sentences, scores):
-            history = [BOS, *tokens]
-            for pos, token in enumerate(tokens):
-                if not vocab.is_shortlist(token):
-                    out[pos] += self._oos_share(token, history[: pos + 1])
+        """Per-position ln probabilities of each token sequence plus sentence end:
+        ``score_jointly`` of this one scorer."""
+        [scores] = score_jointly([self], sentences)
         return scores
 
     def score_tokens(self, tokens: Sequence[str]) -> np.ndarray:
@@ -317,3 +311,31 @@ class FullVocabScorer:
         ``rescoring.rescore``.  An empty hypothesis, legal in rescoring,
         scores the end-of-sentence event only."""
         return [float(out.sum()) for out in self.score_batch(sentences)]
+
+
+def score_jointly(
+    scorers: Sequence[FullVocabScorer], sentences: Sequence[Sequence[str]]
+) -> list[list[np.ndarray]]:
+    """Per-position ln probabilities of each token sequence plus sentence end
+    under each scorer of one model, from one ``rnnlm.score_batch`` call at
+    each scorer's width.  Out-of-shortlist words are fed back into the
+    network as the unknown token; n-gram contexts use the true word identities.
+    """
+    model = scorers[0].model
+    if any(scorer.model is not model for scorer in scorers):
+        raise ValueError("jointly scored scorers must share one model")
+    scores = score_batch(
+        model,
+        [[sc.vocab.encode(t, shortlist_only=True) for t in s] for sc in scorers for s in sentences],
+        [sc.width for sc in scorers for _ in sentences],
+    )
+    out = []
+    for i, scorer in enumerate(scorers):
+        mine = scores[i * len(sentences) : (i + 1) * len(sentences)]
+        for tokens, lps in zip(sentences, mine):
+            history = [BOS, *tokens]
+            for pos, token in enumerate(tokens):
+                if not scorer.vocab.is_shortlist(token):
+                    lps[pos] += scorer._oos_share(token, history[: pos + 1])
+        out.append(mine)
+    return out

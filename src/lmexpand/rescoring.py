@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import expansion as _expansion
 from . import ngram as _ngram
 from . import rnnlm as _rnnlm
@@ -249,6 +251,14 @@ _REQUIRED = {"nbest", "refs", "model", "vectors", "arpa"}
 PIPELINE_KEYS = {*_REQUIRED, *_SETTINGS, "report", "expanded_checkpoint"}
 
 
+def _scored_system(scores: list, n_hyps: int) -> tuple[LmScorer, Callable[[], float]]:
+    """LM and reference perplexity of a system from its per-position scores
+    of the n-best list's hypotheses (the first ``n_hyps``) and references."""
+    sums = [float(out.sum()) for out in scores[:n_hyps]]
+    refs = scores[n_hyps:]
+    return (lambda _: sums), lambda: _rnnlm.perplexity(np.concatenate(refs) if refs else [])
+
+
 def run_pipeline(config: dict[str, str]) -> dict:
     """Extract, expand, rescore and compare; returns the comparison report.
 
@@ -289,25 +299,33 @@ def run_pipeline(config: dict[str, str]) -> dict:
 
     full_vocab = model.vocab
     ref_corpus = [words for words in refs.values() if words]
+    batch = [hyp.words for hyps in nbest.values() for hyp in hyps]
 
-    base = _expansion.FullVocabScorer(model, policy, full_vocab, ngram_model)
-    grown = _expansion.FullVocabScorer(expanded, policy, full_vocab, ngram_model)
+    # One engine call scores hypotheses and references under both LSTM
+    # systems: the base system is the expanded model at the base width.
+    lstm = _expansion.score_jointly(
+        [
+            _expansion.FullVocabScorer(expanded, policy, full_vocab, ngram_model, model.n_explicit),
+            _expansion.FullVocabScorer(expanded, policy, full_vocab, ngram_model),
+        ],
+        batch + ref_corpus,
+    )
     systems = []
     for name, lm_fn, ppl_fn in [
         (
             "ngram",
             per_sentence(ngram_model.sentence_logprob),
-            lambda corpus: _ngram.ngram_perplexity(ngram_model, corpus),
+            lambda: _ngram.ngram_perplexity(ngram_model, ref_corpus),
         ),
-        ("rnnlm", base.batch_logprob, base.corpus_perplexity),
-        ("rnnlm-expanded", grown.batch_logprob, grown.corpus_perplexity),
+        ("rnnlm", *_scored_system(lstm[0], len(batch))),
+        ("rnnlm-expanded", *_scored_system(lstm[1], len(batch))),
     ]:
         reranked = rescore(nbest, lm_fn, cfg)
         result = wer(refs, one_best(reranked))
         systems.append(
             {
                 "system": name,
-                "perplexity": ppl_fn(ref_corpus),
+                "perplexity": ppl_fn(),
                 "wer": result.wer,
                 "substitutions": result.substitutions,
                 "insertions": result.insertions,

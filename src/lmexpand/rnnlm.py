@@ -127,10 +127,10 @@ def zero_state(model: RnnLmModel) -> RnnState:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp of a non-positive argument never overflows; min(x, -x) is -|x|
-    # and passes NaN through with its sign, so both branches match the
-    # textbook split formula bit for bit
+    # and keeps NaN's sign.  The numerator max(e, x >= 0) is 1 where x >= 0
+    # (there e <= 1) and e elsewhere: the textbook split formula bit for bit
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -237,7 +237,23 @@ def score_ids(model: RnnLmModel, ids: list[int]) -> np.ndarray:
     return out
 
 
-def score_batch(model: RnnLmModel, sentences: Sequence[Sequence[int]]) -> list[np.ndarray]:
+def _pick_log_softmax(logits, rows, targets, widths) -> np.ndarray:
+    """``log_softmax(logits[r, :w])[t]`` for each (r, t, w), bit for bit, from
+    one normaliser per row and distinct width."""
+    out = np.empty(len(rows))
+    for width in np.unique(widths):
+        mine = widths == width
+        shifted = logits[:, :width] - np.max(logits[:, :width], axis=-1, keepdims=True)
+        log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
+        out[mine] = shifted[rows[mine], targets[mine]] - log_norm[rows[mine]]
+    return out
+
+
+def score_batch(
+    model: RnnLmModel,
+    sentences: Sequence[Sequence[int]],
+    widths: Sequence[int] | None = None,
+) -> list[np.ndarray]:
     """``score_ids`` of every sentence, bit for bit, sharing common prefixes.
 
     The sentences form a prefix trie: its nodes at depth d are the distinct
@@ -245,16 +261,23 @@ def score_batch(model: RnnLmModel, sentences: Sequence[Sequence[int]]) -> list[n
     ``_BLOCK_ROWS`` nodes, whose states are gathered from their parents at
     depth d - 1.  Only the ln probabilities the sentences need are kept from
     each block, so memory stays flat however many sentences share the call.
+    ``widths[k]`` (default: every column) normalises sentence k over the
+    first ``widths[k]`` output columns; at the width of the model that an
+    expanded model grew from, a sentence of its ids scores bit for bit as
+    under that model (see ``_project``).
     """
     if not sentences:
         return []
     lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    width = np.broadcast_to(model.n_explicit if widths is None else widths, lengths.shape)
+    if width.max() > model.n_explicit:
+        raise ValueError(f"softmax width above the {model.n_explicit} output columns")
     # targets[k, d]: the word sentence k predicts at depth d, </s> at its end
     targets = np.full((len(sentences), int(lengths.max()) + 1), EOS_ID, dtype=np.int64)
     for k, ids in enumerate(sentences):
         targets[k, : len(ids)] = ids
-    if targets.min() < 0 or targets.max() >= model.n_explicit:
-        raise IndexError(f"word id outside explicit range [0, {model.n_explicit})")
+    if targets.min() < 0 or (targets >= width[:, None]).any():
+        raise IndexError(f"word id outside its sentence's softmax width (<= {model.n_explicit})")
     scores = np.empty(targets.shape)
     active = np.arange(len(sentences))  # sentences still predicting
     rows = np.zeros(len(sentences), dtype=np.int64)  # their trie node at this depth
@@ -272,7 +295,9 @@ def score_batch(model: RnnLmModel, sentences: Sequence[Sequence[int]]) -> list[n
             )
             mine = (rows >= start) & (rows < start + _BLOCK_ROWS)
             k = active[mine]
-            scores[k, depth] = log_softmax(logits)[rows[mine] - start, targets[k, depth]]
+            scores[k, depth] = _pick_log_softmax(
+                logits, rows[mine] - start, targets[k, depth], width[k]
+            )
         h, c = h_next, c_next
         going = lengths[active] > depth
         active, rows = active[going], rows[going]

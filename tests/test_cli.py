@@ -182,6 +182,23 @@ def test_ppl_ngram_policy_rejects_a_word_the_closed_arpa_lacks(tmp_path, capsys)
     assert "'qq'" in captured.err
 
 
+def test_ppl_ngram_policy_rejects_a_word_beyond_a_closed_arpa(tmp_path, capsys):
+    # qq is in neither the full vocabulary nor the ARPA, which has no <unk>
+    vocab = Vocabulary(["<s>", "</s>", "<unk>", "a", "zz"], shortlist_size=4)
+    save_checkpoint(init_model(vocab, 2, 3, 1, seed=0), tmp_path / "m.bin")
+    (tmp_path / "c.arpa").write_text(
+        "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\t</s>\n-0.3\ta\n-1\tzz\n\n\\end\\\n"
+    )
+    (tmp_path / "t.txt").write_text("a zz\na qq\n")
+    rc = main(["ppl", "--model", str(tmp_path / "m.bin"), "--text", str(tmp_path / "t.txt"),
+               "--unk-mode", "ngram", "--arpa", str(tmp_path / "c.arpa")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "'qq'" in captured.err
+
+
 def test_ppl_ngram_policy_output_is_pinned(workdir, capsys):
     rc = main(["ppl", "--model", str(workdir / "model.bin"), "--text", str(workdir / "val.txt"),
                "--unk-mode", "ngram", "--arpa", str(workdir / "model.arpa")])

@@ -437,6 +437,22 @@ def test_ngram_policy_rejects_a_word_the_closed_arpa_lacks(tmp_path):
     assert math.isfinite(lp)
 
 
+def test_ngram_policy_names_a_word_beyond_a_closed_arpa(tmp_path):
+    # qq is in neither vocabulary, and the ARPA has no <unk> to score it as
+    arpa = tmp_path / "closed.arpa"
+    arpa.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\t</s>\n-0.3\ta\n-1\tzz\n\n\\end\\\n")
+    vocab = Vocabulary([*RESERVED, "a", "zz"], shortlist_size=4)
+    model = init_model(vocab, 2, 3, 1, seed=0)
+    scorer = FullVocabScorer(model, "ngram", vocab, import_arpa(arpa))
+    with pytest.raises(ValueError, match="'qq' has no unigram"):
+        scorer.batch_logprob([["a", "qq"]])
+    logits = forward_step(model, BOS_ID, zero_state(model)).logits
+    with pytest.raises(ValueError, match="'qq' has no unigram"):
+        scorer.word_logprob(logits, "qq", ["a"])
+    [lp] = scorer.batch_logprob([["a", "zz"]])
+    assert math.isfinite(lp)
+
+
 def reference_oos_share(scorer, word, context):
     """The per-word walk and log-sum-exp the ngram policy share is defined by."""
     ng = scorer.ngram

@@ -6,6 +6,7 @@ import ast
 import functools
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmexpand
+from lmexpand import expansion
+from lmexpand.datagen import make_nbest_fixture, make_template_grammar, sample_corpus
+from lmexpand.ngram import export_arpa, import_arpa, train_kn
 from lmexpand.rescoring import (
     DEFAULT_PENALTIES,
     DEFAULT_SCALES,
@@ -35,6 +39,9 @@ from lmexpand.rescoring import (
     write_nbest,
     write_transcripts,
 )
+from lmexpand.rnnlm import TrainConfig, init_model, load_checkpoint, save_checkpoint, train_bptt
+from lmexpand.skipgram import SkipgramConfig, load_w2v_text, save_w2v_text, train_skipgram
+from lmexpand.vocab import build_vocabulary
 
 
 def hyp(words, rank, ac=0.0, lm=0.0):
@@ -472,6 +479,68 @@ def test_pipeline_accepts_boolean_spellings(tmp_path, value):
     # settings parse, so the run gets as far as the first missing file
     with pytest.raises(FileNotFoundError):
         run_pipeline({**missing_inputs(tmp_path), "weighted": value})
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """Small trained models and an n-best fixture, written as pipeline inputs."""
+    root = tmp_path_factory.mktemp("joint")
+    grammar = make_template_grammar(num_classes=4, words_per_class=8, seed=0)
+    train = sample_corpus(grammar, 1500, seed=1)
+    vocab = build_vocabulary(train, 20, 40)
+    nbest, refs = make_nbest_fixture(grammar, sample_corpus(grammar, 120, seed=3), vocab, 6, 4)
+    write_nbest(nbest, root / "test.nbest")
+    write_transcripts(refs, root / "test.refs")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        export_arpa(train_kn(train, vocab, order=3), root / "model.arpa")
+    save_w2v_text(train_skipgram(train, SkipgramConfig(dim=8, window=3, epochs=1)), root / "v.txt")
+    model = init_model(vocab, 6, 8, 1, seed=0)
+    train_bptt(model, train, TrainConfig(unroll=8, dropout=0.0, lr=0.5, epochs=1, batch=4))
+    save_checkpoint(model, root / "model.bin")
+    return root
+
+
+@pytest.mark.parametrize("policy", ["uniform", "ngram", "shortlist"])
+def test_pipeline_scores_both_lstm_systems_in_one_engine_call(pipeline_dir, policy, monkeypatch):
+    root = pipeline_dir
+    config = {
+        "nbest": root / "test.nbest", "refs": root / "test.refs", "model": root / "model.bin",
+        "vectors": root / "v.txt", "arpa": root / "model.arpa", "extract_n": "3",
+        "policy": policy, "lm_scale": "8",
+    }
+    calls = []
+    engine = expansion.score_batch
+    monkeypatch.setattr(expansion, "score_batch", lambda *a: calls.append(a) or engine(*a))
+    report = run_pipeline({key: str(value) for key, value in config.items()})
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    # the joint call against separate scorers of the base and the expanded model
+    model, ngram = load_checkpoint(root / "model.bin"), import_arpa(root / "model.arpa")
+    nbest, refs = parse_nbest(root / "test.nbest"), load_transcripts(root / "test.refs")
+    oos = expansion.extract_oos_words(nbest, model.vocab, n=3)
+    expanded, _ = expansion.expand_with_embeddings(model, oos, load_w2v_text(root / "v.txt"))
+    assert expanded.n_explicit > model.n_explicit
+    batch = [hyp.words for hyps in nbest.values() for hyp in hyps]
+    ref_corpus = [words for words in refs.values() if words]
+    joint = expansion.score_jointly(
+        [
+            expansion.FullVocabScorer(expanded, policy, model.vocab, ngram, model.n_explicit),
+            expansion.FullVocabScorer(expanded, policy, model.vocab, ngram),
+        ],
+        batch + ref_corpus,
+    )
+    cfg = RescoreConfig(lm_scale=8.0)
+    for row, lm, scores in zip(report["systems"][1:], (model, expanded), joint):
+        alone = expansion.FullVocabScorer(lm, policy, model.vocab, ngram)
+        want = alone.score_batch(batch + ref_corpus)
+        assert [got.tobytes() for got in scores] == [w.tobytes() for w in want]
+        assert row["perplexity"] == alone.corpus_perplexity(ref_corpus)
+        result = wer(refs, one_best(rescore(nbest, alone.batch_logprob, cfg)))
+        assert (row["wer"], row["substitutions"], row["insertions"], row["deletions"]) == (
+            result.wer, result.substitutions, result.insertions, result.deletions
+        )
 
 
 def test_module_graph_has_no_cycles():

@@ -295,6 +295,60 @@ def test_score_batch_edges():
         score_batch(model, [[-1]])
 
 
+@st.composite
+def width_cases(draw):
+    """A sharp model of 1 or 2 layers, a random expansion of it, and
+    sentences of base ids and of expanded ids.  Besides hypothesis' own
+    sentences (empty ones included) there are enough random ones that some
+    depth holds more than ``_BLOCK_ROWS`` trie nodes."""
+    # shortlists on both sides of a 64-column tile edge
+    n_base = draw(st.one_of(st.integers(5, 9), st.integers(60, 66)))
+    n_tail, layers = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    vocab = small_vocab(n_base - 3 + n_tail, shortlist=n_base)
+    model = init_model(vocab, 3, 5, layers, seed=seed % 1000)
+    for layer in model.layers:
+        layer.w_in *= 30.0
+        layer.w_rec *= 30.0
+    model.output_embed *= 60.0
+    candidate = st.tuples(st.integers(0, n_base - 1), st.floats(0.1, 4.0))
+    new_words = draw(st.lists(st.sampled_from(vocab.tail_words), min_size=1, unique=True))
+    plan = {word: draw(st.lists(candidate, min_size=1, max_size=3)) for word in new_words}
+    expanded, _ = expand_model(model, plan)
+    rng = np.random.default_rng(seed)
+
+    def sentences(n_ids):
+        drawn = draw(st.lists(st.lists(st.integers(0, n_ids - 1), max_size=7), max_size=6))
+        bulk = [rng.integers(0, n_ids, size=rng.integers(4, 8)).tolist() for _ in range(400)]
+        return [[], *drawn, *bulk]
+
+    return model, expanded, sentences(n_base), sentences(expanded.n_explicit)
+
+
+@settings(max_examples=20, deadline=None)
+@given(width_cases())
+def test_score_batch_at_the_base_width_is_the_base_model_bit_for_bit(case):
+    model, expanded, base_ids, grown_ids = case
+    assert len({tuple(s[:4]) for s in base_ids if len(s) >= 4}) > _BLOCK_ROWS
+    n_base = model.n_explicit
+    want = score_batch(model, base_ids)
+    got = score_batch(expanded, base_ids, widths=[n_base] * len(base_ids))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    # one mixed-width call is the two separate calls
+    widths = [n_base] * len(base_ids) + [expanded.n_explicit] * len(grown_ids)
+    mixed = score_batch(expanded, base_ids + grown_ids, widths)
+    alone = got + score_batch(expanded, grown_ids)
+    assert [m.tobytes() for m in mixed] == [a.tobytes() for a in alone]
+
+
+def test_score_batch_rejects_bad_widths():
+    model = BATCH_MODELS[0]
+    with pytest.raises(ValueError, match="softmax width"):
+        score_batch(model, [[3]], widths=[model.n_explicit + 1])
+    with pytest.raises(IndexError):
+        score_batch(model, [[3], [5]], widths=[4, 5])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(range(2)),
