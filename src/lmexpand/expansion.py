@@ -23,7 +23,7 @@ the unknown-word probability mass over the full vocabulary:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from .ngram import NgramModel
 from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_batch
 from .rnnlm import forward_step  # noqa: F401  unused; lmbench tests delete this name
-from .skipgram import WordEmbeddings, nearest_in_shortlist
+from .skipgram import WordEmbeddings, _neighbor_search
 from .vocab import BOS, UNK_ID, Corpus, Hypothesis, Vocabulary
 
 POLICIES = ("shortlist", "uniform", "ngram")
@@ -55,7 +55,8 @@ class ExpansionReport:
     explicit_after: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, sharing their values (no deep copy)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def extract_oos_words(
@@ -115,6 +116,7 @@ def build_candidate_plan(
     """
     plan: CandidatePlan = {}
     skipped: list[tuple[str, str]] = []
+    nearest = _neighbor_search(embeddings, vocab, k)
     for word in oos_words:
         if vocab.is_shortlist(word):
             skipped.append((word, SKIP_IN_SHORTLIST))
@@ -122,7 +124,7 @@ def build_candidate_plan(
         if word not in embeddings:
             skipped.append((word, SKIP_NO_VECTOR))
             continue
-        neighbors = nearest_in_shortlist(embeddings, word, vocab, k)
+        neighbors = nearest(word)
         if weighted:
             entries = [(wid, sim) for wid, sim in neighbors if sim > 0.0]
         else:

@@ -217,23 +217,33 @@ def nearest_in_shortlist(
     no embedding vector are skipped.  Ties break toward the smaller word id.
     Returns (word id, similarity) pairs, best first.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    tvec = embeddings.vector(target)
-    ids = [
-        wid
-        for wid, word in enumerate(vocab.shortlist_words[3:], start=3)
-        if word != target and word in embeddings
-    ]
+    return _neighbor_search(embeddings, vocab, k)(target)
+
+
+def _neighbor_search(embeddings: WordEmbeddings, vocab: Vocabulary, k: int):
+    """``nearest_in_shortlist`` as a function of the target alone: the
+    embedded shortlist content words, their rows and norms are gathered once."""
+    ids = [wid for wid, word in enumerate(vocab.shortlist_words[3:], start=3) if word in embeddings]
     rows = embeddings.vectors[[embeddings.index[vocab.words[wid]] for wid in ids]][:, None, :]
-    # One dot product per row, each exactly as ``cosine_similarity`` computes
-    # it: a plain gemv rounds equal rows differently by position, breaking ties.
-    dots = (rows @ tvec)[:, 0]
+    ids = np.array(ids, dtype=np.intp)
+    # One dot product per row for the norms and for each target's dots, each
+    # exactly as ``cosine_similarity`` computes it: a plain gemv rounds equal
+    # rows differently by position, breaking ties.
     norms = np.sqrt((rows @ rows.transpose(0, 2, 1))[:, 0, 0])
-    tnorm = float(np.linalg.norm(tvec))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = np.where((norms == 0.0) | (tnorm == 0.0), 0.0, dots / (tnorm * norms))
-    return [(ids[i], float(sims[i])) for i in np.argsort(-sims, kind="stable")[:k]]
+
+    def nearest(target: str) -> list[tuple[int, float]]:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        tvec = embeddings.vector(target)
+        dots = (rows @ tvec)[:, 0]
+        tnorm = float(np.linalg.norm(tvec))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = np.where((norms == 0.0) | (tnorm == 0.0), 0.0, dots / (tnorm * norms))
+        others = ids != vocab.encode(target)  # a target inside the shortlist
+        best = np.argsort(-sims[others], kind="stable")[:k]
+        return list(zip(ids[others][best].tolist(), sims[others][best].tolist()))
+
+    return nearest
 
 
 def save_w2v_text(embeddings: WordEmbeddings, path: str | Path) -> None:

@@ -43,7 +43,7 @@ from lmexpand.rnnlm import (
     softmax,
     zero_state,
 )
-from lmexpand.skipgram import WordEmbeddings
+from lmexpand.skipgram import WordEmbeddings, nearest_in_shortlist
 from lmexpand.vocab import (
     BOS,
     BOS_ID,
@@ -602,3 +602,73 @@ def test_expanded_model_scores_new_word_explicitly(policy_setup):
     assert got == pytest.approx(
         float(log_softmax(logits)[expanded.vocab.encode("w4")]), rel=1e-12
     )
+
+
+# ---------------------------------------------- one neighbour table per plan
+
+
+def per_target_search(emb, target, vocab, k):
+    """The search that gathers its shortlist rows anew for each target, the
+    target's own row left out: the reference for the shared table."""
+    tvec = emb.vector(target)
+    ids = [wid for wid, w in enumerate(vocab.shortlist_words[3:], 3) if w != target and w in emb]
+    rows = emb.vectors[[emb.index[vocab.words[wid]] for wid in ids]][:, None, :]
+    dots = (rows @ tvec)[:, 0]
+    norms = np.sqrt((rows @ rows.transpose(0, 2, 1))[:, 0, 0])
+    tnorm = float(np.linalg.norm(tvec))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.where((norms == 0.0) | (tnorm == 0.0), 0.0, dots / (tnorm * norms))
+    return [(ids[i], float(sims[i])) for i in np.argsort(-sims, kind="stable")[:k]]
+
+
+def hexed(pairs):
+    return [(wid, float(sim).hex()) for wid, sim in pairs]
+
+
+@st.composite
+def neighbour_tables(draw):
+    """A vocabulary, an embedding table whose rows are scaled copies of a few
+    directions (equal and collinear rows tie exactly) or zero, shortlist and
+    tail words without a vector, and words outside the vocabulary."""
+    dim = draw(st.sampled_from([1, 2, 3, 8, 16, 24]))
+    n_short, n_tail = draw(st.integers(0, 12)), draw(st.integers(0, 5))
+    vocab = Vocabulary(
+        list(RESERVED) + [f"s{i}" for i in range(n_short)] + [f"t{i}" for i in range(n_tail)],
+        shortlist_size=3 + n_short,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [rng.normal(size=dim), rng.integers(-2, 3, size=dim).astype(float), np.zeros(dim)]
+    table, rows = [], []
+    for word in vocab.words[3:] + ["x0", "x1"]:
+        base = draw(st.integers(-1, len(pool) - 1))  # -1: no vector
+        if base >= 0:
+            table.append(word)
+            rows.append(pool[base] * draw(st.sampled_from([0.25, 1.0, 3.0, -1.0, -4.0])))
+    emb = WordEmbeddings(table, np.array(rows).reshape(len(rows), dim))
+    oos = draw(st.lists(st.sampled_from(vocab.words[3:] + ["x0", "x1", "x2"]), unique=True))
+    return vocab, emb, oos, draw(st.integers(1, n_short + 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(neighbour_tables())
+def test_candidate_plan_is_the_per_word_search_bit_for_bit(case):
+    vocab, emb, oos, k = case
+    searched = [w for w in oos if not vocab.is_shortlist(w) and w in emb]
+    want = {w: per_target_search(emb, w, vocab, k) for w in searched}
+    for w in searched:
+        assert hexed(nearest_in_shortlist(emb, w, vocab, k)) == hexed(want[w])
+    plan, skipped = build_candidate_plan(oos, emb, vocab, k)
+    weighted, skipped_w = build_candidate_plan(oos, emb, vocab, k, weighted=True)
+    assert plan == {w: [(wid, 1.0) for wid, _ in want[w]] for w in searched if want[w]}
+    assert {w: hexed(e) for w, e in weighted.items()} == {
+        w: hexed(p) for w in searched if (p := [(i, s) for i, s in want[w] if s > 0.0])
+    }
+    assert [w for w, _ in skipped] == [w for w in oos if w not in plan]
+    assert [w for w, _ in skipped_w] == [w for w in oos if w not in weighted]
+    # a public query may name a shortlist word: it is left out of its own list
+    for w in vocab.shortlist_words[3:]:
+        if w in emb:
+            got = nearest_in_shortlist(emb, w, vocab, k)
+            assert hexed(got) == hexed(per_target_search(emb, w, vocab, k))
+            assert vocab.encode(w) not in [wid for wid, _ in got]
+

@@ -341,6 +341,53 @@ def test_score_batch_at_the_base_width_is_the_base_model_bit_for_bit(case):
     assert [m.tobytes() for m in mixed] == [a.tobytes() for a in alone]
 
 
+def test_score_batch_is_bitwise_score_ids_at_a_wide_embedding():
+    """At 48 embedding dimensions a plain product rounds differently from
+    the tiles; at the few dimensions of the other models here it does not,
+    so only a wide embedding shows whether batched steps keep the tiles'
+    bits in the layer-0 input product."""
+    model = init_model(small_vocab(37), 48, 16, 2, seed=6)
+    model.input_embed *= 30.0
+    for layer in model.layers:
+        layer.w_in *= 30.0
+    rng = np.random.default_rng(6)
+    sentences = [rng.integers(0, 40, size=rng.integers(0, 6)).tolist() for _ in range(50)]
+    for ids, scores in zip(sentences, score_batch(model, sentences)):
+        assert scores.tobytes() == score_ids(model, ids).tobytes()
+
+
+def test_mixed_widths_normalise_each_width_by_its_own_maximum():
+    """A grown column that holds the row maximum in some states, which
+    expansion itself hardly makes (a new word's logit is a weighted mean of
+    its candidates'): a mixed-width call must still normalise each width by
+    its own maximum, and equal the separate calls and ``score_ids`` byte for
+    byte."""
+    model = BATCH_MODELS[1]
+    n_base = model.n_explicit
+    expanded, _ = expand_model(model, {"w28": [(5, 1.0)], "w29": [(12, 1.0)]})
+    # w28's logit is 20 times w9's: far above every base logit where that is
+    # positive, far below where it is negative
+    expanded.output_embed[n_base] = 20.0 * expanded.output_embed[9]
+    rng = np.random.default_rng(8)
+    base = [rng.integers(0, n_base, size=rng.integers(0, 6)).tolist() for _ in range(60)]
+    grown = base + [rng.integers(0, n_base + 2, size=5).tolist() for _ in range(20)]
+    tops = set()
+    for ids in base:
+        state = zero_state(expanded)
+        for w in [BOS_ID] + ids:
+            step = forward_step(expanded, w, state)
+            tops.add(int(np.argmax(step.logits)) >= n_base)
+            state = step.state
+    assert tops == {False, True}
+    widths = [n_base] * len(base) + [expanded.n_explicit] * len(grown)
+    mixed = score_batch(expanded, base + grown, widths)
+    alone = score_batch(expanded, base, [n_base] * len(base)) + score_batch(expanded, grown)
+    assert [m.tobytes() for m in mixed] == [a.tobytes() for a in alone]
+    reference = [score_ids(model, ids) for ids in base]
+    reference += [score_ids(expanded, ids) for ids in grown]
+    assert [m.tobytes() for m in mixed] == [r.tobytes() for r in reference]
+
+
 def test_score_batch_rejects_bad_widths():
     model = BATCH_MODELS[0]
     with pytest.raises(ValueError, match="softmax width"):

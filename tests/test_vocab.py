@@ -296,8 +296,9 @@ def test_nbest_round_trip_at_six_decimals(lists):
         for utt, hyps in nbest.items():
             assert [(h.words, h.rank) for h in again[utt]] == [(h.words, h.rank) for h in hyps]
             for got, want in zip(again[utt], hyps):
-                assert got.acoustic_score == pytest.approx(want.acoustic_score, abs=5e-7)
-                assert got.lm_score == pytest.approx(want.lm_score, abs=5e-7)
+                # exactly what six decimals say, ties at the seventh included
+                assert got.acoustic_score == float(f"{want.acoustic_score:.6f}")
+                assert got.lm_score == float(f"{want.lm_score:.6f}")
         # what was read back is written back byte for byte
         write_nbest(again, Path(tmp) / "again.nbest")
         assert (Path(tmp) / "again.nbest").read_bytes() == path.read_bytes()
