@@ -3,11 +3,30 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import datagen, expansion, ngram, rescoring, rnnlm, skipgram, vocab
+
+
+def _given(args, *names: str) -> dict:
+    """The named flags that were given on the command line; an absent one
+    leaves the library's own default in force."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _add_config_flags(p, cls) -> None:
+    """One ``--<field-name>`` flag per field of a config dataclass, typed and
+    defaulted by the field's default."""
+    for f in dataclasses.fields(cls):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
+
+
+def _config(cls, args):
+    """A config dataclass from the flags ``_add_config_flags`` declared."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _cmd_build_vocab(args) -> int:
@@ -21,9 +40,9 @@ def _cmd_build_vocab(args) -> int:
 def _cmd_build_ngram(args) -> int:
     corpus = vocab.load_corpus(args.corpus)
     v = vocab.Vocabulary.load(args.vocab)
-    model = ngram.train_kn(corpus, v, order=args.order)
+    model = ngram.train_kn(corpus, v, **_given(args, "order"))
     ngram.export_arpa(model, args.out)
-    print(f"wrote order-{args.order} model to {args.out}")
+    print(f"wrote order-{model.order} model to {args.out}")
     return 0
 
 
@@ -31,17 +50,8 @@ def _cmd_train_lm(args) -> int:
     corpus = vocab.load_corpus(args.corpus)
     v = vocab.Vocabulary.load(args.vocab)
     model = rnnlm.init_model(v, args.embed_dim, args.hidden_dim, args.layers, seed=args.seed)
-    config = rnnlm.TrainConfig(
-        unroll=args.unroll,
-        dropout=args.dropout,
-        lr=args.lr,
-        clip=args.clip,
-        epochs=args.epochs,
-        batch=args.batch,
-        seed=args.seed,
-    )
     val = vocab.load_corpus(args.val_corpus) if args.val_corpus else None
-    model, history = rnnlm.train_bptt(model, corpus, config, val)
+    model, history = rnnlm.train_bptt(model, corpus, _config(rnnlm.TrainConfig, args), val)
     rnnlm.save_checkpoint(model, args.out)
     label = "val" if val is not None else "train"
     for epoch, ppl in enumerate(history, start=1):
@@ -68,17 +78,7 @@ def _cmd_ppl(args) -> int:
 
 def _cmd_train_skipgram(args) -> int:
     corpus = vocab.load_corpus(args.corpus)
-    config = skipgram.SkipgramConfig(
-        dim=args.dim,
-        window=args.window,
-        negatives=args.negatives,
-        subsample=args.subsample,
-        epochs=args.epochs,
-        lr=args.lr,
-        min_count=args.min_count,
-        seed=args.seed,
-    )
-    emb = skipgram.train_skipgram(corpus, config)
+    emb = skipgram.train_skipgram(corpus, _config(skipgram.SkipgramConfig, args))
     skipgram.save_w2v_text(emb, args.out)
     print(f"wrote {len(emb)} vectors (dim {emb.dim}) to {args.out}")
     return 0
@@ -89,7 +89,7 @@ def _cmd_neighbors(args) -> int:
     if args.word not in emb:
         raise ValueError(f"{args.vectors}: no vector for word {args.word!r}")
     v = vocab.Vocabulary.load(args.vocab)
-    for wid, sim in skipgram.nearest_in_shortlist(emb, args.word, v, k=args.k):
+    for wid, sim in skipgram.nearest_in_shortlist(emb, args.word, v, **_given(args, "k")):
         print(f"{v.decode(wid)}\t{sim:.6f}")
     return 0
 
@@ -97,7 +97,7 @@ def _cmd_neighbors(args) -> int:
 def _cmd_extract_oos(args) -> int:
     nb = rescoring.parse_nbest(args.nbest)
     v = vocab.Vocabulary.load(args.vocab)
-    words = expansion.extract_oos_words(nb, v, n=args.n)
+    words = expansion.extract_oos_words(nb, v, **_given(args, "n"))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(w + "\n" for w in words)
@@ -113,13 +113,11 @@ def _cmd_expand(args) -> int:
     with open(args.oos, encoding="utf-8") as fh:
         oos = [line.strip() for line in fh if line.strip()]
     expanded, report = expansion.expand_with_embeddings(
-        model, oos, emb, k=args.k, weighted=args.weighted
+        model, oos, emb, **_given(args, "k", "weighted")
     )
     rnnlm.save_checkpoint(expanded, args.out)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        Path(args.report).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     print(
         f"expanded {len(report.expanded)} words, skipped {len(report.skipped)};"
         f" explicit columns {report.explicit_before} -> {report.explicit_after}"
@@ -131,9 +129,7 @@ def _cmd_make_fixture(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grammar = datagen.make_template_grammar(
-        num_classes=args.classes,
-        words_per_class=args.words_per_class,
-        seed=args.seed,
+        seed=args.seed, **_given(args, "num_classes", "words_per_class")
     )
     train = datagen.sample_corpus(grammar, args.train_tokens, seed=args.seed + 1)
     val = datagen.sample_corpus(grammar, args.val_tokens, seed=args.seed + 2)
@@ -142,7 +138,9 @@ def _cmd_make_fixture(args) -> int:
     vocab.save_corpus(val, out / "val.txt")
     v = vocab.build_vocabulary(train, args.shortlist, args.full)
     v.save(out / "vocab.txt")
-    nb, refs = datagen.make_nbest_fixture(grammar, test, v, depth=args.depth, seed=args.seed + 4)
+    nb, refs = datagen.make_nbest_fixture(
+        grammar, test, v, seed=args.seed + 4, **_given(args, "depth")
+    )
     rescoring.write_nbest(nb, out / "test.nbest")
     rescoring.write_transcripts(refs, out / "test.refs")
     print(
@@ -162,7 +160,7 @@ def _lm_from_args(args) -> rescoring.LmScorer:
 def _cmd_rescore(args) -> int:
     nb = rescoring.parse_nbest(args.nbest)
     lm = _lm_from_args(args)
-    cfg = rescoring.RescoreConfig(lm_scale=args.scale, word_penalty=args.penalty)
+    cfg = rescoring.RescoreConfig(**_given(args, "lm_scale", "word_penalty"))
     out = rescoring.rescore(nb, lm, cfg)
     rescoring.write_nbest(out, args.out)
     print(f"wrote rescored lists to {args.out}")
@@ -191,11 +189,8 @@ def _cmd_tune(args) -> int:
     nb = rescoring.parse_nbest(args.nbest)
     refs = rescoring.load_transcripts(args.refs)
     lm = _lm_from_args(args)
-    scales = rescoring.DEFAULT_SCALES if args.scales is None else _parse_grid(args.scales)
-    penalties = (
-        rescoring.DEFAULT_PENALTIES if args.penalties is None else _parse_grid(args.penalties)
-    )
-    cfg, best, grid = rescoring.tune(nb, refs, lm, scales, penalties)
+    grids = {name: _parse_grid(text) for name, text in _given(args, "scales", "penalties").items()}
+    cfg, best, grid = rescoring.tune(nb, refs, lm, **grids)
     for scale, penalty, w in grid:
         print(f"scale {scale:g} penalty {penalty:g}: wer {w:.2f}%")
     print(f"best: scale {cfg.lm_scale:g} penalty {cfg.word_penalty:g} wer {best:.2f}%")
@@ -210,6 +205,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    unset = argparse.SUPPRESS  # an unset flag leaves the library's default in force
     parser = argparse.ArgumentParser(prog="lmexpand")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -221,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build_vocab)
 
     p = sub.add_parser("build-ngram", help="train a Kneser-Ney n-gram model")
-    p.add_argument("--order", type=int, default=5)
+    p.add_argument("--order", type=int, default=unset)
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
@@ -234,13 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed-dim", type=int, default=300)
     p.add_argument("--hidden-dim", type=int, default=1500)
     p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--unroll", type=int, default=10)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--lr", type=float, default=1.0)
-    p.add_argument("--clip", type=float, default=5.0)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, rnnlm.TrainConfig)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_lm)
 
@@ -256,14 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-skipgram", help="train skip-gram word embeddings")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--subsample", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, skipgram.SkipgramConfig)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_skipgram)
 
@@ -271,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", "--vec", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("-k", "--k", type=int, default=8)
+    p.add_argument("-k", "--k", type=int, default=unset)
     p.set_defaults(func=_cmd_neighbors)
 
     p = sub.add_parser("extract-oos", help="out-of-shortlist words in top-n hypotheses")
     p.add_argument("--nbest", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("-n", "--n", type=int, default=1)
+    p.add_argument("-n", "--n", type=int, default=unset)
     p.add_argument("--out", help="write the word list here instead of stdout")
     p.set_defaults(func=_cmd_extract_oos)
 
@@ -285,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--vectors", "--vec", required=True)
     p.add_argument("--oos", required=True, help="file with one new word per line")
-    p.add_argument("-k", "--k", type=int, default=8)
-    p.add_argument("--weighted", action="store_true")
+    p.add_argument("-k", "--k", type=int, default=unset)
+    p.add_argument("--weighted", action="store_true", default=unset)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_expand)
@@ -302,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rescore", help="re-rank n-best lists with a language model")
     p.add_argument("--nbest", required=True)
     add_lm_args(p)
-    p.add_argument("--scale", type=float, default=10.0)
-    p.add_argument("--penalty", type=float, default=0.0)
+    p.add_argument("--scale", dest="lm_scale", metavar="SCALE", type=float, default=unset)
+    p.add_argument("--penalty", dest="word_penalty", metavar="PENALTY", type=float, default=unset)
     p.add_argument("--out", required=True)
     p.add_argument("--best-out", help="also write 1-best transcripts for wer")
     p.set_defaults(func=_cmd_rescore)
@@ -317,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nbest", required=True)
     p.add_argument("--refs", required=True)
     add_lm_args(p)
-    p.add_argument("--scales", help="comma-separated, default 2..20 step 2")
-    p.add_argument("--penalties", help="comma-separated, default -1,-0.5,0,0.5,1")
+    p.add_argument("--scales", default=unset, help="comma-separated, default 2..20 step 2")
+    p.add_argument("--penalties", default=unset, help="comma-separated, default -1,-0.5,0,0.5,1")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("pipeline", help="extract, expand, rescore and compare")
@@ -327,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-fixture", help="synthetic corpus and n-best lists")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--words-per-class", type=int, default=50)
+    p.add_argument("--classes", dest="num_classes", metavar="CLASSES", type=int, default=unset)
+    p.add_argument("--words-per-class", type=int, default=unset)
     p.add_argument("--train-tokens", type=int, default=20000)
     p.add_argument("--val-tokens", type=int, default=2000)
     p.add_argument("--test-tokens", type=int, default=1500)
     p.add_argument("--shortlist", type=int, default=300)
     p.add_argument("--full", type=int, default=600)
-    p.add_argument("--depth", type=int, default=50)
+    p.add_argument("--depth", type=int, default=unset)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_make_fixture)
 
@@ -346,11 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        ValueError,
-        KeyError,
-        OSError,
-        rescoring.RescoreError,
-        rnnlm.TrainingDivergedError,
+        ValueError, KeyError, OSError, rescoring.RescoreError, rnnlm.TrainingDivergedError
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

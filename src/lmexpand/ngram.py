@@ -266,17 +266,23 @@ def ngram_perplexity(model: NgramModel, corpus: Corpus) -> float:
 
 
 def export_arpa(model: NgramModel, path: str | Path) -> None:
-    """Write the model in the ARPA text format (log10 scores)."""
+    """Write the model in the ARPA text format (log10 scores).
+
+    Orders above the highest non-empty table are left out: their contexts
+    carry no backoff weight, so leaving them out changes no score, and every
+    declared count is positive.
+    """
+    tables = model.probs[: max(k for k, table in enumerate(model.probs, start=1) if table)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\\n")
-        for k, table in enumerate(model.probs, start=1):
+        for k, table in enumerate(tables, start=1):
             fh.write(f"ngram {k}={len(table)}\n")
-        for k, table in enumerate(model.probs, start=1):
+        for k, table in enumerate(tables, start=1):
             fh.write(f"\n\\{k}-grams:\n")
             for gram in sorted(table):
                 words = " ".join(model.vocab.decode(i) for i in gram)
                 bow = ""
-                if k < model.order:
+                if k < len(tables):
                     bow = f"\t{model.backoffs[k - 1].get(gram, 0.0) / LN10:.6f}"
                 fh.write(f"{table[gram] / LN10:.6f}\t{words}{bow}\n")
         fh.write("\n\\end\\\n")

@@ -463,6 +463,14 @@ def train_bptt(
     if val_corpus is not None and not val_corpus:
         raise ValueError("empty validation corpus: no scoreable tokens")
     _check_positive(unroll=config.unroll, batch=config.batch)
+    for name, ok, bound in [
+        ("dropout", 0 <= config.dropout < 1, "in [0, 1)"),
+        ("lr", 0 < config.lr < math.inf, "finite and > 0"),
+        ("clip", config.clip > 0, "> 0"),
+        ("epochs", config.epochs >= 0, ">= 0"),
+    ]:
+        if not ok:
+            raise ValueError(f"{name} must be {bound}, got {getattr(config, name)}")
     rng = np.random.default_rng(config.seed)
     inp, tgt = _training_stream(corpus, model.vocab)
     batch = max(1, min(config.batch, inp.size // config.unroll))
@@ -471,8 +479,6 @@ def train_bptt(
     Y = tgt[: batch * cols].reshape(batch, cols)
     L, hdim = model.num_layers, model.hidden_dim
     keep = 1.0 - config.dropout
-    if not 0.0 < keep <= 1.0:
-        raise ValueError("dropout must lie in [0, 1)")
     params = named_parameters(model)
     lr = config.lr
     history: list[float] = []

@@ -83,9 +83,16 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
     A literal <s> or </s> inside a sentence is rejected with its index."""
     if not corpus:
         raise ValueError("empty corpus")
-    for name in ("dim", "window"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)}")
+    for name, ok, bound in [
+        ("dim", config.dim >= 1, ">= 1"),
+        ("window", config.window >= 1, ">= 1"),
+        ("negatives", config.negatives >= 0, ">= 0"),
+        ("subsample", 0 <= config.subsample < math.inf, "finite and >= 0"),
+        ("epochs", config.epochs >= 0, ">= 0"),
+        ("lr", 0 < config.lr < math.inf, "finite and > 0"),
+    ]:
+        if not ok:
+            raise ValueError(f"{name} must be {bound}, got {getattr(config, name)}")
     counts = Counter()
     for index, sentence in enumerate(corpus):
         check_sentence(sentence, f"sentence {index}")
@@ -270,6 +277,7 @@ def load_w2v_text(path: str | Path) -> WordEmbeddings:
         words: list[str] = []
         line_nos: list[int] = []
         rows: list[list[float]] = []
+        line_no = 1  # the last line read, where a short file ends
         for line_no, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
@@ -289,7 +297,7 @@ def load_w2v_text(path: str | Path) -> WordEmbeddings:
             if not all(map(math.isfinite, rows[-1])):
                 raise ValueError(f"line {line_no}: non-finite vector value")
     if len(words) != count:
-        raise ValueError(f"header declares {count} vectors, file has {len(words)}")
+        raise ValueError(f"line {line_no}: header declares {count} vectors, file has {len(words)}")
     try:
         return WordEmbeddings(words, np.array(rows, dtype=float).reshape(count, dim))
     except VocabularyError as err:  # report the line of the repeated word

@@ -9,6 +9,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the verdict lines.
   5  desk-scale directional experiment (perplexity and WER move the right way)
   6  1-best vs deep extraction produces a smaller, fully embedded new-word set
   7  criteria 1-5 reproduce bit-identical reports across two runs
+
+plus a control for 5: skip-gram candidates beat shuffled vectors.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from lmexpand.rnnlm import (
     train_bptt,
     zero_state,
 )
-from lmexpand.skipgram import SkipgramConfig, save_w2v_text, train_skipgram
+from lmexpand.skipgram import SkipgramConfig, WordEmbeddings, save_w2v_text, train_skipgram
 from lmexpand.vocab import BOS_ID, RESERVED, UNK, UNK_ID, Vocabulary, build_vocabulary
 
 from test_ngram import ref_kn_prob
@@ -473,6 +475,51 @@ def test_criterion_6_extraction_depths(desk):
     assert fully_embedded
     assert strict_subset
     assert deep_has_gaps
+
+
+# ------------------------------------------------ control for criterion 5
+
+# Skip-gram candidates must beat every shuffled control by this many points
+# of perplexity gain; measured: 4.82% against 2.48 / 2.40 / 2.32% for the
+# seeds below.  Criterion 5 alone cannot tell them apart: shuffled vectors
+# also give a gain of over 2% and a lower WER.
+CONTROL_MARGIN = 0.015
+
+
+def expanded_row(report: dict) -> tuple[float, dict]:
+    """Perplexity gain of the rnnlm-expanded row over the rnnlm row, and the row."""
+    rows = {r["system"]: r for r in report["systems"]}
+    wide = rows["rnnlm-expanded"]
+    return 1.0 - wide["perplexity"] / rows["rnnlm"]["perplexity"], wide
+
+
+def test_skipgram_candidates_beat_shuffled_vectors(desk, tmp_path):
+    """Criterion 5's pipeline with the embedding rows permuted: every word
+    keeps a vector, so the same words expand, but onto arbitrary candidates."""
+    emb = desk["embeddings"]
+    gain, row = expanded_row(desk["report"])
+    print(f"  skip-gram vectors: ppl gain {100 * gain:.2f}%, wer {row['wer']:.2f}")
+    controls = []
+    for seed in (1, 2, 3):
+        perm = np.random.default_rng(seed).permutation(len(emb))
+        vectors = tmp_path / f"shuffled-{seed}.txt"
+        save_w2v_text(WordEmbeddings(emb.words, emb.vectors[perm]), vectors)
+        report = run_pipeline(
+            {
+                "nbest": str(desk["dir"] / "test.nbest"),
+                "refs": str(desk["dir"] / "test.refs"),
+                "model": str(desk["dir"] / "model.bin"),
+                "vectors": str(vectors),
+                "arpa": str(desk["dir"] / "model.arpa"),
+                "policy": "uniform",
+                "lm_scale": "8",
+            }
+        )
+        assert report["new_words"]["count"] == desk["report"]["new_words"]["count"]
+        control, row = expanded_row(report)
+        print(f"  shuffled, seed {seed}: ppl gain {100 * control:.2f}%, wer {row['wer']:.2f}")
+        controls.append(control)
+    assert gain - max(controls) >= CONTROL_MARGIN, (gain, controls)
 
 
 # --------------------------------------------------------------- criterion 7

@@ -15,11 +15,12 @@ import pytest
 
 from lmexpand import rnnlm
 from lmexpand.cli import main
+from lmexpand.datagen import make_template_grammar, sample_corpus
 from lmexpand.expansion import expand_with_embeddings, extract_oos_words
-from lmexpand.ngram import import_arpa
+from lmexpand.ngram import export_arpa, import_arpa, train_kn
 from lmexpand.rnnlm import init_model, load_checkpoint, save_checkpoint
-from lmexpand.skipgram import load_w2v_text
-from lmexpand.vocab import Vocabulary, parse_nbest
+from lmexpand.skipgram import SkipgramConfig, load_w2v_text, save_w2v_text, train_skipgram
+from lmexpand.vocab import Vocabulary, build_vocabulary, parse_nbest, save_corpus
 
 
 # Digests of the ngram-policy outputs on the ``workdir`` fixture: the policy
@@ -530,7 +531,7 @@ def test_neighbors_of_a_word_without_vector_reports_error(workdir, capsys):
     [
         ("-1 2", "line 1: need count >= 0 and dim >= 1, got -1 2"),
         ("1 0", "line 1: need count >= 0 and dim >= 1, got 1 0"),
-        ("3000000000 1000", "header declares 3000000000 vectors, file has 0"),
+        ("3000000000 1000", "line 1: header declares 3000000000 vectors, file has 0"),
     ],
 )
 def test_bad_w2v_header_reports_error(tmp_path, capsys, header, message):
@@ -585,14 +586,37 @@ def test_overflowing_training_reports_error(tmp_path, capsys):
     assert err.startswith("error: training perplexity overflows") and err.count("\n") == 1
 
 
+# what each training setting below must be; `lr` and `epochs` have the same
+# bound in both trainers
+SETTING_BOUNDS = {
+    "unroll": ">= 1",
+    "batch": ">= 1",
+    "window": ">= 1",
+    "dim": ">= 1",
+    "lr": "finite and > 0",
+    "clip": "> 0",
+    "epochs": ">= 0",
+    "negatives": ">= 0",
+    "subsample": "finite and >= 0",
+}
+
+
 @pytest.mark.parametrize(
     "command, setting, value",
     [
         ("train-lm", "unroll", "-1"),
         ("train-lm", "unroll", "0"),
         ("train-lm", "batch", "0"),
+        ("train-lm", "lr", "-0.5"),
+        ("train-lm", "lr", "nan"),
+        ("train-lm", "clip", "-5.0"),
+        ("train-lm", "epochs", "-2"),
         ("train-skipgram", "window", "0"),
         ("train-skipgram", "dim", "0"),
+        ("train-skipgram", "negatives", "-1"),
+        ("train-skipgram", "subsample", "-1.0"),
+        ("train-skipgram", "lr", "-0.1"),
+        ("train-skipgram", "epochs", "-2"),
     ],
 )
 def test_out_of_range_training_settings_report_error(tmp_path, capsys, command, setting, value):
@@ -605,8 +629,39 @@ def test_out_of_range_training_settings_report_error(tmp_path, capsys, command, 
     if command == "train-lm":
         args += ["--vocab", str(tmp_path / "vocab.txt"), "--embed-dim", "2", "--hidden-dim", "2"]
     assert main(args) == 1
-    assert capsys.readouterr().err == f"error: {setting} must be >= 1, got {value}\n"
+    bound = SETTING_BOUNDS[setting]
+    assert capsys.readouterr().err == f"error: {setting} must be {bound}, got {value}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_training_commands_take_the_library_defaults(tmp_path, capsys):
+    """Given only their required flags, build-ngram, train-skipgram and
+    train-lm write what the library writes with its own defaults."""
+    grammar = make_template_grammar(num_classes=3, words_per_class=5, seed=0)
+    corpus = sample_corpus(grammar, 600, seed=1)
+    vocab = build_vocabulary(corpus, 12, 18)
+    save_corpus(corpus, tmp_path / "train.txt")
+    vocab.save(tmp_path / "vocab.txt")
+    given = ["--corpus", str(tmp_path / "train.txt")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["build-ngram", *given, "--vocab", str(tmp_path / "vocab.txt"),
+                     "--out", str(tmp_path / "cli.arpa")]) == 0
+        export_arpa(train_kn(corpus, vocab), tmp_path / "lib.arpa")
+    assert capsys.readouterr().out == f"wrote order-5 model to {tmp_path / 'cli.arpa'}\n"
+
+    assert main(["train-skipgram", *given, "--out", str(tmp_path / "cli.vec")]) == 0
+    save_w2v_text(train_skipgram(corpus, SkipgramConfig()), tmp_path / "lib.vec")
+
+    dims = ["--embed-dim", "4", "--hidden-dim", "6", "--layers", "1"]
+    assert main(["train-lm", *given, "--vocab", str(tmp_path / "vocab.txt"), *dims,
+                 "--out", str(tmp_path / "cli.bin")]) == 0
+    model, _ = rnnlm.train_bptt(init_model(vocab, 4, 6, 1), corpus, rnnlm.TrainConfig())
+    save_checkpoint(model, tmp_path / "lib.bin")
+
+    for suffix in ("arpa", "vec", "bin"):
+        cli, lib = (tmp_path / f"{who}.{suffix}" for who in ("cli", "lib"))
+        assert cli.read_bytes() == lib.read_bytes(), suffix
 
 
 def test_rescore_requires_exactly_one_lm(workdir, tmp_path):

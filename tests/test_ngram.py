@@ -569,11 +569,11 @@ def test_logprobs_match_conditional_logprob_bit_for_bit(corpus, order, data):
         models = [model, import_arpa(path), _shuffled_arpa(model, path, data.draw(st.integers()))]
     for m in models:
         n = len(m.vocab)
-        seen = [gram[:-1] for gram in m.probs[-1]]
+        seen = [gram[:-1] for gram in next(table for table in m.probs[::-1] if table)]
         contexts = [
             (),
             (BOS_ID,),
-            data.draw(st.sampled_from(seen)),  # a context of the highest order
+            data.draw(st.sampled_from(seen)),  # a context of the highest non-empty order
             (n + 3,) * (order - 1),  # ids the model has never seen
             *data.draw(
                 st.lists(st.lists(st.integers(0, n + 1), max_size=order + 1), max_size=4)
@@ -581,6 +581,31 @@ def test_logprobs_match_conditional_logprob_bit_for_bit(corpus, order, data):
         ]
         for context in contexts:
             _assert_logprobs_match_walk(m, tuple(context))
+
+
+def test_empty_top_order_round_trips(tmp_path):
+    """One-word sentences leave the 4-gram table empty; the file stops at
+    the trigrams, and the empty order it leaves out changes no score."""
+    corpus = [["a"]]
+    vocab = build_vocabulary(corpus, 4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = train_kn(corpus, vocab, order=4)
+    assert [len(table) for table in model.probs] == [4, 2, 1, 0]
+    export_arpa(model, tmp_path / "m.arpa")
+    text = (tmp_path / "m.arpa").read_text()
+    assert "ngram 3=1\n" in text and "ngram 4" not in text
+    again = import_arpa(tmp_path / "m.arpa")
+    assert again.order == 3 and again.vocab.words == vocab.words
+    # the file's scores with the empty 4-gram order put back
+    padded = NgramModel(4, again.vocab, [*again.probs, {}], [*again.backoffs, {}])
+    a = vocab.encode("a")
+    ids = np.arange(len(vocab))
+    for context in [(), (BOS_ID,), (BOS_ID, a), (BOS_ID, a, EOS_ID), (a, a, a), (7, 7, 7)]:
+        want = [padded.conditional_logprob(int(w), context).hex() for w in ids]
+        assert [x.hex() for x in again.logprobs(ids, context).tolist()] == want, context
+        assert [again.conditional_logprob(int(w), context).hex() for w in ids] == want, context
+        assert again.logprobs(ids, context) == pytest.approx(model.logprobs(ids, context), abs=1e-5)
 
 
 def test_logprobs_add_backoffs_longest_context_first():

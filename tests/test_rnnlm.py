@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -741,13 +742,52 @@ def test_empty_validation_corpus_is_rejected():
         train_bptt(model, corpus, TrainConfig(epochs=1, dropout=0.0, batch=2), val_corpus=[])
 
 
-@pytest.mark.parametrize("setting, value", [("unroll", 0), ("unroll", -1), ("batch", 0)])
+# what each TrainConfig setting must be; a negative clip or learning rate
+# would train by gradient ascent
+TRAIN_BOUNDS = {
+    "unroll": ">= 1",
+    "batch": ">= 1",
+    "dropout": "in [0, 1)",
+    "lr": "finite and > 0",
+    "clip": "> 0",
+    "epochs": ">= 0",
+}
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("unroll", 0),
+        ("unroll", -1),
+        ("batch", 0),
+        ("dropout", 1.0),
+        ("dropout", -0.1),
+        ("lr", 0.0),
+        ("lr", -0.5),
+        ("lr", math.nan),
+        ("lr", math.inf),
+        ("clip", -5.0),
+        ("clip", 0.0),
+        ("clip", math.nan),
+        ("epochs", -2),
+    ],
+)
 def test_out_of_range_settings_are_named(setting, value):
     corpus = pattern_corpus(10)
     model = init_model(build_vocabulary(corpus, 7, 7), 3, 2, 1)
-    cfg = TrainConfig(epochs=1, dropout=0.0, **{setting: value})
-    with pytest.raises(ValueError, match=f"{setting} must be >= 1, got {value}"):
+    cfg = TrainConfig(**{"epochs": 1, "dropout": 0.0, setting: value})
+    message = f"{setting} must be {TRAIN_BOUNDS[setting]}, got {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         train_bptt(model, corpus, cfg)
+
+
+def test_zero_epochs_trains_nothing():
+    corpus = pattern_corpus(10)
+    model = init_model(build_vocabulary(corpus, 7, 7), 3, 2, 1)
+    before = [p.copy() for _, p in named_parameters(model)]
+    _, history = train_bptt(model, corpus, TrainConfig(epochs=0))
+    assert history == []
+    assert all(np.array_equal(a, b) for a, (_, b) in zip(before, named_parameters(model)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmexpand.skipgram as skipgram
+from lmexpand.cli import main
 from lmexpand.skipgram import (
     _CHUNK_PAIRS,
     SkipgramConfig,
@@ -167,10 +173,37 @@ def test_empty_corpus_rejected():
         train_skipgram([], SkipgramConfig(dim=4))
 
 
-@pytest.mark.parametrize("setting, value", [("dim", 0), ("dim", -2), ("window", 0)])
+# what each SkipgramConfig setting must be
+SKIPGRAM_BOUNDS = {
+    "dim": ">= 1",
+    "window": ">= 1",
+    "negatives": ">= 0",
+    "subsample": "finite and >= 0",
+    "epochs": ">= 0",
+    "lr": "finite and > 0",
+}
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("dim", 0),
+        ("dim", -2),
+        ("window", 0),
+        ("negatives", -1),
+        ("subsample", -1.0),
+        ("subsample", math.nan),
+        ("subsample", math.inf),
+        ("epochs", -2),
+        ("lr", 0.0),
+        ("lr", -0.1),
+        ("lr", math.nan),
+    ],
+)
 def test_out_of_range_settings_are_named(setting, value):
     config = SkipgramConfig(**{"dim": 4, setting: value})
-    with pytest.raises(ValueError, match=f"{setting} must be >= 1, got {value}"):
+    message = f"{setting} must be {SKIPGRAM_BOUNDS[setting]}, got {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         train_skipgram([["a", "b", "c"]], config)
 
 
@@ -389,3 +422,63 @@ def test_w2v_round_trip_keeps_nine_digits_exactly(words, dim, data):
         # what was read back is written back byte for byte
         save_w2v_text(again, Path(tmp) / "again.txt")
         assert (Path(tmp) / "again.txt").read_bytes() == path.read_bytes()
+
+
+# ------------------------------------------------------- w2v reader fuzzing
+
+
+@functools.cache
+def _w2v_lines(dim):
+    """save_w2v_text lines of a few random vectors; at dim 1 a row has as
+    many fields as the header."""
+    rng = np.random.default_rng(dim)
+    emb = WordEmbeddings([f"w{i}" for i in range(6)], rng.normal(size=(6, dim)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vec.txt"
+        save_w2v_text(emb, path)
+        return tuple(path.read_text().splitlines())
+
+
+@st.composite
+def mutated_w2v(draw):
+    """A save_w2v_text output after a few line mutations."""
+    lines = list(_w2v_lines(draw(st.sampled_from([1, 3]))))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["truncate", "delete", "duplicate", "replace", "cut"]))
+        if op == "truncate":
+            lines = lines[: draw(st.integers(0, len(lines)))]
+            continue
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "replace":
+            fields = lines[i].split() or [""]
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(["nan", "x", ""]))
+            lines[i] = " ".join(fields)
+        else:
+            lines[i] = lines[i][: draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_w2v())
+def test_mutated_w2v_loads_or_reports_a_line(lines):
+    """A damaged file either loads or fails with a ValueError at a line
+    inside the file, which ``lmexpand neighbors`` prints as one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vec.txt"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        try:
+            load_w2v_text(path)
+        except ValueError as err:
+            found = re.match(r"line (\d+): ", str(err))
+            assert found and 1 <= int(found.group(1)) <= max(len(lines), 1), err
+            out, errs = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
+                rc = main(["neighbors", "--vectors", str(path), "--vocab", str(Path(tmp) / "v"),
+                           "--word", "w0"])
+            assert (rc, out.getvalue(), errs.getvalue()) == (1, "", f"error: {err}\n")
