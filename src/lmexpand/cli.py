@@ -126,21 +126,21 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_make_fixture(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grammar = datagen.make_template_grammar(
         seed=args.seed, **_given(args, "num_classes", "words_per_class")
     )
     train = datagen.sample_corpus(grammar, args.train_tokens, seed=args.seed + 1)
     val = datagen.sample_corpus(grammar, args.val_tokens, seed=args.seed + 2)
     test = datagen.sample_corpus(grammar, args.test_tokens, seed=args.seed + 3)
-    vocab.save_corpus(train, out / "train.txt")
-    vocab.save_corpus(val, out / "val.txt")
     v = vocab.build_vocabulary(train, args.shortlist, args.full)
-    v.save(out / "vocab.txt")
     nb, refs = datagen.make_nbest_fixture(
         grammar, test, v, seed=args.seed + 4, **_given(args, "depth")
     )
+    out = Path(args.out_dir)  # made once every input is drawn, so a bad flag leaves none
+    out.mkdir(parents=True, exist_ok=True)
+    vocab.save_corpus(train, out / "train.txt")
+    vocab.save_corpus(val, out / "val.txt")
+    v.save(out / "vocab.txt")
     rescoring.write_nbest(nb, out / "test.nbest")
     rescoring.write_transcripts(refs, out / "test.refs")
     print(

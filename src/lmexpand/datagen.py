@@ -40,6 +40,8 @@ def make_template_grammar(
     zipf: float = 1.0,
     seed: int = 0,
 ) -> TemplateGrammar:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     classes = [
         [f"c{ci}w{ri:02d}" for ri in range(words_per_class)] for ci in range(num_classes)

@@ -296,8 +296,13 @@ def import_arpa(path: str | Path) -> NgramModel:
     must be positive, and the unigrams must include </s> or <unk>, so that
     every sentence can be scored.  Parse errors report 1-based line numbers.
     """
-    with open(path, encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+    return _parse_arpa(Path(path).read_bytes())
+
+
+def _parse_arpa(blob: bytes) -> NgramModel:
+    """``import_arpa`` of a file's bytes; ``splitlines`` ends lines where a
+    universal-newline read would, at CR LF and a lone CR too."""
+    raw_lines = blob.decode("utf-8").splitlines()
     n_lines = max(len(raw_lines), 1)  # an empty file ends on its line 1
     content = ((line, no) for no, raw in enumerate(raw_lines, start=1) if (line := raw.strip()))
     end = ("", n_lines)  # what ``content`` yields past the last line

@@ -7,6 +7,7 @@ live in ``vocab`` and are re-exported here.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -259,6 +260,21 @@ def _scored_system(scores: list, n_hyps: int) -> tuple[LmScorer, Callable[[], fl
     return (lambda _: sums), lambda: _rnnlm.perplexity(np.concatenate(refs) if refs else [])
 
 
+# The model last parsed from each kind of file, under the SHA-256 of its bytes:
+# pipelines only read these objects, so the same bytes are parsed (and the
+# n-gram follower index built) once per process.  A failed parse stores nothing.
+_PARSED: dict[str, tuple[bytes, object]] = {}
+
+
+def _parsed(kind: str, path: str, parse: Callable[[bytes], object]):
+    blob = Path(path).read_bytes()
+    digest = hashlib.sha256(blob).digest()
+    entry = _PARSED.get(kind)
+    if entry is None or entry[0] != digest:
+        entry = _PARSED[kind] = (digest, parse(blob))
+    return entry[1]
+
+
 def run_pipeline(config: dict[str, str]) -> dict:
     """Extract, expand, rescore and compare; returns the comparison report.
 
@@ -288,9 +304,10 @@ def run_pipeline(config: dict[str, str]) -> dict:
 
     nbest = parse_nbest(config["nbest"])
     refs = load_transcripts(config["refs"])
-    model = _rnnlm.load_checkpoint(config["model"])
-    embeddings = _skipgram.load_w2v_text(config["vectors"])
-    ngram_model = _ngram.import_arpa(config["arpa"])
+    path = config["model"]
+    model = _parsed("model", path, lambda blob: _rnnlm._parse_checkpoint(blob, path))
+    embeddings = _parsed("vectors", config["vectors"], _skipgram._parse_w2v_text)
+    ngram_model = _parsed("arpa", config["arpa"], _ngram._parse_arpa)
 
     oos = _expansion.extract_oos_words(nbest, model.vocab, n=settings["extract_n"])
     expanded, report = _expansion.expand_with_embeddings(

@@ -92,6 +92,8 @@ def init_model(
 ) -> RnnLmModel:
     """Uniform [-0.05, 0.05] weights, zero biases except forget-gate bias 1."""
     _check_positive(embed_dim=embed_dim, hidden_dim=hidden_dim, num_layers=num_layers)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = vocab.shortlist_size
 
@@ -468,6 +470,7 @@ def train_bptt(
         ("lr", 0 < config.lr < math.inf, "finite and > 0"),
         ("clip", config.clip > 0, "> 0"),
         ("epochs", config.epochs >= 0, ">= 0"),
+        ("seed", config.seed >= 0, ">= 0"),
     ]:
         if not ok:
             raise ValueError(f"{name} must be {bound}, got {getattr(config, name)}")
@@ -566,46 +569,57 @@ def save_checkpoint(model: RnnLmModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> RnnLmModel:
+    """Read a ``save_checkpoint`` file.  Every error names the block being
+    read and the byte offset where reading stopped."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        return _parse_checkpoint(fh.read(), path)
+
+
+def _parse_checkpoint(blob: bytes, path: str) -> RnnLmModel:
+    """``load_checkpoint`` of the bytes of the file at ``path``."""
+    block, off = "magic", 0
+
+    def error(message: str) -> ValueError:
+        return ValueError(f"{message}: {block} at byte {off}: {path}")
+
     if blob[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"not a checkpoint file (bad magic): {path}")
-    off = len(MAGIC)
+        raise error("not a checkpoint file (bad magic)")
+    block, off = "header", len(MAGIC)
     try:
-        embed_dim, hidden_dim, num_layers, total_words, shortlist = struct.unpack_from(
-            "<IIIII", blob, off
+        embed_dim, hidden_dim, num_layers, total_words, shortlist, vlen = struct.unpack_from(
+            "<IIIIIQ", blob, off
         )
-        off += struct.calcsize("<IIIII")
-        (vlen,) = struct.unpack_from("<Q", blob, off)
-        off += struct.calcsize("<Q")
-        vocab_blob = blob[off : off + vlen]
-        if len(vocab_blob) != vlen:
-            raise struct.error("vocabulary block truncated")
-        off += vlen
-    except struct.error as err:
-        raise ValueError(f"truncated checkpoint: {path}") from err
-    try:
         _check_positive(embed_dim=embed_dim, hidden_dim=hidden_dim, num_layers=num_layers)
+    except struct.error:
+        raise error("truncated checkpoint") from None
     except ValueError as err:
-        raise ValueError(f"bad checkpoint header: {err}: {path}") from None
-    vocab = Vocabulary.from_text(vocab_blob.decode("utf-8"))
+        raise error(f"bad checkpoint header: {err}") from None
+    block, off = "vocabulary", off + struct.calcsize("<IIIIIQ")
+    vocab_blob = blob[off : off + vlen]
+    if len(vocab_blob) != vlen:
+        raise error("truncated checkpoint")
+    try:
+        vocab = Vocabulary.from_text(vocab_blob.decode("utf-8"))
+    except ValueError as err:
+        raise error(str(err)) from err
     if len(vocab) != total_words or vocab.shortlist_size != shortlist:
-        raise ValueError("checkpoint header disagrees with embedded vocabulary")
+        raise error("checkpoint header disagrees with embedded vocabulary")
+    off += vlen
 
     def take(name: str, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
-        nonlocal off
-        count = math.prod(shape)
-        nbytes = count * 8
-        if off + nbytes > len(blob):
-            raise ValueError(f"truncated checkpoint: {path}")
+        nonlocal block, off
+        block, count = name, math.prod(shape)
+        if off + count * 8 > len(blob):
+            raise error("truncated checkpoint")
+        stored = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+        finite = np.isfinite(stored)
+        if not finite.all():
+            off += 8 * int(finite.argmin())  # stop at the first non-finite value
+            raise error(f"non-finite value in checkpoint block {name}")
+        off += count * 8
         # the copy is C-ordered whatever the stored order, so BLAS sums a
         # reloaded model in the same order as the one that was saved
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        arr = arr.reshape(shape, order=order).copy()
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite value in checkpoint block {name}: {path}")
-        off += nbytes
-        return arr
+        return stored.reshape(shape, order=order).copy()
 
     input_embed = take("input_embed", (shortlist, embed_dim))
     layers = []
@@ -618,12 +632,7 @@ def load_checkpoint(path: str) -> RnnLmModel:
         in_dim = hidden_dim
     output_embed = take("output_embed", (shortlist, hidden_dim))
     output_bias = take("output_bias", (shortlist,))
+    block = "end"
     if off != len(blob):
-        raise ValueError(f"checkpoint has {len(blob) - off} unexpected trailing bytes")
-    return RnnLmModel(
-        vocab=vocab,
-        input_embed=input_embed,
-        layers=layers,
-        output_embed=output_embed,
-        output_bias=output_bias,
-    )
+        raise error(f"checkpoint has {len(blob) - off} unexpected trailing bytes")
+    return RnnLmModel(vocab, input_embed, layers, output_embed, output_bias)

@@ -17,6 +17,7 @@ often a word repeats within one chunk, the larger its combined step.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -90,6 +91,7 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
         ("subsample", 0 <= config.subsample < math.inf, "finite and >= 0"),
         ("epochs", config.epochs >= 0, ">= 0"),
         ("lr", 0 < config.lr < math.inf, "finite and > 0"),
+        ("seed", config.seed >= 0, ">= 0"),
     ]:
         if not ok:
             raise ValueError(f"{name} must be {bound}, got {getattr(config, name)}")
@@ -264,7 +266,12 @@ def save_w2v_text(embeddings: WordEmbeddings, path: str | Path) -> None:
 def load_w2v_text(path: str | Path) -> WordEmbeddings:
     """Read the text format; rows are gathered as read, so the header only
     bounds the file, never an allocation."""
-    with open(path, encoding="utf-8") as fh:
+    return _parse_w2v_text(Path(path).read_bytes())
+
+
+def _parse_w2v_text(blob: bytes) -> WordEmbeddings:
+    """``load_w2v_text`` of a file's bytes, read with universal newlines."""
+    with io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError("line 1: expected '<count> <dim>' header")

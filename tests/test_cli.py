@@ -586,8 +586,8 @@ def test_overflowing_training_reports_error(tmp_path, capsys):
     assert err.startswith("error: training perplexity overflows") and err.count("\n") == 1
 
 
-# what each training setting below must be; `lr` and `epochs` have the same
-# bound in both trainers
+# what each training setting below must be; `lr`, `epochs` and `seed` have
+# the same bound in both trainers
 SETTING_BOUNDS = {
     "unroll": ">= 1",
     "batch": ">= 1",
@@ -598,6 +598,7 @@ SETTING_BOUNDS = {
     "epochs": ">= 0",
     "negatives": ">= 0",
     "subsample": "finite and >= 0",
+    "seed": ">= 0",
 }
 
 
@@ -617,6 +618,8 @@ SETTING_BOUNDS = {
         ("train-skipgram", "subsample", "-1.0"),
         ("train-skipgram", "lr", "-0.1"),
         ("train-skipgram", "epochs", "-2"),
+        ("train-lm", "seed", "-1"),
+        ("train-skipgram", "seed", "-1"),
     ],
 )
 def test_out_of_range_training_settings_report_error(tmp_path, capsys, command, setting, value):
@@ -632,6 +635,20 @@ def test_out_of_range_training_settings_report_error(tmp_path, capsys, command, 
     bound = SETTING_BOUNDS[setting]
     assert capsys.readouterr().err == f"error: {setting} must be {bound}, got {value}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-5", "seed must be >= 0, got -5"),
+        ("--shortlist", "2", "shortlist_size must be at least 3 (reserved tokens)"),
+    ],
+)
+def test_bad_fixture_flag_reports_error_and_writes_nothing(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "fixture"
+    assert main(["make-fixture", "--out-dir", str(out), "--train-tokens", "300", flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_training_commands_take_the_library_defaults(tmp_path, capsys):

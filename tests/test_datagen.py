@@ -34,6 +34,11 @@ def test_grammar_inventory():
         assert all(0 <= ci < 6 for ci in template)
 
 
+def test_grammar_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        make_template_grammar(seed=-5)
+
+
 def test_sentences_follow_templates():
     rng = np.random.default_rng(0)
     template_set = {tuple(t) for t in GRAMMAR.templates}

@@ -608,6 +608,18 @@ def test_empty_top_order_round_trips(tmp_path):
         assert again.logprobs(ids, context) == pytest.approx(model.logprobs(ids, context), abs=1e-5)
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_arpa_reads_any_line_ending(tmp_path, newline):
+    corpus = [["a", "b"], ["b", "a", "a"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        export_arpa(train_kn(corpus, build_vocabulary(corpus, 5, 5), order=2), tmp_path / "m.arpa")
+    want = import_arpa(tmp_path / "m.arpa")
+    (tmp_path / "m.arpa").write_bytes((tmp_path / "m.arpa").read_bytes().replace(b"\n", newline))
+    again = import_arpa(tmp_path / "m.arpa")
+    assert (again.vocab, again.probs, again.backoffs) == (want.vocab, want.probs, want.backoffs)
+
+
 def test_logprobs_add_backoffs_longest_context_first():
     """(0.3 + 0.2) + 0.1 and (0.1 + 0.2) + 0.3 differ in the last bit."""
     vocab = Vocabulary(["<s>", "</s>", "<unk>", "a", "b"], 5)

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import ast
 import functools
+import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmexpand
-from lmexpand import expansion
+from lmexpand import expansion, ngram, rescoring, rnnlm, skipgram
 from lmexpand.datagen import make_nbest_fixture, make_template_grammar, sample_corpus
-from lmexpand.ngram import export_arpa, import_arpa, train_kn
+from lmexpand.ngram import ArpaParseError, export_arpa, import_arpa, train_kn
 from lmexpand.rescoring import (
     DEFAULT_PENALTIES,
     DEFAULT_SCALES,
@@ -541,6 +547,149 @@ def test_pipeline_scores_both_lstm_systems_in_one_engine_call(pipeline_dir, poli
         assert (row["wer"], row["substitutions"], row["insertions"], row["deletions"]) == (
             result.wer, result.substitutions, result.insertions, result.deletions
         )
+
+
+# ------------------------------------------------- parsed model files
+
+
+PIPELINE_FILES = {"nbest": "test.nbest", "refs": "test.refs", "model": "model.bin",
+                  "vectors": "v.txt", "arpa": "model.arpa"}
+
+
+def deep_config(root: Path, report: Path) -> dict[str, str]:
+    """The ngram policy with weighted candidates: every model file shows in
+    the report, and the n-gram model builds its follower index."""
+    files = {key: str(root / name) for key, name in PIPELINE_FILES.items()}
+    return {**files, "extract_n": "3", "weighted": "true", "policy": "ngram",
+            "lm_scale": "8", "report": str(report)}
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """An empty model memo, and how often each model file reader parses."""
+    monkeypatch.setattr(rescoring, "_PARSED", {})
+    counts = Counter()
+    for module, name in [
+        (rnnlm, "_parse_checkpoint"), (skipgram, "_parse_w2v_text"), (ngram, "_parse_arpa")
+    ]:
+        def counted(*args, parse=getattr(module, name), name=name):
+            counts[name] += 1
+            return parse(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_pipeline_parses_each_model_file_once(pipeline_dir, tmp_path, parses):
+    config = deep_config(pipeline_dir, tmp_path / "report.json")
+    run_pipeline(config)
+    first = (tmp_path / "report.json").read_bytes()
+    index = rescoring._PARSED["arpa"][1]._index
+    run_pipeline(config)
+    assert (tmp_path / "report.json").read_bytes() == first
+    assert parses == {"_parse_checkpoint": 1, "_parse_w2v_text": 1, "_parse_arpa": 1}
+    assert index is not None and rescoring._PARSED["arpa"][1]._index is index
+
+
+def rewrite_keeping_size_and_mtime(path: Path, change) -> None:
+    before = path.stat()
+    blob = change(path.read_bytes())
+    assert len(blob) == before.st_size and blob != path.read_bytes()
+    path.write_bytes(blob)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
+def rotate_vectors(blob: bytes) -> bytes:
+    """Each word takes the next word's vector: the same bytes in another order."""
+    header, *rows = blob.decode().splitlines()
+    words, values = zip(*(row.split(" ", 1) for row in rows))
+    rows = [f"{w} {v}" for w, v in zip(words, values[1:] + values[:1])]
+    return "\n".join([header, *rows, ""]).encode()
+
+
+def doubled_output_embedding(blob: bytes) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.bin"
+        path.write_bytes(blob)
+        model = load_checkpoint(path)
+        model.output_embed *= 2.0
+        save_checkpoint(model, path)
+        return path.read_bytes()
+
+
+def test_rewritten_model_files_are_parsed_again(pipeline_dir, tmp_path, parses):
+    """New bytes of the same size under the old mtime: the report is a fresh
+    process's, so the memo cannot be keyed by path, size or mtime."""
+    for name in PIPELINE_FILES.values():
+        shutil.copy(pipeline_dir / name, tmp_path / name)
+    report = tmp_path / "report.json"
+    config = deep_config(tmp_path, report)
+    run_pipeline(config)
+    before = report.read_bytes()
+    rewrite_keeping_size_and_mtime(tmp_path / "model.arpa", lambda b: b.replace(b"-1.", b"-2."))
+    rewrite_keeping_size_and_mtime(tmp_path / "v.txt", rotate_vectors)
+    rewrite_keeping_size_and_mtime(tmp_path / "model.bin", doubled_output_embedding)
+    counted = Counter(parses)
+    run_pipeline(config)
+    after = report.read_bytes()
+    assert parses - counted == {"_parse_checkpoint": 1, "_parse_w2v_text": 1, "_parse_arpa": 1}
+
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+    src = str(Path(lmexpand.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "lmexpand.cli", "pipeline", "--config", str(cfg)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert report.read_bytes() == after != before
+    new, old = json.loads(after), json.loads(before)
+    for row, old_row in zip(new["systems"], old["systems"]):
+        assert row["perplexity"] != old_row["perplexity"], row["system"]
+    assert new["new_words"]["candidates"] != old["new_words"]["candidates"]
+
+
+def test_a_malformed_arpa_is_not_remembered(pipeline_dir, tmp_path, parses):
+    config = deep_config(pipeline_dir, tmp_path / "report.json")
+    good = run_pipeline(config)
+    bad = tmp_path / "bad.arpa"
+    lines = (pipeline_dir / "model.arpa").read_text(encoding="utf-8").splitlines()
+    at = lines.index("\\2-grams:") + 2
+    lines[at] = lines[at].split("\t")[0]  # a 2-gram entry without its words
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ArpaParseError) as want:
+        import_arpa(bad)
+    assert str(want.value).startswith(f"line {at + 1}: malformed 2-gram entry")
+    with pytest.raises(ArpaParseError) as got:
+        run_pipeline({**config, "arpa": str(bad)})
+    assert str(got.value) == str(want.value)
+    n_parses = parses["_parse_arpa"]
+    assert run_pipeline(config) == good
+    assert parses["_parse_arpa"] == n_parses
+
+
+def test_pipeline_leaves_the_parsed_models_as_loaded(pipeline_dir, tmp_path, parses):
+    config = deep_config(pipeline_dir, tmp_path / "report.json")
+    for _ in range(2):  # the second pipeline runs on the parsed objects
+        run_pipeline(config)
+    model, fresh = rescoring._PARSED["model"][1], load_checkpoint(pipeline_dir / "model.bin")
+    assert model.vocab == fresh.vocab
+    assert [(n, p.tobytes()) for n, p in rnnlm.named_parameters(model)] == [
+        (n, p.tobytes()) for n, p in rnnlm.named_parameters(fresh)
+    ]
+    emb, fresh = rescoring._PARSED["vectors"][1], load_w2v_text(pipeline_dir / "v.txt")
+    assert (emb.words, emb.vectors.tobytes()) == (fresh.words, fresh.vectors.tobytes())
+    ng, fresh = rescoring._PARSED["arpa"][1], import_arpa(pipeline_dir / "model.arpa")
+
+    def tables(m):
+        return [[{g: v.hex() for g, v in t.items()} for t in ts] for ts in (m.probs, m.backoffs)]
+
+    assert (ng.order, ng.vocab, tables(ng)) == (fresh.order, fresh.vocab, tables(fresh))
 
 
 def test_module_graph_has_no_cycles():

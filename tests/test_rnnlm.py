@@ -7,9 +7,13 @@ in the implementation cannot cancel out in the test.  Gate rows are packed
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
+import io
 import math
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmexpand.cli import main
 from lmexpand.expansion import expand_model
 from lmexpand.rnnlm import (
     MAGIC,
@@ -538,13 +543,18 @@ def test_init_model_rejects_zero_sizes(field):
         init_model(small_vocab(3), **sizes)
 
 
+def test_init_model_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        init_model(small_vocab(3), 3, 2, 1, seed=-1)
+
+
 # ------------------------------------------------------------- checkpoints
 
 
-def checkpoint_model(seed=0):
+def checkpoint_model(seed=0, num_layers=2):
     corpus = [["w0", "w1", "w2"], ["w1", "w0"]]
     vocab = build_vocabulary(corpus, shortlist_size=5, full_size=6)
-    return init_model(vocab, embed_dim=3, hidden_dim=4, num_layers=2, seed=seed)
+    return init_model(vocab, embed_dim=3, hidden_dim=4, num_layers=num_layers, seed=seed)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -656,6 +666,88 @@ def test_checkpoint_rejects_trailing_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_errors_name_block_and_byte(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(checkpoint_model(), path)
+    raw = path.read_bytes()
+    # magic, 5 header fields and the vocabulary length, then the vocabulary
+    vocab_at = len(MAGIC) + 5 * 4 + 8
+    input_at = vocab_at + len(checkpoint_model().vocab.to_text().encode())
+    cases = [
+        (b"X" + raw[1:], f"not a checkpoint file (bad magic): magic at byte 0: {path}"),
+        (raw[:20], f"truncated checkpoint: header at byte 6: {path}"),
+        (raw[: vocab_at + 3], f"truncated checkpoint: vocabulary at byte {vocab_at}: {path}"),
+        (raw[:-10], f"truncated checkpoint: output_bias at byte {len(raw) - 40}: {path}"),
+        (
+            raw + b"xx",
+            f"checkpoint has 2 unexpected trailing bytes: end at byte {len(raw)}: {path}",
+        ),
+        (
+            raw[: input_at + 16] + struct.pack("<d", math.nan) + raw[input_at + 24 :],
+            "non-finite value in checkpoint block input_embed: input_embed at byte"
+            f" {input_at + 16}: {path}",
+        ),
+        (
+            raw[: len(MAGIC) + 12] + struct.pack("<I", 99) + raw[len(MAGIC) + 16 :],
+            "checkpoint header disagrees with embedded vocabulary:"
+            f" vocabulary at byte {vocab_at}: {path}",
+        ),
+    ]
+    for blob, message in cases:
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == message
+
+
+@st.composite
+def mutated_checkpoint(draw):
+    """save_checkpoint bytes after one mutation: a cut, a header field
+    overwritten, a non-finite parameter, or bytes appended."""
+    layers = draw(st.integers(1, 2))
+    raw = _checkpoint_bytes(layers)
+    op = draw(st.sampled_from(["truncate", "header", "non-finite", "append"]))
+    if op == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if op == "header":  # dims, layers, vocabulary length or shortlist
+        at = len(MAGIC) + 4 * draw(st.integers(0, 4))
+        value = draw(st.one_of(st.integers(0, 12), st.integers(0, 2**32 - 1)))
+        return raw[:at] + struct.pack("<I", value) + raw[at + 4 :]
+    if op == "non-finite":  # into any 8-byte value of the parameter blocks
+        n_params = sum(p.size for _, p in named_parameters(checkpoint_model(num_layers=layers)))
+        at = len(raw) - 8 * draw(st.integers(1, n_params))
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return raw[:at] + struct.pack("<d", bad) + raw[at + 8 :]
+    return raw + draw(st.binary(min_size=1, max_size=16))
+
+
+@functools.cache
+def _checkpoint_bytes(layers):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(checkpoint_model(num_layers=layers), Path(tmp) / "m.bin")
+        return (Path(tmp) / "m.bin").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_checkpoint())
+def test_mutated_checkpoint_loads_or_reports_a_byte(blob):
+    """A damaged checkpoint either loads or fails with a ValueError at a
+    byte inside the file, which ``lmexpand ppl`` prints as one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, text = Path(tmp) / "m.bin", Path(tmp) / "text.txt"
+        path.write_bytes(blob)
+        text.write_text("w0 w1\n", encoding="utf-8")
+        try:
+            load_checkpoint(path)
+        except ValueError as err:
+            found = re.search(r" at byte (\d+): ", str(err))
+            assert found and 0 <= int(found.group(1)) <= len(blob), err
+            out, errs = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
+                rc = main(["ppl", "--model", str(path), "--text", str(text)])
+            assert (rc, out.getvalue(), errs.getvalue()) == (1, "", f"error: {err}\n")
+
+
 # ---------------------------------------------------------------- training
 
 
@@ -751,6 +843,7 @@ TRAIN_BOUNDS = {
     "lr": "finite and > 0",
     "clip": "> 0",
     "epochs": ">= 0",
+    "seed": ">= 0",
 }
 
 
@@ -770,6 +863,7 @@ TRAIN_BOUNDS = {
         ("clip", 0.0),
         ("clip", math.nan),
         ("epochs", -2),
+        ("seed", -1),
     ],
 )
 def test_out_of_range_settings_are_named(setting, value):

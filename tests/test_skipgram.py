@@ -181,6 +181,7 @@ SKIPGRAM_BOUNDS = {
     "subsample": "finite and >= 0",
     "epochs": ">= 0",
     "lr": "finite and > 0",
+    "seed": ">= 0",
 }
 
 
@@ -198,6 +199,7 @@ SKIPGRAM_BOUNDS = {
         ("lr", 0.0),
         ("lr", -0.1),
         ("lr", math.nan),
+        ("seed", -1),
     ],
 )
 def test_out_of_range_settings_are_named(setting, value):
@@ -323,6 +325,16 @@ class TestTextFormat:
         again = load_w2v_text(path)
         assert again.words == emb.words
         np.testing.assert_allclose(again.vectors, emb.vectors, rtol=1e-6)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_reads_any_line_ending(self, tmp_path, newline):
+        emb = WordEmbeddings(["alpha", "beta"], np.random.default_rng(2).normal(size=(2, 3)))
+        path = tmp_path / "vec.txt"
+        save_w2v_text(emb, path)
+        want = load_w2v_text(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        again = load_w2v_text(path)
+        assert (again.words, again.vectors.tobytes()) == (want.words, want.vectors.tobytes())
 
     def test_header_shape(self, tmp_path):
         emb = WordEmbeddings(["a"], np.ones((1, 3)))
