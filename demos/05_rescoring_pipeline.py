@@ -4,7 +4,8 @@ End-to-end n-best rescoring pipeline
 
 Generates a small bundled fixture (corpora, vocabulary, noised n-best
 lists, reference transcripts), trains all three models, and runs the
-pipeline that compares
+pipeline, once with the uniform and once with the ngram policy for words
+outside the shortlist, that compares
 
     ngram            full-vocabulary trigram rescoring
     rnnlm            shortlist LSTM rescoring
@@ -14,7 +15,7 @@ on perplexity and word error rate. Everything here is also reachable
 through the command line:
 
     lmexpand make-fixture --out-dir work ...
-    lmexpand pipeline --config work/pipeline.cfg
+    lmexpand pipeline --config work/uniform.cfg work/ngram.cfg
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import tempfile
 from pathlib import Path
 
 from lmexpand.cli import main
-from lmexpand.rescoring import render_report, run_pipeline
 
 with tempfile.TemporaryDirectory() as tmp:
     work = Path(tmp)
@@ -48,15 +48,20 @@ with tempfile.TemporaryDirectory() as tmp:
     main(["train-skipgram", "--corpus", str(work / "train.txt"), "--dim", "24",
           "--window", "4", "--epochs", "3", "--seed", "0", "--out", str(work / "vectors.txt")])
 
-    report = run_pipeline({
-        "nbest": str(work / "test.nbest"),
-        "refs": str(work / "test.refs"),
-        "model": str(work / "model.bin"),
-        "vectors": str(work / "vectors.txt"),
-        "arpa": str(work / "model.arpa"),
-        "policy": "uniform",
-        "lm_scale": "8",
-    })
-
-print()
-print(render_report(report))
+    # one pipeline per policy for words outside the shortlist, both in one
+    # process: the second config names the same model files, so it reuses
+    # the checkpoint, vectors and n-gram model the first one parsed
+    configs = []
+    for policy in ("uniform", "ngram"):
+        configs.append(work / f"{policy}.cfg")
+        configs[-1].write_text(
+            f"nbest = {work / 'test.nbest'}\n"
+            f"refs = {work / 'test.refs'}\n"
+            f"model = {work / 'model.bin'}\n"
+            f"vectors = {work / 'vectors.txt'}\n"
+            f"arpa = {work / 'model.arpa'}\n"
+            f"policy = {policy}\n"
+            "lm_scale = 8\n"
+        )
+    print()
+    assert main(["pipeline", "--config", *map(str, configs)]) == 0

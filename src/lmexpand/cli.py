@@ -198,9 +198,11 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = rescoring.parse_config(args.config)
-    report = rescoring.run_pipeline(config)
-    print(rescoring.render_report(report))
+    configs = [rescoring.parse_config(path) for path in args.config]
+    for path, config in zip(args.config, configs):
+        if len(configs) > 1:
+            print(f"== {path}")
+        print(rescoring.render_report(rescoring.run_pipeline(config)))
     return 0
 
 
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("pipeline", help="extract, expand, rescore and compare")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True, nargs="+", help="one pipeline per file, in turn")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("make-fixture", help="synthetic corpus and n-best lists")

@@ -356,9 +356,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
         "systems": systems,
     }
     if "report" in config:
-        Path(config["report"]).write_text(
-            json.dumps(out_report, indent=2, sort_keys=False) + "\n", encoding="utf-8"
-        )
+        Path(config["report"]).write_text(json.dumps(out_report, indent=2) + "\n", encoding="utf-8")
     if "expanded_checkpoint" in config:
         _rnnlm.save_checkpoint(expanded, config["expanded_checkpoint"])
     return out_report

@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from lmexpand import rnnlm
+from lmexpand import ngram, rescoring, rnnlm, skipgram
 from lmexpand.cli import main
 from lmexpand.datagen import make_template_grammar, sample_corpus
 from lmexpand.expansion import expand_with_embeddings, extract_oos_words
@@ -507,6 +507,55 @@ def test_pipeline_rejects_unknown_keys(workdir, tmp_path, capsys):
     rc = main(["pipeline", "--config", str(cfg)])
     assert rc == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_pipeline_runs_several_configs_in_one_process(workdir, tmp_path, capsys, monkeypatch):
+    """Each config's report as its own run prints it, under a header naming
+    the file; the model files the configs share are parsed once."""
+    models = [("nbest", "test.nbest"), ("refs", "test.refs"), ("model", "model.bin"),
+              ("vectors", "vectors.txt"), ("arpa", "model.arpa")]
+    configs = []
+    for policy in ("uniform", "ngram"):
+        configs.append(tmp_path / f"{policy}.cfg")
+        configs[-1].write_text(
+            "".join(f"{key} = {workdir / name}\n" for key, name in models)
+            + f"policy = {policy}\nlm_scale = 8\n"
+        )
+    alone = []
+    for cfg in configs:
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        alone.append(capsys.readouterr().out)
+
+    monkeypatch.setattr(rescoring, "_PARSED", {})
+    parses = []
+    for module, name in [(rnnlm, "_parse_checkpoint"), (skipgram, "_parse_w2v_text"),
+                         (ngram, "_parse_arpa")]:
+        def counted(*args, parse=getattr(module, name), name=name):
+            parses.append(name)
+            return parse(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main(["pipeline", "--config", *map(str, configs)]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"== {cfg}\n{out}" for cfg, out in zip(configs, alone)
+    )
+    assert sorted(parses) == ["_parse_arpa", "_parse_checkpoint", "_parse_w2v_text"]
+
+
+def test_pipeline_reads_every_config_before_running_one(workdir, tmp_path, capsys):
+    good = tmp_path / "good.cfg"
+    good.write_text(
+        "".join(f"{key} = {workdir / name}\n" for key, name in [
+            ("nbest", "test.nbest"), ("refs", "test.refs"), ("model", "model.bin"),
+            ("vectors", "vectors.txt"), ("arpa", "model.arpa")])
+        + f"report = {tmp_path / 'report.json'}\n"
+    )
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("policy uniform\n")
+    assert main(["pipeline", "--config", str(good), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 1: expected 'key = value'\n"
+    assert captured.out == "" and not (tmp_path / "report.json").exists()
 
 
 def test_missing_file_reports_error(tmp_path, capsys):
