@@ -108,10 +108,13 @@ def _cmd_extract_oos(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    oos = []
+    for line_no, line in enumerate(vocab.text_lines(Path(args.oos).read_bytes()), start=1):
+        if len(words := line.split()) > 1:
+            raise vocab.ParseError(f"expected one word, found {len(words)}", line_no)
+        oos += words
     model = rnnlm.load_checkpoint(args.model)
     emb = skipgram.load_w2v_text(args.vectors)
-    with open(args.oos, encoding="utf-8") as fh:
-        oos = [line.strip() for line in fh if line.strip()]
     expanded, report = expansion.expand_with_embeddings(
         model, oos, emb, **_given(args, "k", "weighted")
     )

@@ -31,6 +31,13 @@ class TemplateGrammar:
     word_class: dict[str, tuple[int, int]]  # word -> (class index, frequency rank)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of a seed, which must be a non-negative integer."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def make_template_grammar(
     num_classes: int = 10,
     words_per_class: int = 50,
@@ -40,9 +47,7 @@ def make_template_grammar(
     zipf: float = 1.0,
     seed: int = 0,
 ) -> TemplateGrammar:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     classes = [
         [f"c{ci}w{ri:02d}" for ri in range(words_per_class)] for ci in range(num_classes)
     ]
@@ -89,7 +94,7 @@ def sample_sentence(grammar: TemplateGrammar, rng: np.random.Generator) -> list[
 
 
 def sample_corpus(grammar: TemplateGrammar, target_tokens: int, seed: int = 0) -> Corpus:
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     sample = _sentence_sampler(grammar)
     corpus: Corpus = []
     tokens = 0
@@ -147,7 +152,9 @@ def make_nbest_fixture(
     strictly with rank, with a deliberately small top gap so language-model
     rescoring decides the borderline utterances.
     """
-    rng = np.random.default_rng(seed)
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    rng = _rng(seed)
     nbest: NBestList = {}
     refs: dict[str, list[str]] = {}
     garbage_next = 0

@@ -33,17 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, Vocabulary, check_sentence
+from .vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, ParseError, Vocabulary
+from .vocab import check_sentence, text_lines
 
 LN10 = math.log(10.0)
 # Conventional placeholder for the never-predicted sentence-begin unigram.
 LOG10_TINY = -99.0
-
-
-class ArpaParseError(ValueError):
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class NgramModel:
@@ -300,16 +295,15 @@ def import_arpa(path: str | Path) -> NgramModel:
 
 
 def _parse_arpa(blob: bytes) -> NgramModel:
-    """``import_arpa`` of a file's bytes; ``splitlines`` ends lines where a
-    universal-newline read would, at CR LF and a lone CR too."""
-    raw_lines = blob.decode("utf-8").splitlines()
+    """``import_arpa`` of a file's bytes."""
+    raw_lines = text_lines(blob)
     n_lines = max(len(raw_lines), 1)  # an empty file ends on its line 1
     content = ((line, no) for no, raw in enumerate(raw_lines, start=1) if (line := raw.strip()))
     end = ("", n_lines)  # what ``content`` yields past the last line
 
     line, line_no = next(content, end)
     if line != "\\data\\":
-        raise ArpaParseError("expected \\data\\ header", line_no)
+        raise ParseError("expected \\data\\ header", line_no)
     declared: list[int] = []
     for line, line_no in content:
         if not line.startswith("ngram "):
@@ -318,16 +312,16 @@ def _parse_arpa(blob: bytes) -> NgramModel:
             k_str, count_str = line[len("ngram ") :].split("=")
             k, count = int(k_str), int(count_str)
         except ValueError as err:
-            raise ArpaParseError(f"bad count line: {line!r}", line_no) from err
+            raise ParseError(f"bad count line: {line!r}", line_no) from err
         if k != len(declared) + 1:
-            raise ArpaParseError(f"out-of-order count line: {line!r}", line_no)
+            raise ParseError(f"out-of-order count line: {line!r}", line_no)
         if count < 1:
-            raise ArpaParseError(f"count must be positive: {line!r}", line_no)
+            raise ParseError(f"count must be positive: {line!r}", line_no)
         declared.append(count)
     else:
-        raise ArpaParseError("unexpected end of file in \\data\\ section", n_lines)
+        raise ParseError("unexpected end of file in \\data\\ section", n_lines)
     if not declared:
-        raise ArpaParseError("no ngram counts declared", line_no)
+        raise ParseError("no ngram counts declared", line_no)
 
     order = len(declared)
     # Word ids in file order after the reserved tokens; the unigram section
@@ -339,7 +333,7 @@ def _parse_arpa(blob: bytes) -> NgramModel:
     for k in range(1, order + 1):
         expected = f"\\{k}-grams:"
         if line != expected:
-            raise ArpaParseError(f"expected {expected}, found {line!r}", line_no)
+            raise ParseError(f"expected {expected}, found {line!r}", line_no)
         table = probs[k - 1]
         bows = backoffs[k - 1] if k < order else None
         width = k + 1  # the score and k words
@@ -347,39 +341,39 @@ def _parse_arpa(blob: bytes) -> NgramModel:
         for _ in range(declared[k - 1]):
             line, line_no = next(content, end)
             if not line:
-                raise ArpaParseError(f"unexpected end of file in {expected}", n_lines)
+                raise ParseError(f"unexpected end of file in {expected}", n_lines)
             fields = line.split()
             has_bow = len(fields) == bow_width
             if not has_bow and len(fields) != width:
-                raise ArpaParseError(f"malformed {k}-gram entry: {line!r}", line_no)
+                raise ParseError(f"malformed {k}-gram entry: {line!r}", line_no)
             try:
                 log10p = float(fields[0])
                 bow = float(fields[-1]) if has_bow else 0.0
             except ValueError as err:
-                raise ArpaParseError(f"bad score in entry: {line!r}", line_no) from err
+                raise ParseError(f"bad score in entry: {line!r}", line_no) from err
             if not (math.isfinite(log10p) and math.isfinite(bow)):
-                raise ArpaParseError(f"non-finite score in entry: {line!r}", line_no)
+                raise ParseError(f"non-finite score in entry: {line!r}", line_no)
             if k == 1:
                 gram = (index.setdefault(fields[1], len(index)),)
             else:
                 try:  # the unigram section precedes every longer n-gram
                     gram = tuple(map(lookup, fields[1:width]))
                 except KeyError as err:
-                    raise ArpaParseError(
+                    raise ParseError(
                         f"{k}-gram uses word {err.args[0]!r} with no unigram entry", line_no
                     ) from None
             if gram in table:
-                raise ArpaParseError(f"duplicate {k}-gram: {line!r}", line_no)
+                raise ParseError(f"duplicate {k}-gram: {line!r}", line_no)
             table[gram] = log10p * LN10
             if has_bow:
                 bows[gram] = bow * LN10
         if k == 1 and (EOS_ID,) not in probs[0] and (UNK_ID,) not in probs[0]:
             # every sentence ends with a </s> event, scored by </s> or <unk>
-            raise ArpaParseError("unigram section has neither </s> nor <unk>", line_no)
+            raise ParseError("unigram section has neither </s> nor <unk>", line_no)
         line, line_no = next(content, end)
         if not line:
-            raise ArpaParseError("missing \\end\\ marker", n_lines)
+            raise ParseError("missing \\end\\ marker", n_lines)
 
     if line != "\\end\\":
-        raise ArpaParseError(f"expected \\end\\, found {line!r}", line_no)
+        raise ParseError(f"expected \\end\\, found {line!r}", line_no)
     return NgramModel(order, Vocabulary(list(index), len(index)), probs, backoffs)

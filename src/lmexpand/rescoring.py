@@ -20,15 +20,8 @@ from . import expansion as _expansion
 from . import ngram as _ngram
 from . import rnnlm as _rnnlm
 from . import skipgram as _skipgram
-from .vocab import (  # noqa: F401  re-exported: callers use rescoring.parse_nbest etc.
-    Hypothesis,
-    NBestList,
-    NBestParseError,
-    load_transcripts,
-    parse_nbest,
-    write_nbest,
-    write_transcripts,
-)
+from .vocab import Hypothesis, NBestList, ParseError, load_transcripts, parse_nbest, text_lines
+from .vocab import write_nbest, write_transcripts  # noqa: F401  re-exported for callers
 
 
 class RescoreError(RuntimeError):
@@ -221,20 +214,19 @@ def tune(
 def parse_config(path: str | Path) -> dict[str, str]:
     """Flat "key = value" configuration; # starts a comment."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"line {line_no}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            key = key.strip()
-            if not key:
-                raise ValueError(f"line {line_no}: empty key")
-            if key in out:
-                raise ValueError(f"line {line_no}: duplicate key {key!r}")
-            out[key] = value.strip()
+    for line_no, line in enumerate(text_lines(Path(path).read_bytes()), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError("expected 'key = value'", line_no)
+        key, value = stripped.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ParseError("empty key", line_no)
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}", line_no)
+        out[key] = value.strip()
     return out
 
 

@@ -599,7 +599,7 @@ def _parse_checkpoint(blob: bytes, path: str) -> RnnLmModel:
     if len(vocab_blob) != vlen:
         raise error("truncated checkpoint")
     try:
-        vocab = Vocabulary.from_text(vocab_blob.decode("utf-8"))
+        vocab = Vocabulary.from_text(vocab_blob)
     except ValueError as err:
         raise error(str(err)) from err
     if len(vocab) != total_words or vocab.shortlist_size != shortlist:

@@ -17,7 +17,6 @@ often a word repeats within one chunk, the larger its combined step.
 
 from __future__ import annotations
 
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .rnnlm import _sigmoid
-from .vocab import Corpus, Vocabulary, VocabularyError, check_sentence
+from .vocab import Corpus, ParseError, Vocabulary, VocabularyError, check_sentence, text_lines
 
 # Floor of the linearly decaying learning rate.
 MIN_LR = 1e-4
@@ -270,42 +269,35 @@ def load_w2v_text(path: str | Path) -> WordEmbeddings:
 
 
 def _parse_w2v_text(blob: bytes) -> WordEmbeddings:
-    """``load_w2v_text`` of a file's bytes, read with universal newlines."""
-    with io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("line 1: expected '<count> <dim>' header")
+    """``load_w2v_text`` of a file's bytes."""
+    lines = text_lines(blob)
+    try:
+        count, dim = map(int, lines[0].split() if lines else ())
+    except ValueError as err:  # too few or too many fields, or not integers
+        raise ParseError("expected a '<count> <dim>' header of two integers", 1) from err
+    if count < 0 or dim < 1:
+        raise ParseError(f"need count >= 0 and dim >= 1, got {count} {dim}", 1)
+    words: list[str] = []
+    rows: list[list[float]] = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(words) >= count:
+            raise ParseError("more vectors than the header declares", line_no)
+        if len(fields) != dim + 1:
+            raise ParseError(f"expected {dim} values, found {len(fields) - 1}", line_no)
+        words.append(fields[0])
         try:
-            count, dim = int(header[0]), int(header[1])
+            rows.append([float(v) for v in fields[1:]])
         except ValueError as err:
-            raise ValueError("line 1: non-integer header fields") from err
-        if count < 0 or dim < 1:
-            raise ValueError(f"line 1: need count >= 0 and dim >= 1, got {count} {dim}")
-        words: list[str] = []
-        line_nos: list[int] = []
-        rows: list[list[float]] = []
-        line_no = 1  # the last line read, where a short file ends
-        for line_no, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(words) >= count:
-                raise ValueError(f"line {line_no}: more vectors than the header declares")
-            if len(fields) != dim + 1:
-                raise ValueError(
-                    f"line {line_no}: expected {dim} values, found {len(fields) - 1}"
-                )
-            words.append(fields[0])
-            line_nos.append(line_no)
-            try:
-                rows.append([float(v) for v in fields[1:]])
-            except ValueError as err:
-                raise ValueError(f"line {line_no}: non-numeric vector value") from err
-            if not all(map(math.isfinite, rows[-1])):
-                raise ValueError(f"line {line_no}: non-finite vector value")
-    if len(words) != count:
-        raise ValueError(f"line {line_no}: header declares {count} vectors, file has {len(words)}")
+            raise ParseError("non-numeric vector value", line_no) from err
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError("non-finite vector value", line_no)
+    if len(words) != count:  # reported on the last line, where the file ends
+        raise ParseError(f"header declares {count} vectors, file has {len(words)}", len(lines))
     try:
         return WordEmbeddings(words, np.array(rows, dtype=float).reshape(count, dim))
-    except VocabularyError as err:  # report the line of the repeated word
-        raise ValueError(f"line {line_nos[err.word_id]}: {err}") from err
+    except VocabularyError as err:  # report the line of the repeated word's row
+        row_lines = [no for no, line in enumerate(lines[1:], start=2) if line.split()]
+        raise ParseError(str(err), row_lines[err.word_id]) from err

@@ -1,5 +1,5 @@
-"""Corpus handling, frequency-ranked vocabularies with a shortlist boundary,
-and the n-best and transcript text formats.
+"""Text lines and their parse errors, corpus handling, frequency-ranked
+vocabularies with a shortlist boundary, and the n-best and transcript formats.
 
 An n-best line is "<utt-id>\t<rank>\t<acoustic>\t<lm>\t<w1> <w2> ...", with
 natural-log scores printed with six decimals; the word field may be empty
@@ -26,6 +26,28 @@ Sentence = list[str]
 Corpus = list[Sentence]
 
 
+class ParseError(ValueError):
+    """A malformed line of a text file (named by ``path`` if given); ``line_no`` counts from 1."""
+
+    def __init__(self, message: str, line_no: int, path: str | Path | None = None):
+        super().__init__(("" if path is None else f"{path}: ") + f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
+def text_lines(data: bytes | str) -> list[str]:
+    """The lines of a UTF-8 file's bytes, or of decoded text, split at LF, CR LF
+    and a lone CR only, as a text-mode ``open`` splits them.  Every text reader
+    takes its lines here; a byte that is not UTF-8 fails on its own line."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as err:  # the bytes before the bad one decode
+        line_no = len(text_lines(data[: err.start] + b"."))  # the bad byte's line
+        raise ParseError(f"invalid UTF-8: {err.reason}", line_no) from None
+    if "\r" in text:  # a search, much faster than a replace that finds nothing
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 def check_sentence(tokens: Sentence, where: str) -> None:
     """Reject a literal <s> or </s>: sentence bounds are implicit in a corpus."""
     for token in (BOS, EOS):
@@ -36,15 +58,17 @@ def check_sentence(tokens: Sentence, where: str) -> None:
 def load_corpus(path: str | Path) -> Corpus:
     """Read one whitespace-tokenized sentence per line.  Blank lines are
     dropped; a literal <s> or </s> is rejected with its line."""
+    lines = text_lines(Path(path).read_bytes())
     sentences: Corpus = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            tokens = line.split()
-            check_sentence(tokens, f"{path}: line {line_no}")
-            if tokens:
-                sentences.append(tokens)
-    if not sentences:
-        raise ValueError(f"empty corpus: {path}")
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split()
+        for token in (BOS, EOS):
+            if token in tokens:
+                raise ParseError(f"reserved token {token} inside a sentence", line_no, path)
+        if tokens:
+            sentences.append(tokens)
+    if not sentences:  # reported where the file ends
+        raise ParseError("empty corpus", max(len(lines), 1), path)
     return sentences
 
 
@@ -136,25 +160,24 @@ class Vocabulary:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> Vocabulary:
-        lines = text.splitlines()
+    def from_text(cls, text: str | bytes) -> Vocabulary:
+        """``to_text`` output, or its bytes; header errors are at line 1."""
+        lines = text_lines(text)
         if not lines or not lines[0].startswith("#shortlist="):
-            raise ValueError("vocabulary file must start with a #shortlist=<n> header")
+            raise ParseError("vocabulary file must start with a #shortlist=<n> header", 1)
         try:
-            shortlist_size = int(lines[0].split("=", 1)[1])
-        except ValueError as err:
-            raise ValueError(f"bad shortlist header: {lines[0]!r}") from err
-        try:
-            return cls(lines[1:], shortlist_size)
-        except VocabularyError as err:  # word i sits on line i + 2, after the header
-            raise ValueError(f"line {err.word_id + 2}: {err}") from err
+            return cls(lines[1:], int(lines[0][len("#shortlist=") :]))
+        except VocabularyError as err:  # word i sits on line i + 2; a missing one past the end
+            raise ParseError(str(err), min(err.word_id + 2, len(lines))) from err
+        except ValueError as err:  # a shortlist size that is no integer or out of range
+            raise ParseError(f"bad shortlist header {lines[0]!r}: {err}", 1) from err
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> Vocabulary:
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(Path(path).read_bytes())
 
 
 def build_vocabulary(corpus: Corpus, shortlist_size: int, full_size: int) -> Vocabulary:
@@ -183,14 +206,6 @@ def build_vocabulary(corpus: Corpus, shortlist_size: int, full_size: int) -> Voc
     return Vocabulary(words, min(shortlist_size, len(words)))
 
 
-class NBestParseError(ValueError):
-    """A malformed line of an n-best or transcript file."""
-
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 @dataclass
 class Hypothesis:
     words: list[str]
@@ -204,16 +219,15 @@ NBestList = dict[str, list[Hypothesis]]
 
 def _tab_records(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of every non-blank line of a tab-separated file."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != n_fields:
-                raise NBestParseError(
-                    f"expected {n_fields} tab-separated fields, found {len(fields)}", line_no
-                )
-            yield line_no, fields
+    for line_no, line in enumerate(text_lines(Path(path).read_bytes()), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ParseError(
+                f"expected {n_fields} tab-separated fields, found {len(fields)}", line_no
+            )
+        yield line_no, fields
 
 
 def parse_nbest(path: str | Path) -> NBestList:
@@ -221,15 +235,13 @@ def parse_nbest(path: str | Path) -> NBestList:
     seen: set[tuple[str, int]] = set()
     for line_no, (utt, rank_s, ac_s, lm_s, words_s) in _tab_records(path, 5):
         try:
-            rank = int(rank_s)
-            acoustic = float(ac_s)
-            lm = float(lm_s)
+            rank, acoustic, lm = int(rank_s), float(ac_s), float(lm_s)
         except ValueError as err:
-            raise NBestParseError(f"bad numeric field: {err}", line_no) from err
+            raise ParseError(f"bad numeric field: {err}", line_no) from err
         if not (math.isfinite(acoustic) and math.isfinite(lm)):
-            raise NBestParseError("non-finite acoustic or LM score", line_no)
+            raise ParseError("non-finite acoustic or LM score", line_no)
         if (utt, rank) in seen:
-            raise NBestParseError(f"duplicate hypothesis {utt!r} rank {rank}", line_no)
+            raise ParseError(f"duplicate hypothesis {utt!r} rank {rank}", line_no)
         seen.add((utt, rank))
         nbest.setdefault(utt, []).append(
             Hypothesis(words=words_s.split(), acoustic_score=acoustic, lm_score=lm, rank=rank)
@@ -254,7 +266,7 @@ def load_transcripts(path: str | Path) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
     for line_no, (utt, words_s) in _tab_records(path, 2):
         if utt in out:
-            raise NBestParseError(f"duplicate utterance {utt!r}", line_no)
+            raise ParseError(f"duplicate utterance {utt!r}", line_no)
         out[utt] = words_s.split()
     return out
 

@@ -37,6 +37,20 @@ def test_grammar_inventory():
 def test_grammar_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
         make_template_grammar(seed=-5)
+    # the samplers name it too, where numpy's own message names no argument
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sample_corpus(GRAMMAR, 10, seed=-1)
+    vocab = build_vocabulary(sample_corpus(GRAMMAR, 200, seed=1), 10, 40)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        make_nbest_fixture(GRAMMAR, [["c0w00"]], vocab, seed=-1)
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_fixture_rejects_a_depth_below_one(depth):
+    """A depth of 0 used to give every utterance an empty n-best list."""
+    vocab = build_vocabulary(sample_corpus(GRAMMAR, 200, seed=1), 10, 40)
+    with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+        make_nbest_fixture(GRAMMAR, [["c0w00"]], vocab, depth=depth)
 
 
 def test_sentences_follow_templates():

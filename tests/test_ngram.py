@@ -25,15 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmexpand.datagen import make_template_grammar, sample_corpus
-from lmexpand.ngram import (
-    ArpaParseError,
-    NgramModel,
-    export_arpa,
-    import_arpa,
-    ngram_perplexity,
-    train_kn,
-)
-from lmexpand.vocab import BOS_ID, EOS_ID, UNK_ID, Vocabulary, build_vocabulary
+from mutation import mutated_lines, write_lines
+from lmexpand.ngram import NgramModel, export_arpa, import_arpa, ngram_perplexity, train_kn
+from lmexpand.vocab import BOS_ID, EOS_ID, UNK_ID, ParseError, Vocabulary, build_vocabulary
 
 
 # ---------------------------------------------------------------- reference
@@ -350,7 +344,7 @@ class TestArpa:
     def test_non_positive_count_reports_its_line(self, tmp_path, count, declared, line_no):
         path = tmp_path / "bad.arpa"
         path.write_text(self.BIGRAM_ARPA.replace(declared, declared[:-1] + count))
-        with pytest.raises(ArpaParseError, match=f"line {line_no}: count must be positive") as err:
+        with pytest.raises(ParseError, match=f"line {line_no}: count must be positive") as err:
             import_arpa(path)
         assert err.value.line_no == line_no
 
@@ -369,27 +363,27 @@ class TestArpa:
             "\\data\\\nngram 1=3\nngram 2=1\n\n\\1-grams:\n"
             "-99\t<s>\t-0.3\n-0.5\tyes\t-0.2\n-0.4\tno\n\n\\2-grams:\n-0.1\t<s> yes\n\n\\end\\\n"
         )
-        with pytest.raises(ArpaParseError, match="line 8: unigram section has neither") as err:
+        with pytest.raises(ParseError, match="line 8: unigram section has neither") as err:
             import_arpa(path)
         assert err.value.line_no == 8
 
     def test_missing_end_marker(self, tmp_path):
         path = tmp_path / "bad.arpa"
         path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\tx\n")
-        with pytest.raises(ArpaParseError):
+        with pytest.raises(ParseError):
             import_arpa(path)
 
     def test_empty_file_reports_line_one(self, tmp_path):
         path = tmp_path / "empty.arpa"
         path.write_text("")
-        with pytest.raises(ArpaParseError, match="line 1: expected \\\\data\\\\ header") as err:
+        with pytest.raises(ParseError, match="line 1: expected \\\\data\\\\ header") as err:
             import_arpa(path)
         assert err.value.line_no == 1
 
     def test_malformed_entry_reports_line(self, tmp_path):
         path = tmp_path / "bad.arpa"
         path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\nnot-a-number x y z w\n\n\\end\\\n")
-        with pytest.raises(ArpaParseError, match="line 5"):
+        with pytest.raises(ParseError, match="line 5"):
             import_arpa(path)
 
     BIGRAM_ARPA = (
@@ -418,7 +412,7 @@ class TestArpa:
     def test_unknown_word_reports_its_entry_line(self, tmp_path):
         path = tmp_path / "bad.arpa"
         path.write_text(self.BIGRAM_ARPA.replace("-0.2\ta </s>", "-0.2\ta zzz"))
-        with pytest.raises(ArpaParseError, match="line 12: 2-gram uses word 'zzz'") as err:
+        with pytest.raises(ParseError, match="line 12: 2-gram uses word 'zzz'") as err:
             import_arpa(path)
         assert err.value.line_no == 12
 
@@ -434,7 +428,7 @@ class TestArpa:
     def test_non_finite_scores_report_line(self, tmp_path, value, entry, bad, line_no):
         path = tmp_path / "bad.arpa"
         path.write_text(self.BIGRAM_ARPA.replace(entry, bad.format(value)))
-        with pytest.raises(ArpaParseError, match=f"line {line_no}: non-finite") as err:
+        with pytest.raises(ParseError, match=f"line {line_no}: non-finite") as err:
             import_arpa(path)
         assert err.value.line_no == line_no
 
@@ -443,7 +437,7 @@ class TestArpa:
         path.write_text(
             "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.5\tx\n-0.5\ty\n\n\\end\\\n"
         )
-        with pytest.raises(ArpaParseError):
+        with pytest.raises(ParseError):
             import_arpa(path)
 
 
@@ -489,42 +483,17 @@ MUTANT_FIELDS = [
 ]
 
 
-@st.composite
-def mutated_arpa(draw):
-    """A train_kn export of order 1 to 3 after a few line mutations."""
-    lines = list(_export_lines(draw(st.integers(1, 3))))
-    for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(["truncate", "delete", "duplicate", "replace", "cut"]))
-        if op == "truncate":
-            lines = lines[: draw(st.integers(0, len(lines)))]
-            continue
-        if not lines:
-            continue
-        i = draw(st.integers(0, len(lines) - 1))
-        if op == "delete":
-            del lines[i]
-        elif op == "duplicate":
-            lines.insert(i, lines[i])
-        elif op == "replace":
-            fields = lines[i].split() or [""]
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(MUTANT_FIELDS))
-            lines[i] = "\t".join(fields)
-        else:
-            lines[i] = lines[i][: draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
-    return lines
-
-
 @settings(max_examples=400, deadline=None)
-@given(mutated_arpa())
+@given(mutated_lines(st.integers(1, 3).map(_export_lines), MUTANT_FIELDS, "\t"))
 def test_mutated_arpa_loads_or_reports_a_line(lines):
-    """A damaged file either loads or fails with ArpaParseError at a line
-    inside the file; no other exception escapes."""
+    """A train_kn export of order 1 to 3, damaged, either loads or fails with
+    ParseError at a line inside the file; no other exception escapes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.arpa"
-        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        write_lines(path, lines)
         try:
             import_arpa(path)
-        except ArpaParseError as err:
+        except ParseError as err:
             assert 1 <= err.line_no <= max(len(lines), 1)
 
 

@@ -23,12 +23,12 @@ from hypothesis import strategies as st
 import lmexpand
 from lmexpand import expansion, ngram, rescoring, rnnlm, skipgram
 from lmexpand.datagen import make_nbest_fixture, make_template_grammar, sample_corpus
-from lmexpand.ngram import ArpaParseError, export_arpa, import_arpa, train_kn
+from lmexpand.ngram import export_arpa, import_arpa, train_kn
 from lmexpand.rescoring import (
     DEFAULT_PENALTIES,
     DEFAULT_SCALES,
     Hypothesis,
-    NBestParseError,
+    ParseError,
     RescoreConfig,
     RescoreError,
     combined_score,
@@ -94,7 +94,7 @@ def test_parse_nbest_allows_empty_hypothesis(tmp_path):
 def test_parse_nbest_field_count_error(tmp_path):
     path = tmp_path / "bad.nbest"
     path.write_text("u\t1\t-1.0\twords only four\n")
-    with pytest.raises(NBestParseError, match="line 1") as err:
+    with pytest.raises(ParseError, match="line 1") as err:
         parse_nbest(path)
     assert err.value.line_no == 1
 
@@ -102,7 +102,7 @@ def test_parse_nbest_field_count_error(tmp_path):
 def test_parse_nbest_numeric_error(tmp_path):
     path = tmp_path / "bad.nbest"
     path.write_text("u\t1\t-1.0\t0.0\tok\nu\ttwo\t-1.0\t0.0\tbad\n")
-    with pytest.raises(NBestParseError, match="line 2"):
+    with pytest.raises(ParseError, match="line 2"):
         parse_nbest(path)
 
 
@@ -113,7 +113,7 @@ def test_parse_nbest_rejects_non_finite_scores(tmp_path, field, value):
     fields[field] = value
     path = tmp_path / "bad.nbest"
     path.write_text("u\t1\t-1.0\t0.0\ta\n" + "\t".join(fields) + "\n")
-    with pytest.raises(NBestParseError, match="line 2: non-finite") as err:
+    with pytest.raises(ParseError, match="line 2: non-finite") as err:
         parse_nbest(path)
     assert err.value.line_no == 2
 
@@ -121,7 +121,7 @@ def test_parse_nbest_rejects_non_finite_scores(tmp_path, field, value):
 def test_parse_nbest_duplicate_rank(tmp_path):
     path = tmp_path / "bad.nbest"
     path.write_text("u\t1\t-1.0\t0.0\ta\nu\t1\t-2.0\t0.0\tb\n")
-    with pytest.raises(NBestParseError, match="duplicate"):
+    with pytest.raises(ParseError, match="duplicate"):
         parse_nbest(path)
 
 
@@ -662,10 +662,10 @@ def test_a_malformed_arpa_is_not_remembered(pipeline_dir, tmp_path, parses):
     at = lines.index("\\2-grams:") + 2
     lines[at] = lines[at].split("\t")[0]  # a 2-gram entry without its words
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ArpaParseError) as want:
+    with pytest.raises(ParseError) as want:
         import_arpa(bad)
     assert str(want.value).startswith(f"line {at + 1}: malformed 2-gram entry")
-    with pytest.raises(ArpaParseError) as got:
+    with pytest.raises(ParseError) as got:
         run_pipeline({**config, "arpa": str(bad)})
     assert str(got.value) == str(want.value)
     n_parses = parses["_parse_arpa"]

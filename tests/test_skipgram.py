@@ -30,6 +30,7 @@ from lmexpand.skipgram import (
     train_skipgram,
 )
 from lmexpand.vocab import RESERVED, Vocabulary
+from mutation import mutated_lines, write_lines
 
 
 def cluster_corpus(n=400, seed=0):
@@ -451,39 +452,15 @@ def _w2v_lines(dim):
         return tuple(path.read_text().splitlines())
 
 
-@st.composite
-def mutated_w2v(draw):
-    """A save_w2v_text output after a few line mutations."""
-    lines = list(_w2v_lines(draw(st.sampled_from([1, 3]))))
-    for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(["truncate", "delete", "duplicate", "replace", "cut"]))
-        if op == "truncate":
-            lines = lines[: draw(st.integers(0, len(lines)))]
-            continue
-        if not lines:
-            continue
-        i = draw(st.integers(0, len(lines) - 1))
-        if op == "delete":
-            del lines[i]
-        elif op == "duplicate":
-            lines.insert(i, lines[i])
-        elif op == "replace":
-            fields = lines[i].split() or [""]
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(["nan", "x", ""]))
-            lines[i] = " ".join(fields)
-        else:
-            lines[i] = lines[i][: draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
-    return lines
-
-
 @settings(max_examples=300, deadline=None)
-@given(mutated_w2v())
+@given(mutated_lines(st.sampled_from([1, 3]).map(_w2v_lines), ["nan", "x", ""]))
 def test_mutated_w2v_loads_or_reports_a_line(lines):
-    """A damaged file either loads or fails with a ValueError at a line
-    inside the file, which ``lmexpand neighbors`` prints as one error line."""
+    """A save_w2v_text output, damaged, either loads or fails with a
+    ValueError at a line inside the file, which ``lmexpand neighbors``
+    prints as one error line."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "vec.txt"
-        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        write_lines(path, lines)
         try:
             load_w2v_text(path)
         except ValueError as err:

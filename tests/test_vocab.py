@@ -21,12 +21,14 @@ from lmexpand.vocab import (
     UNK,
     UNK_ID,
     Hypothesis,
+    ParseError,
     Vocabulary,
     build_vocabulary,
     load_corpus,
     load_transcripts,
     parse_nbest,
     save_corpus,
+    text_lines,
     write_nbest,
     write_transcripts,
 )
@@ -167,6 +169,31 @@ class TestVocabularyFile:
         with pytest.raises(ValueError):
             Vocabulary.from_text("<s>\n</s>\n<unk>\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("", id="empty"),
+            pytest.param("<s>\n</s>\n<unk>\n", id="no-header"),
+            pytest.param("#shortlist=x\n<s>\n</s>\n<unk>\n", id="not-a-number"),
+            pytest.param("#shortlist=9\n<s>\n</s>\n<unk>\n", id="above-the-words"),
+            pytest.param("#shortlist=2\n<s>\n</s>\n<unk>\n", id="below-the-reserved"),
+        ],
+    )
+    def test_header_errors_are_reported_at_line_1(self, text):
+        with pytest.raises(ParseError, match="^line 1: ") as err:
+            Vocabulary.from_text(text)
+        assert err.value.line_no == 1
+
+    def test_a_line_ends_only_at_lf_cr_lf_or_cr(self):
+        """Form feed, NEL and the Unicode separators that ``str.splitlines``
+        also breaks at stay inside a line, as in a text-mode read."""
+        inner = "a\x0bb\x0cc\x1cd\x1de\x1ef\x85g\u2028h\u2029i"
+        assert text_lines(f"{inner}\r\nj\rk\n\nl".encode()) == [inner, "j", "k", "", "l"]
+        assert text_lines(b"") == [] and text_lines(b"\n") == [""] and text_lines(b"a\r") == ["a"]
+        message = "line 5: word id 3 is empty or contains whitespace: 'a\\x0cb'"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            Vocabulary.from_text("#shortlist=3\n<s>\n</s>\n<unk>\na\x0cb\n")
+
     def test_bad_constructions(self):
         with pytest.raises(ValueError):
             Vocabulary(["a", "b", "c"], 3)  # reserved tokens missing
@@ -204,7 +231,7 @@ class TestVocabularyFile:
             pytest.param("<s>\n<unk>\n</s>\n", 3, id="swapped"),
             pytest.param("</s>\n<s>\n<unk>\n", 2, id="rotated"),
             pytest.param("<s>\n</s>\na\n<unk>\n", 4, id="word-before-unk"),
-            pytest.param("<s>\n</s>\n", 4, id="unk-missing"),
+            pytest.param("<s>\n</s>\n", 3, id="unk-missing"),  # on the last line
         ],
     )
     def test_misordered_reserved_tokens_report_the_line(self, body, line_no):
