@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vocab import Corpus, Hypothesis, NBestList, Vocabulary
+from .vocab import Corpus, Hypothesis, NBestList, Vocabulary, check_setting
 
 
 @dataclass
@@ -33,8 +33,7 @@ class TemplateGrammar:
 
 def _rng(seed: int) -> np.random.Generator:
     """The generator of a seed, which must be a non-negative integer."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_setting("seed", seed, seed >= 0, ">= 0")
     return np.random.default_rng(seed)
 
 
@@ -152,8 +151,7 @@ def make_nbest_fixture(
     strictly with rank, with a deliberately small top gap so language-model
     rescoring decides the borderline utterances.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    check_setting("depth", depth, depth >= 1, ">= 1")
     rng = _rng(seed)
     nbest: NBestList = {}
     refs: dict[str, list[str]] = {}

@@ -5,9 +5,9 @@ output embedding columns (and an output-bias entry) for each new word.
 Every synthesized column is the weighted mean of the corresponding columns
 of similar in-shortlist candidate words, and the one candidate set with the
 one weight vector is used for the input side, the output side and the bias,
-so the new word behaves like a frequency-weighted blend of its candidates.
-The recurrent layers are untouched: scores of original words are preserved
-exactly.
+so the new word behaves like a blend of its candidates, equal or weighted
+by cosine similarity.  The recurrent layers are untouched: scores of
+original words are preserved exactly.
 
 For words that remain outside the explicit columns, three policies spread
 the unknown-word probability mass over the full vocabulary:
@@ -32,7 +32,7 @@ from .ngram import NgramModel
 from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_batch
 from .rnnlm import forward_step  # noqa: F401  unused; lmbench tests delete this name
 from .skipgram import WordEmbeddings, _neighbor_search
-from .vocab import BOS, UNK_ID, Corpus, Hypothesis, Vocabulary
+from .vocab import BOS, UNK_ID, Corpus, Hypothesis, Vocabulary, check_setting
 
 POLICIES = ("shortlist", "uniform", "ngram")
 
@@ -70,8 +70,7 @@ def extract_oos_words(
     vocabulary tail or are absent from the vocabulary entirely; the result
     is sorted for determinism.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_setting("n", n, n >= 1, ">= 1")
     found: set[str] = set()
     for hyps in nbest.values():
         for hyp in list(hyps)[:n]:
@@ -233,14 +232,11 @@ class FullVocabScorer:
         if self.width > model.n_explicit:
             raise ValueError(f"width {width} above the model's {model.n_explicit} columns")
         self.policy = policy
-        self.full_vocab = full_vocab
         self.ngram = ngram
         self.oos_words = [w for w in full_vocab.words if not self.vocab.is_shortlist(w)]
         self.n_oos = len(self.oos_words)
-        if ngram is not None:
-            self._oos_ngram_ids = np.array(
-                [self._ngram_id(w) for w in self.oos_words], dtype=np.intp
-            )
+        if policy == "ngram":  # only this policy reads the n-gram model
+            self._oos_ngram_ids = np.array([self._ngram_id(w) for w in self.oos_words], np.intp)
             self._log_denoms: dict[tuple[int, ...], float] = {}
 
     def _ngram_id(self, word: str) -> int:

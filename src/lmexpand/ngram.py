@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, ParseError, Vocabulary
-from .vocab import check_sentence, text_lines
+from .vocab import check_sentence, check_setting, text_lines
 
 LN10 = math.log(10.0)
 # Conventional placeholder for the never-predicted sentence-begin unigram.
@@ -57,8 +57,7 @@ class NgramModel:
         probs: list[dict[tuple[int, ...], float]],
         backoffs: list[dict[tuple[int, ...], float]],
     ):
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        check_setting("order", order, order >= 1, ">= 1")
         self.order = order
         self.vocab = vocab
         self.probs = probs
@@ -67,10 +66,7 @@ class NgramModel:
 
     def conditional_logprob(self, word: int, context: tuple[int, ...] = ()) -> float:
         """ln P(word | context), backing off through shorter contexts."""
-        if self.order > 1:
-            h = tuple(context)[-(self.order - 1) :]
-        else:
-            h = ()
+        h = tuple(context)[-(self.order - 1) :] if self.order > 1 else ()
         acc = 0.0
         while True:
             entry = self.probs[len(h)].get(h + (word,))
@@ -150,16 +146,12 @@ class NgramModel:
 
     def sentence_logprob(self, tokens: list[str]) -> float:
         """ln P of a tokenized sentence, including the end-of-sentence event."""
-        logprobs = self.sentence_logprobs(tokens)
-        return float(sum(logprobs))
+        return float(sum(self.sentence_logprobs(tokens)))
 
     def sentence_logprobs(self, tokens: list[str]) -> list[float]:
         ids = [self.vocab.encode(t) for t in tokens]
         seq = [BOS_ID] + ids + [EOS_ID]
-        out = []
-        for i in range(1, len(seq)):
-            out.append(self.conditional_logprob(seq[i], tuple(seq[:i])))
-        return out
+        return [self.conditional_logprob(seq[i], tuple(seq[:i])) for i in range(1, len(seq))]
 
 
 def _estimate_discounts(values, order_k: int) -> tuple[float, float, float]:
@@ -195,8 +187,7 @@ def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
     only true out-of-vocabulary tokens collapse to the unknown id.  A literal
     <s> or </s> inside a sentence is rejected with the sentence index.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    check_setting("order", order, order >= 1, ">= 1")
     if not corpus:
         raise ValueError("empty corpus")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -20,7 +21,8 @@ from . import expansion as _expansion
 from . import ngram as _ngram
 from . import rnnlm as _rnnlm
 from . import skipgram as _skipgram
-from .vocab import Hypothesis, NBestList, ParseError, load_transcripts, parse_nbest, text_lines
+from .vocab import Hypothesis, NBestList, ParseError, check_setting, load_transcripts, parse_nbest
+from .vocab import text_lines
 from .vocab import write_nbest, write_transcripts  # noqa: F401  re-exported for callers
 
 
@@ -44,9 +46,8 @@ class RescoreConfig:
     word_penalty: float = 0.0
 
     def __post_init__(self):
-        for name in ("lm_scale", "word_penalty"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_setting("lm_scale", self.lm_scale, math.isfinite(self.lm_scale), "finite")
+        check_setting("word_penalty", self.word_penalty, math.isfinite(self.word_penalty), "finite")
 
 
 def combined_score(hyp: Hypothesis, cfg: RescoreConfig) -> float:
@@ -136,11 +137,8 @@ def _align_counts(ref: list[str], hyp: list[str]) -> tuple[int, int, int]:
     """Levenshtein alignment (unit costs); ties prefer substitution over
     insertion over deletion during backtrace."""
     nr, nh = len(ref), len(hyp)
-    dist = [[0] * (nh + 1) for _ in range(nr + 1)]
-    for i in range(1, nr + 1):
-        dist[i][0] = i
-    for j in range(1, nh + 1):
-        dist[0][j] = j
+    dist = [[i] + [0] * nh for i in range(nr + 1)]  # column 0 and row 0: distances to ""
+    dist[0] = list(range(nh + 1))
     for i in range(1, nr + 1):
         for j in range(1, nh + 1):
             sub = dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1])
@@ -263,8 +261,18 @@ def _parsed(kind: str, path: str, parse: Callable[[bytes], object]):
     digest = hashlib.sha256(blob).digest()
     entry = _PARSED.get(kind)
     if entry is None or entry[0] != digest:
-        entry = _PARSED[kind] = (digest, parse(blob))
+        with _naming(path):
+            entry = _PARSED[kind] = (digest, parse(blob))
     return entry[1]
+
+
+@contextmanager
+def _naming(path: str):
+    """A ``ParseError`` raised inside names the file at ``path``."""
+    try:
+        yield
+    except ParseError as err:
+        raise ParseError(err.message, err.line_no, path) from err
 
 
 def run_pipeline(config: dict[str, str]) -> dict:
@@ -294,8 +302,10 @@ def run_pipeline(config: dict[str, str]) -> dict:
     policy = settings["policy"]
     cfg = RescoreConfig(lm_scale=settings["lm_scale"], word_penalty=settings["word_penalty"])
 
-    nbest = parse_nbest(config["nbest"])
-    refs = load_transcripts(config["refs"])
+    with _naming(config["nbest"]):
+        nbest = parse_nbest(config["nbest"])
+    with _naming(config["refs"]):
+        refs = load_transcripts(config["refs"])
     path = config["model"]
     model = _parsed("model", path, lambda blob: _rnnlm._parse_checkpoint(blob, path))
     embeddings = _parsed("vectors", config["vectors"], _skipgram._parse_w2v_text)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_sentence
+from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_sentence, check_setting
 
 MAGIC = b"RNNLM1"
 _BLOCK_ROWS = 128  # trie nodes per batched step in score_batch
@@ -79,8 +79,7 @@ class StepOutput:
 
 def _check_positive(**settings: int) -> None:
     for name, value in settings.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        check_setting(name, value, value >= 1, ">= 1")
 
 
 def init_model(
@@ -92,8 +91,7 @@ def init_model(
 ) -> RnnLmModel:
     """Uniform [-0.05, 0.05] weights, zero biases except forget-gate bias 1."""
     _check_positive(embed_dim=embed_dim, hidden_dim=hidden_dim, num_layers=num_layers)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_setting("seed", seed, seed >= 0, ">= 0")
     rng = np.random.default_rng(seed)
     n = vocab.shortlist_size
 
@@ -464,16 +462,16 @@ def train_bptt(
         raise ValueError("empty corpus")
     if val_corpus is not None and not val_corpus:
         raise ValueError("empty validation corpus: no scoreable tokens")
-    _check_positive(unroll=config.unroll, batch=config.batch)
     for name, ok, bound in [
+        ("unroll", config.unroll >= 1, ">= 1"),
+        ("batch", config.batch >= 1, ">= 1"),
         ("dropout", 0 <= config.dropout < 1, "in [0, 1)"),
         ("lr", 0 < config.lr < math.inf, "finite and > 0"),
         ("clip", config.clip > 0, "> 0"),
         ("epochs", config.epochs >= 0, ">= 0"),
         ("seed", config.seed >= 0, ">= 0"),
     ]:
-        if not ok:
-            raise ValueError(f"{name} must be {bound}, got {getattr(config, name)}")
+        check_setting(name, getattr(config, name), ok, bound)
     rng = np.random.default_rng(config.seed)
     inp, tgt = _training_stream(corpus, model.vocab)
     batch = max(1, min(config.batch, inp.size // config.unroll))

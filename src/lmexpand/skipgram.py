@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .rnnlm import _sigmoid
-from .vocab import Corpus, ParseError, Vocabulary, VocabularyError, check_sentence, text_lines
+from .vocab import Corpus, ParseError, Vocabulary, VocabularyError, check_sentence, check_setting
+from .vocab import text_lines
 
 # Floor of the linearly decaying learning rate.
 MIN_LR = 1e-4
@@ -92,8 +93,7 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
         ("lr", 0 < config.lr < math.inf, "finite and > 0"),
         ("seed", config.seed >= 0, ">= 0"),
     ]:
-        if not ok:
-            raise ValueError(f"{name} must be {bound}, got {getattr(config, name)}")
+        check_setting(name, getattr(config, name), ok, bound)
     counts = Counter()
     for index, sentence in enumerate(corpus):
         check_sentence(sentence, f"sentence {index}")
@@ -229,8 +229,9 @@ def nearest_in_shortlist(
 
 
 def _neighbor_search(embeddings: WordEmbeddings, vocab: Vocabulary, k: int):
-    """``nearest_in_shortlist`` as a function of the target alone: the
-    embedded shortlist content words, their rows and norms are gathered once."""
+    """``nearest_in_shortlist`` as a function of the target alone: ``k`` is checked,
+    and the embedded shortlist content words, their rows and norms gathered, once."""
+    check_setting("k", k, k >= 1, ">= 1")
     ids = [wid for wid, word in enumerate(vocab.shortlist_words[3:], start=3) if word in embeddings]
     rows = embeddings.vectors[[embeddings.index[vocab.words[wid]] for wid in ids]][:, None, :]
     ids = np.array(ids, dtype=np.intp)
@@ -240,8 +241,6 @@ def _neighbor_search(embeddings: WordEmbeddings, vocab: Vocabulary, k: int):
     norms = np.sqrt((rows @ rows.transpose(0, 2, 1))[:, 0, 0])
 
     def nearest(target: str) -> list[tuple[int, float]]:
-        if k < 1:
-            raise ValueError("k must be >= 1")
         tvec = embeddings.vector(target)
         dots = (rows @ tvec)[:, 0]
         tnorm = float(np.linalg.norm(tvec))

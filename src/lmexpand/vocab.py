@@ -27,11 +27,17 @@ Corpus = list[Sentence]
 
 
 class ParseError(ValueError):
-    """A malformed line of a text file (named by ``path`` if given); ``line_no`` counts from 1."""
+    """``message`` about line ``line_no`` (from 1) of a text file, named by ``path`` if given."""
 
     def __init__(self, message: str, line_no: int, path: str | Path | None = None):
         super().__init__(("" if path is None else f"{path}: ") + f"line {line_no}: {message}")
-        self.line_no = line_no
+        self.message, self.line_no = message, line_no
+
+
+def check_setting(name: str, value: object, ok: bool, bound: str) -> None:
+    """The one range check of every setting: a ``ValueError`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def text_lines(data: bytes | str) -> list[str]:

@@ -183,6 +183,24 @@ def test_ppl_ngram_policy_rejects_a_word_the_closed_arpa_lacks(tmp_path, capsys)
     assert "'qq'" in captured.err
 
 
+def test_uniform_rescoring_ignores_a_closed_arpa_it_does_not_read(tmp_path, capsys):
+    # the ARPA has no <unk> and no qq, which only the ngram policy would need
+    vocab = Vocabulary(["<s>", "</s>", "<unk>", "a", "zz", "qq"], shortlist_size=4)
+    save_checkpoint(init_model(vocab, 2, 3, 1, seed=0), tmp_path / "m.bin")
+    (tmp_path / "c.arpa").write_text(
+        "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\t</s>\n-0.3\ta\n-1\tzz\n\n\\end\\\n"
+    )
+    (tmp_path / "t.nbest").write_text("u\t1\t-1.0\t0.0\ta qq\nu\t2\t-1.5\t0.0\tzz\n")
+    outs = []
+    for extra in (["--policy-arpa", str(tmp_path / "c.arpa")], []):
+        out = tmp_path / f"out{len(outs)}.nbest"
+        assert main(["rescore", "--nbest", str(tmp_path / "t.nbest"), "--policy", "uniform",
+                     "--model", str(tmp_path / "m.bin"), *extra, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert capsys.readouterr().err == ""
+
+
 def test_ppl_ngram_policy_rejects_a_word_beyond_a_closed_arpa(tmp_path, capsys):
     # qq is in neither the full vocabulary nor the ARPA, which has no <unk>
     vocab = Vocabulary(["<s>", "</s>", "<unk>", "a", "zz"], shortlist_size=4)
@@ -556,6 +574,30 @@ def test_pipeline_reads_every_config_before_running_one(workdir, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.err == "error: line 1: expected 'key = value'\n"
     assert captured.out == "" and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        ("nbest", "u\t1\t0.0\n", "line 1: expected 5 tab-separated fields, found 3"),
+        ("refs", "u\ta b\n\nv\n", "line 3: expected 2 tab-separated fields, found 1"),
+        ("vectors", "1 2\na 0.5\n", "line 2: expected 2 values, found 1"),
+        ("arpa", "\\data\\\nngram 1=x\n", "line 2: bad count line: 'ngram 1=x'"),
+    ],
+    ids=["nbest", "refs", "vectors", "arpa"],
+)
+def test_pipeline_parse_error_names_the_file(workdir, tmp_path, capsys, key, text, message):
+    files = {"nbest": "test.nbest", "refs": "test.refs", "model": "model.bin",
+             "vectors": "vectors.txt", "arpa": "model.arpa"}
+    damaged = tmp_path / f"damaged.{key}"
+    damaged.write_text(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {workdir / name}\n" for k, name in files.items() if k != key)
+                   + f"{key} = {damaged}\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {damaged}: {message}\n"
+    assert captured.out == ""
 
 
 def test_missing_file_reports_error(tmp_path, capsys):

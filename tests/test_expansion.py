@@ -431,6 +431,9 @@ def test_ngram_policy_rejects_a_word_the_closed_arpa_lacks(tmp_path):
     model = init_model(vocab, 2, 3, 1, seed=0)
     with pytest.raises(ValueError, match="'qq' has no unigram"):
         FullVocabScorer(model, "ngram", vocab, ngram)
+    for policy in ("uniform", "shortlist"):  # they never read the n-gram model
+        [lp] = FullVocabScorer(model, policy, vocab, ngram).batch_logprob([["a", "qq"]])
+        assert math.isfinite(lp)
     covered = Vocabulary([*RESERVED, "a", "zz"], shortlist_size=4)
     scorer = FullVocabScorer(model, "ngram", covered, ngram)
     [lp] = scorer.batch_logprob([["a", "zz"]])
