@@ -109,10 +109,11 @@ def _cmd_extract_oos(args) -> int:
 
 def _cmd_expand(args) -> int:
     oos = []
-    for line_no, line in enumerate(vocab.text_lines(Path(args.oos).read_bytes()), start=1):
-        if len(words := line.split()) > 1:
-            raise vocab.ParseError(f"expected one word, found {len(words)}", line_no)
-        oos += words
+    with vocab.reading(args.oos) as blob:
+        for line_no, line in enumerate(vocab.text_lines(blob), start=1):
+            if len(words := line.split()) > 1:
+                raise vocab.ParseError(f"expected one word, found {len(words)}", line_no)
+            oos += words
     model = rnnlm.load_checkpoint(args.model)
     emb = skipgram.load_w2v_text(args.vectors)
     expanded, report = expansion.expand_with_embeddings(
@@ -184,16 +185,11 @@ def _cmd_wer(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
 def _cmd_tune(args) -> int:
     nb = rescoring.parse_nbest(args.nbest)
     refs = rescoring.load_transcripts(args.refs)
     lm = _lm_from_args(args)
-    grids = {name: _parse_grid(text) for name, text in _given(args, "scales", "penalties").items()}
-    cfg, best, grid = rescoring.tune(nb, refs, lm, **grids)
+    cfg, best, grid = rescoring.tune(nb, refs, lm, **_given(args, "scales", "penalties"))
     for scale, penalty, w in grid:
         print(f"scale {scale:g} penalty {penalty:g}: wer {w:.2f}%")
     print(f"best: scale {cfg.lm_scale:g} penalty {cfg.word_penalty:g} wer {best:.2f}%")
@@ -301,12 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyps", required=True)
     p.set_defaults(func=_cmd_wer)
 
+    def grid(text: str) -> list[float]:  # argparse names a bad value's type "grid"
+        return [float(v) for v in text.split(",") if v.strip()]
+
     p = sub.add_parser("tune", help="grid-search rescoring scale and penalty")
     p.add_argument("--nbest", required=True)
     p.add_argument("--refs", required=True)
     add_lm_args(p)
-    p.add_argument("--scales", default=unset, help="comma-separated, default 2..20 step 2")
-    p.add_argument("--penalties", default=unset, help="comma-separated, default -1,-0.5,0,0.5,1")
+    for flag, default in [("--scales", "2..20 step 2"), ("--penalties", "-1,-0.5,0,0.5,1")]:
+        p.add_argument(flag, type=grid, default=unset, help=f"comma-separated, default {default}")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("pipeline", help="extract, expand, rescore and compare")

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, ParseError, Vocabulary
-from .vocab import check_sentence, check_setting, text_lines
+from .vocab import check_sentence, check_setting, reading, text_lines
 
 LN10 = math.log(10.0)
 # Conventional placeholder for the never-predicted sentence-begin unigram.
@@ -282,7 +282,8 @@ def import_arpa(path: str | Path) -> NgramModel:
     must be positive, and the unigrams must include </s> or <unk>, so that
     every sentence can be scored.  Parse errors report 1-based line numbers.
     """
-    return _parse_arpa(Path(path).read_bytes())
+    with reading(path) as blob:
+        return _parse_arpa(blob)
 
 
 def _parse_arpa(blob: bytes) -> NgramModel:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -22,7 +21,7 @@ from . import ngram as _ngram
 from . import rnnlm as _rnnlm
 from . import skipgram as _skipgram
 from .vocab import Hypothesis, NBestList, ParseError, check_setting, load_transcripts, parse_nbest
-from .vocab import text_lines
+from .vocab import reading, text_lines
 from .vocab import write_nbest, write_transcripts  # noqa: F401  re-exported for callers
 
 
@@ -212,19 +211,20 @@ def tune(
 def parse_config(path: str | Path) -> dict[str, str]:
     """Flat "key = value" configuration; # starts a comment."""
     out: dict[str, str] = {}
-    for line_no, line in enumerate(text_lines(Path(path).read_bytes()), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ParseError("expected 'key = value'", line_no)
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        if not key:
-            raise ParseError("empty key", line_no)
-        if key in out:
-            raise ParseError(f"duplicate key {key!r}", line_no)
-        out[key] = value.strip()
+    with reading(path) as blob:
+        for line_no, line in enumerate(text_lines(blob), start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise ParseError("expected 'key = value'", line_no)
+            key, value = stripped.split("=", 1)
+            key = key.strip()
+            if not key:
+                raise ParseError("empty key", line_no)
+            if key in out:
+                raise ParseError(f"duplicate key {key!r}", line_no)
+            out[key] = value.strip()
     return out
 
 
@@ -257,22 +257,12 @@ _PARSED: dict[str, tuple[bytes, object]] = {}
 
 
 def _parsed(kind: str, path: str, parse: Callable[[bytes], object]):
-    blob = Path(path).read_bytes()
-    digest = hashlib.sha256(blob).digest()
-    entry = _PARSED.get(kind)
-    if entry is None or entry[0] != digest:
-        with _naming(path):
+    with reading(path) as blob:
+        digest = hashlib.sha256(blob).digest()
+        entry = _PARSED.get(kind)
+        if entry is None or entry[0] != digest:
             entry = _PARSED[kind] = (digest, parse(blob))
     return entry[1]
-
-
-@contextmanager
-def _naming(path: str):
-    """A ``ParseError`` raised inside names the file at ``path``."""
-    try:
-        yield
-    except ParseError as err:
-        raise ParseError(err.message, err.line_no, path) from err
 
 
 def run_pipeline(config: dict[str, str]) -> dict:
@@ -302,12 +292,9 @@ def run_pipeline(config: dict[str, str]) -> dict:
     policy = settings["policy"]
     cfg = RescoreConfig(lm_scale=settings["lm_scale"], word_penalty=settings["word_penalty"])
 
-    with _naming(config["nbest"]):
-        nbest = parse_nbest(config["nbest"])
-    with _naming(config["refs"]):
-        refs = load_transcripts(config["refs"])
-    path = config["model"]
-    model = _parsed("model", path, lambda blob: _rnnlm._parse_checkpoint(blob, path))
+    nbest = parse_nbest(config["nbest"])
+    refs = load_transcripts(config["refs"])
+    model = _parsed("model", config["model"], _rnnlm._parse_checkpoint)
     embeddings = _parsed("vectors", config["vectors"], _skipgram._parse_w2v_text)
     ngram_model = _parsed("arpa", config["arpa"], _ngram._parse_arpa)
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_sentence, check_setting
+from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_sentence, check_setting, reading
 
 MAGIC = b"RNNLM1"
 _BLOCK_ROWS = 128  # trie nodes per batched step in score_batch
@@ -568,17 +568,17 @@ def save_checkpoint(model: RnnLmModel, path: str) -> None:
 
 def load_checkpoint(path: str) -> RnnLmModel:
     """Read a ``save_checkpoint`` file.  Every error names the block being
-    read and the byte offset where reading stopped."""
-    with open(path, "rb") as fh:
-        return _parse_checkpoint(fh.read(), path)
+    read and the byte offset where reading stopped, after the file's path."""
+    with reading(path) as blob:
+        return _parse_checkpoint(blob)
 
 
-def _parse_checkpoint(blob: bytes, path: str) -> RnnLmModel:
-    """``load_checkpoint`` of the bytes of the file at ``path``."""
+def _parse_checkpoint(blob: bytes) -> RnnLmModel:
+    """``load_checkpoint`` of a file's bytes."""
     block, off = "magic", 0
 
     def error(message: str) -> ValueError:
-        return ValueError(f"{message}: {block} at byte {off}: {path}")
+        return ValueError(f"{message}: {block} at byte {off}")
 
     if blob[: len(MAGIC)] != MAGIC:
         raise error("not a checkpoint file (bad magic)")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .rnnlm import _sigmoid
 from .vocab import Corpus, ParseError, Vocabulary, VocabularyError, check_sentence, check_setting
-from .vocab import text_lines
+from .vocab import reading, text_lines
 
 # Floor of the linearly decaying learning rate.
 MIN_LR = 1e-4
@@ -264,7 +264,8 @@ def save_w2v_text(embeddings: WordEmbeddings, path: str | Path) -> None:
 def load_w2v_text(path: str | Path) -> WordEmbeddings:
     """Read the text format; rows are gathered as read, so the header only
     bounds the file, never an allocation."""
-    return _parse_w2v_text(Path(path).read_bytes())
+    with reading(path) as blob:
+        return _parse_w2v_text(blob)
 
 
 def _parse_w2v_text(blob: bytes) -> WordEmbeddings:

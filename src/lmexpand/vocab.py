@@ -1,4 +1,4 @@
-"""Text lines and their parse errors, corpus handling, frequency-ranked
+"""Input files' bytes, their text lines and parse errors, corpus handling, frequency-ranked
 vocabularies with a shortlist boundary, and the n-best and transcript formats.
 
 An n-best line is "<utt-id>\t<rank>\t<acoustic>\t<lm>\t<w1> <w2> ...", with
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,19 @@ def check_setting(name: str, value: object, ok: bool, bound: str) -> None:
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
+@contextmanager
+def reading(path: str | Path) -> Iterator[bytes]:
+    """The bytes of the file at ``path``, the one place a reader gets its input.
+    A ``ValueError`` raised inside the block is raised again naming the file."""
+    blob = Path(path).read_bytes()
+    try:
+        yield blob
+    except ParseError as err:
+        raise ParseError(err.message, err.line_no, path) from err
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def text_lines(data: bytes | str) -> list[str]:
     """The lines of a UTF-8 file's bytes, or of decoded text, split at LF, CR LF
     and a lone CR only, as a text-mode ``open`` splits them.  Every text reader
@@ -64,17 +78,18 @@ def check_sentence(tokens: Sentence, where: str) -> None:
 def load_corpus(path: str | Path) -> Corpus:
     """Read one whitespace-tokenized sentence per line.  Blank lines are
     dropped; a literal <s> or </s> is rejected with its line."""
-    lines = text_lines(Path(path).read_bytes())
-    sentences: Corpus = []
-    for line_no, line in enumerate(lines, start=1):
-        tokens = line.split()
-        for token in (BOS, EOS):
-            if token in tokens:
-                raise ParseError(f"reserved token {token} inside a sentence", line_no, path)
-        if tokens:
-            sentences.append(tokens)
-    if not sentences:  # reported where the file ends
-        raise ParseError("empty corpus", max(len(lines), 1), path)
+    with reading(path) as blob:
+        lines = text_lines(blob)
+        sentences: Corpus = []
+        for line_no, line in enumerate(lines, start=1):
+            tokens = line.split()
+            for token in (BOS, EOS):
+                if token in tokens:
+                    raise ParseError(f"reserved token {token} inside a sentence", line_no)
+            if tokens:
+                sentences.append(tokens)
+        if not sentences:  # reported where the file ends
+            raise ParseError("empty corpus", max(len(lines), 1))
     return sentences
 
 
@@ -183,7 +198,8 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> Vocabulary:
-        return cls.from_text(Path(path).read_bytes())
+        with reading(path) as blob:
+            return cls.from_text(blob)
 
 
 def build_vocabulary(corpus: Corpus, shortlist_size: int, full_size: int) -> Vocabulary:
@@ -223,9 +239,9 @@ class Hypothesis:
 NBestList = dict[str, list[Hypothesis]]
 
 
-def _tab_records(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of every non-blank line of a tab-separated file."""
-    for line_no, line in enumerate(text_lines(Path(path).read_bytes()), start=1):
+def _tab_records(blob: bytes, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of every non-blank line of a tab-separated file's bytes."""
+    for line_no, line in enumerate(text_lines(blob), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -239,19 +255,20 @@ def _tab_records(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[st
 def parse_nbest(path: str | Path) -> NBestList:
     nbest: NBestList = {}
     seen: set[tuple[str, int]] = set()
-    for line_no, (utt, rank_s, ac_s, lm_s, words_s) in _tab_records(path, 5):
-        try:
-            rank, acoustic, lm = int(rank_s), float(ac_s), float(lm_s)
-        except ValueError as err:
-            raise ParseError(f"bad numeric field: {err}", line_no) from err
-        if not (math.isfinite(acoustic) and math.isfinite(lm)):
-            raise ParseError("non-finite acoustic or LM score", line_no)
-        if (utt, rank) in seen:
-            raise ParseError(f"duplicate hypothesis {utt!r} rank {rank}", line_no)
-        seen.add((utt, rank))
-        nbest.setdefault(utt, []).append(
-            Hypothesis(words=words_s.split(), acoustic_score=acoustic, lm_score=lm, rank=rank)
-        )
+    with reading(path) as blob:
+        for line_no, (utt, rank_s, ac_s, lm_s, words_s) in _tab_records(blob, 5):
+            try:
+                rank, acoustic, lm = int(rank_s), float(ac_s), float(lm_s)
+            except ValueError as err:
+                raise ParseError(f"bad numeric field: {err}", line_no) from err
+            if not (math.isfinite(acoustic) and math.isfinite(lm)):
+                raise ParseError("non-finite acoustic or LM score", line_no)
+            if (utt, rank) in seen:
+                raise ParseError(f"duplicate hypothesis {utt!r} rank {rank}", line_no)
+            seen.add((utt, rank))
+            nbest.setdefault(utt, []).append(
+                Hypothesis(words=words_s.split(), acoustic_score=acoustic, lm_score=lm, rank=rank)
+            )
     for hyps in nbest.values():
         hyps.sort(key=lambda h: h.rank)
     return nbest
@@ -270,10 +287,11 @@ def write_nbest(nbest: NBestList, path: str | Path) -> None:
 def load_transcripts(path: str | Path) -> dict[str, list[str]]:
     """Read "<utt-id>\t<words>" lines (references or 1-best transcripts)."""
     out: dict[str, list[str]] = {}
-    for line_no, (utt, words_s) in _tab_records(path, 2):
-        if utt in out:
-            raise ParseError(f"duplicate utterance {utt!r}", line_no)
-        out[utt] = words_s.split()
+    with reading(path) as blob:
+        for line_no, (utt, words_s) in _tab_records(blob, 2):
+            if utt in out:
+                raise ParseError(f"duplicate utterance {utt!r}", line_no)
+            out[utt] = words_s.split()
     return out
 
 

@@ -378,6 +378,27 @@ def test_bad_rescoring_settings_report_error(workdir, tmp_path, capsys, args, me
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--scales", "a,2"), ("--penalties", "0,1e")])
+def test_a_grid_value_that_is_no_number_names_its_flag(workdir, capsys, flag, value):
+    """``tune`` parses its grids as every other numeric flag is parsed."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["tune", "--nbest", str(workdir / "test.nbest"), "--refs", str(workdir / "test.refs"),
+              "--arpa", str(workdir / "model.arpa"), f"{flag}={value}"])
+    assert exit_.value.code == 2
+    assert f"error: argument {flag}: invalid grid value: '{value}'\n" in capsys.readouterr().err
+
+
+def test_tune_names_the_damaged_one_of_its_two_text_files(workdir, tmp_path, capsys):
+    refs = tmp_path / "damaged.refs"
+    refs.write_text("u\ta b\n\nv\n")
+    rc = main(["tune", "--nbest", str(workdir / "test.nbest"), "--refs", str(refs),
+               "--arpa", str(workdir / "model.arpa")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {refs}: line 3: expected 2 tab-separated fields, found 1\n"
+    assert captured.out == ""
     assert "best:" not in captured.out
     assert not (tmp_path / "never.nbest").exists()
 
@@ -572,7 +593,7 @@ def test_pipeline_reads_every_config_before_running_one(workdir, tmp_path, capsy
     bad.write_text("policy uniform\n")
     assert main(["pipeline", "--config", str(good), str(bad)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: line 1: expected 'key = value'\n"
+    assert captured.err == f"error: {bad}: line 1: expected 'key = value'\n"
     assert captured.out == "" and not (tmp_path / "report.json").exists()
 
 
@@ -581,10 +602,11 @@ def test_pipeline_reads_every_config_before_running_one(workdir, tmp_path, capsy
     [
         ("nbest", "u\t1\t0.0\n", "line 1: expected 5 tab-separated fields, found 3"),
         ("refs", "u\ta b\n\nv\n", "line 3: expected 2 tab-separated fields, found 1"),
+        ("model", "RNNLM0\n", "not a checkpoint file (bad magic): magic at byte 0"),
         ("vectors", "1 2\na 0.5\n", "line 2: expected 2 values, found 1"),
         ("arpa", "\\data\\\nngram 1=x\n", "line 2: bad count line: 'ngram 1=x'"),
     ],
-    ids=["nbest", "refs", "vectors", "arpa"],
+    ids=["nbest", "refs", "model", "vectors", "arpa"],
 )
 def test_pipeline_parse_error_names_the_file(workdir, tmp_path, capsys, key, text, message):
     files = {"nbest": "test.nbest", "refs": "test.refs", "model": "model.bin",
@@ -631,7 +653,7 @@ def test_bad_w2v_header_reports_error(tmp_path, capsys, header, message):
     rc = main(["neighbors", "--vectors", str(vectors), "--vocab", str(tmp_path / "v.txt"),
                "--word", "a"])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {vectors}: {message}\n"
 
 
 def test_rescore_error_reports_error(tmp_path, capsys):

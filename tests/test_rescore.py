@@ -664,10 +664,10 @@ def test_a_malformed_arpa_is_not_remembered(pipeline_dir, tmp_path, parses):
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ParseError) as want:
         import_arpa(bad)
-    assert str(want.value).startswith(f"line {at + 1}: malformed 2-gram entry")
+    assert str(want.value).startswith(f"{bad}: line {at + 1}: malformed 2-gram entry")
     with pytest.raises(ParseError) as got:
         run_pipeline({**config, "arpa": str(bad)})
-    assert str(got.value) == f"{bad}: {want.value}"
+    assert str(got.value) == str(want.value)
     n_parses = parses["_parse_arpa"]
     assert run_pipeline(config) == good
     assert parses["_parse_arpa"] == n_parses

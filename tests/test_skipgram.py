@@ -464,7 +464,7 @@ def test_mutated_w2v_loads_or_reports_a_line(lines):
         try:
             load_w2v_text(path)
         except ValueError as err:
-            found = re.match(r"line (\d+): ", str(err))
+            found = re.match(rf"{re.escape(str(path))}: line (\d+): ", str(err))
             assert found and 1 <= int(found.group(1)) <= max(len(lines), 1), err
             out, errs = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):

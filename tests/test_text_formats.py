@@ -1,7 +1,8 @@
-"""Every text reader takes its lines from ``vocab.text_lines`` and reports a
-bad line with ``ParseError``: a byte that is not UTF-8 fails on its own
-line, damaged files of every format load or fail at a line inside the file,
-and no other source file decodes text.
+"""Every reader gets its file's bytes from ``vocab.reading`` and every text
+reader takes its lines from ``vocab.text_lines``, reporting a bad line with
+``ParseError`` after the file's path: a byte that is not UTF-8 fails on its
+own line, damaged files of every format load or fail at a line inside the
+file, and no other source file reads input or decodes text.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ FIELDS = [
 @given(data=st.data())
 def test_mutated_text_loads_or_reports_a_line(name, data):
     """A damaged file of each format either loads or fails with ParseError at
-    a line inside the file; the command that reads it then exits 1 with that
-    error as its one line of output."""
+    a line inside the file, after its path; the command that reads it then
+    exits 1 with that error as its one line of output."""
     sep, read, argv = FORMATS[name]
     lines = data.draw(mutated_lines(st.just(_valid_lines(name)), FIELDS, sep))
     with tempfile.TemporaryDirectory() as tmp:
@@ -131,7 +132,7 @@ def test_mutated_text_loads_or_reports_a_line(name, data):
             rc, out, errs = run(argv(path, root))
             if rc == 0:
                 return
-            found = re.fullmatch(r"error: line (\d+): [^\n]*\n", errs)
+            found = re.fullmatch(rf"error: {re.escape(str(path))}: line (\d+): [^\n]*\n", errs)
             assert rc == 1 and out == "" and found, errs
             assert 1 <= int(found.group(1)) <= max(len(lines), 1), errs
             return
@@ -139,6 +140,7 @@ def test_mutated_text_loads_or_reports_a_line(name, data):
             read(path)
         except ParseError as err:
             assert 1 <= err.line_no <= max(len(lines), 1), err
+            assert str(err).startswith(f"{path}: line {err.line_no}: "), err
             assert run(argv(path, root)) == (1, "", f"error: {err}\n")
 
 
@@ -211,42 +213,61 @@ READERS = {
 
 @pytest.mark.parametrize("name", list(READERS))
 def test_a_byte_that_is_not_utf8_fails_on_its_own_line(tmp_path, name):
-    """The position is the file's line, not a position inside a read buffer."""
+    """The position is the file's line, not a position inside a read buffer,
+    and the error starts with the file's path."""
     line_no = _BIG - 1
     path = tmp_path / "faulty"
     path.write_bytes(_faulty(name, line_no))
     if READERS[name] is None:
         rc, out, message = run(_expand_argv(path, _support_dir(tmp_path)))
-        assert (rc, out) == (1, "")
+        assert (rc, out) == (1, "") and message.startswith("error: "), message
+        message = message.removeprefix("error: ")
     else:
         with pytest.raises(ValueError) as err:
             READERS[name](path)
         message = str(err.value)
-    assert re.search(rf"(^|: )line {line_no}: invalid UTF-8: invalid start byte", message), message
+    # the checkpoint's embedded vocabulary fails after its path and before its block
+    assert message.startswith(f"{path}: line {line_no}: invalid UTF-8: invalid start byte"), message
 
 
-# ------------------------------------------------------- one decoder
+# ------------------------------------------- one reader, one decoder
+
+
+def _call_name(call: ast.Call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def _open_mode(call: ast.Call) -> str:
+    """The mode of an ``open`` call: its second argument or ``mode``, "r" if unset."""
+    mode = call.args[1] if len(call.args) > 1 else None
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    return mode.value if isinstance(mode, ast.Constant) else "r"
+
+
+def _reads(call: ast.Call) -> bool:
+    """A call that reads a file: ``read_bytes``, ``read_text`` or ``open`` in
+    a read mode (writers open in "w", "a" or "x" mode)."""
+    name = _call_name(call)
+    if name == "open":
+        return not set(_open_mode(call)) & set("wax")
+    return name in {"read_bytes", "read_text"}
 
 
 def _decodes(call: ast.Call) -> bool:
     """A call that turns bytes read from a file into text: ``open`` in a text
     read mode, ``read_text``, ``TextIOWrapper``, ``splitlines`` or ``decode``
     with an encoding (``Vocabulary.decode(word_id)`` takes a name)."""
-    func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    name = _call_name(call)
     if name == "open":
-        mode = call.args[1] if len(call.args) > 1 else None
-        mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
-        mode = mode.value if isinstance(mode, ast.Constant) else "r"
-        return "b" not in mode and not set(mode) & set("wax")
+        return "b" not in _open_mode(call) and _reads(call)
     if name == "decode":
         return not call.args or isinstance(call.args[0], ast.Constant)
     return name in {"read_text", "TextIOWrapper", "splitlines"}
 
 
-def test_text_is_decoded_in_one_place():
-    """``vocab.text_lines`` is the one function of the package that decodes
-    text it reads; the checkpoint's binary read decodes nothing."""
+def _callers(matches) -> list[tuple[str, str, int]]:
+    """(module, innermost function, line) of every call in the package that ``matches``."""
     sites = []
     for path in sorted(Path(lmexpand.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -257,6 +278,20 @@ def test_text_is_decoded_in_one_place():
         sites += [
             (path.stem, owner.get(node.lineno, "<module>"), node.lineno)
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and _decodes(node)
+            if isinstance(node, ast.Call) and matches(node)
         ]
+    return sites
+
+
+def test_input_is_read_in_one_place():
+    """``vocab.reading`` is the one function of the package that reads an
+    input file, so every reader's errors name their file the same way."""
+    sites = _callers(_reads)
+    assert {site[:2] for site in sites} == {("vocab", "reading")}, sites
+
+
+def test_text_is_decoded_in_one_place():
+    """``vocab.text_lines`` is the one function of the package that decodes
+    text it reads; the checkpoint's binary read decodes nothing."""
+    sites = _callers(_decodes)
     assert {site[:2] for site in sites} == {("vocab", "text_lines")}, sites
