@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nbest", required=True)
     p.add_argument("--refs", required=True)
     add_lm_args(p)
-    for flag, default in [("--scales", "2..20 step 2"), ("--penalties", "-1,-0.5,0,0.5,1")]:
-        p.add_argument(flag, type=grid, default=unset, help=f"comma-separated, default {default}")
+    p.add_argument("--scales", type=grid, default=unset, help="comma-separated, default 2..20 step 2")
+    p.add_argument("--penalties", type=grid, default=unset, help="comma-separated, default -1,-0.5,0,0.5,1")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("pipeline", help="extract, expand, rescore and compare")

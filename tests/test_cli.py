@@ -378,6 +378,8 @@ def test_bad_rescoring_settings_report_error(workdir, tmp_path, capsys, args, me
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert "best:" not in captured.out
+    assert not (tmp_path / "never.nbest").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--scales", "a,2"), ("--penalties", "0,1e")])
@@ -399,8 +401,6 @@ def test_tune_names_the_damaged_one_of_its_two_text_files(workdir, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err == f"error: {refs}: line 3: expected 2 tab-separated fields, found 1\n"
     assert captured.out == ""
-    assert "best:" not in captured.out
-    assert not (tmp_path / "never.nbest").exists()
 
 
 def test_zero_layer_model_reports_error(workdir, tmp_path, capsys):

@@ -495,6 +495,7 @@ def test_mutated_arpa_loads_or_reports_a_line(lines):
             import_arpa(path)
         except ParseError as err:
             assert 1 <= err.line_no <= max(len(lines), 1)
+            assert str(err).startswith(f"{path}: line {err.line_no}: ")
 
 
 # ------------------------------------------- vector lookup against the walk
