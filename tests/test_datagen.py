@@ -3,6 +3,8 @@ evaluation harness leans on."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from lmexpand.datagen import (
     sample_corpus,
     sample_sentence,
 )
-from lmexpand.vocab import build_vocabulary
+from lmexpand.vocab import build_vocabulary, write_nbest, write_transcripts
 
 
 GRAMMAR = make_template_grammar(
@@ -163,3 +165,15 @@ def test_fixture_deterministic():
     a, _ = make_nbest_fixture(GRAMMAR, refs_corpus, vocab, depth=8, seed=9)
     b, _ = make_nbest_fixture(GRAMMAR, refs_corpus, vocab, depth=8, seed=9)
     assert a == b
+
+
+def test_fixture_files_are_pinned(fixture_setup, tmp_path):
+    """The written n-best and transcript bytes of one seed: every draw and
+    every confusion list the fixture builder makes, in order."""
+    _, _, nbest, refs = fixture_setup
+    write_nbest(nbest, tmp_path / "nbest.txt")
+    write_transcripts(refs, tmp_path / "refs.txt")
+    blob = (tmp_path / "nbest.txt").read_bytes() + b"\0" + (tmp_path / "refs.txt").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "5d8a47c97465ae0cb78f9edd64a0972d2ebfae8be5352ba3283ba9568251a65f"
+    )

@@ -519,6 +519,116 @@ def test_final_state_matches_stepwise_forward():
     np.testing.assert_allclose(c_t[:, 0, :], state.c, rtol=1e-12)
 
 
+def reference_loss_and_grads(model, inputs, targets, h0, c0, masks):
+    """One step at a time, as ``loss_and_grads`` was first written: the
+    reference its window-wide passes must reproduce bit for bit, as
+    ``score_ids`` is for ``score_batch``."""
+    T, B = inputs.shape
+    L, hdim = model.num_layers, model.hidden_dim
+    if masks is None:
+        masks = [[1.0] * (L + 1)] * T
+    h_prev, c_prev = h0.copy(), c0.copy()
+    caches, tops, logps = [], [], []
+    loss = 0.0
+    for t in range(T):
+        x = model.input_embed[inputs[t]] * masks[t][0]
+        layer_caches = []
+        for l, layer in enumerate(model.layers):
+            z = x @ layer.w_in.T + h_prev[l] @ layer.w_rec.T + layer.bias
+            ifo = _sigmoid(z[:, : 3 * hdim])
+            i, f, o = ifo[:, :hdim], ifo[:, hdim : 2 * hdim], ifo[:, 2 * hdim :]
+            g = np.tanh(z[:, 3 * hdim :])
+            c_new = f * c_prev[l] + i * g
+            tc = np.tanh(c_new)
+            h_new = o * tc
+            layer_caches.append((x, h_prev[l].copy(), c_prev[l].copy(), i, f, o, g, tc))
+            h_prev[l] = h_new
+            c_prev[l] = c_new
+            x = h_new * masks[t][l + 1]
+        caches.append(layer_caches)
+        tops.append(x)
+        logp = log_softmax(x @ model.output_embed.T + model.output_bias)
+        logps.append(logp)
+        loss -= logp[np.arange(B), targets[t]].sum()
+    denom = T * B
+    loss /= denom
+    grads = {name: np.zeros_like(arr) for name, arr in named_parameters(model)}
+    dh_time = np.zeros((L, B, hdim))
+    dc_time = np.zeros((L, B, hdim))
+    for t in range(T - 1, -1, -1):
+        dlogits = np.exp(logps[t])
+        dlogits[np.arange(B), targets[t]] -= 1.0
+        dlogits /= denom
+        grads["output_embed"] += dlogits.T @ tops[t]
+        grads["output_bias"] += dlogits.sum(axis=0)
+        pending = (dlogits @ model.output_embed) * masks[t][L]
+        for l in range(L - 1, -1, -1):
+            x_l, h_l_prev, c_l_prev, i, f, o, g, tc = caches[t][l]
+            layer = model.layers[l]
+            dh = pending + dh_time[l]
+            dc = dh * o * (1.0 - tc * tc) + dc_time[l]
+            dz = np.concatenate(
+                [
+                    dc * g * i * (1.0 - i),
+                    dc * c_l_prev * f * (1.0 - f),
+                    dh * tc * o * (1.0 - o),
+                    dc * i * (1.0 - g * g),
+                ],
+                axis=1,
+            )
+            grads[f"layers.{l}.w_in"] += dz.T @ x_l
+            grads[f"layers.{l}.w_rec"] += dz.T @ h_l_prev
+            grads[f"layers.{l}.bias"] += dz.sum(axis=0)
+            dh_time[l] = dz @ layer.w_rec
+            dc_time[l] = dc * f
+            dxin = dz @ layer.w_in
+            if l > 0:
+                pending = dxin * masks[t][l]
+            else:
+                np.add.at(grads["input_embed"], inputs[t], dxin * masks[t][0])
+    return float(loss), grads, h_prev, c_prev
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(1, 2),
+    st.sampled_from([0.0, 0.5]),
+    st.sampled_from([1.0, 30.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_loss_and_grads_is_bitwise_the_stepwise_reference(T, B, L, dropout, scale, seed):
+    rng = np.random.default_rng(seed)
+    embed, hidden = (int(d) for d in rng.integers(1, 7, size=2))
+    model = init_model(small_vocab(int(rng.integers(1, 9))), embed, hidden, L, seed=seed % 1000)
+    for layer in model.layers:  # order-one pre-activations, where order slips show
+        layer.w_in *= scale
+        layer.w_rec *= scale
+    model.output_embed *= 2.0 * scale
+    n = model.n_explicit
+    inputs = rng.integers(0, n, size=(T, B))
+    targets = rng.integers(0, n, size=(T, B))
+    h0 = rng.normal(size=(L, B, hidden))
+    c0 = rng.normal(size=(L, B, hidden))
+    masks = None
+    if dropout:
+        masks = [
+            [(rng.random((B, d)) < 0.5) / 0.5 for d in [embed] + [hidden] * L]
+            for _ in range(T)
+        ]
+    start = h0.tobytes() + c0.tobytes()
+    want = reference_loss_and_grads(model, inputs, targets, h0, c0, masks)
+    got = loss_and_grads(model, inputs, targets, h0, c0, masks)
+    assert h0.tobytes() + c0.tobytes() == start  # the caller's state is not written
+    assert repr(got[0]) == repr(want[0])
+    assert list(got[1]) == list(want[1])
+    for name, grad in want[1].items():
+        assert got[1][name].tobytes() == grad.tobytes(), name
+    assert got[2].tobytes() == want[2].tobytes()
+    assert got[3].tobytes() == want[3].tobytes()
+
+
 @pytest.mark.parametrize(
     "corpus, message",
     [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import io
 import math
 import re
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import lmexpand.skipgram as skipgram
 from lmexpand.cli import main
+from lmexpand.datagen import make_template_grammar, sample_corpus
 from lmexpand.skipgram import (
     _CHUNK_PAIRS,
     SkipgramConfig,
@@ -153,6 +155,33 @@ def test_sentence_longer_than_a_chunk_trains_in_whole_chunks(monkeypatch):
     assert np.isfinite(emb.vectors).all()
     assert emb.words == untrained.words
     assert not np.array_equal(emb.vectors, untrained.vectors)
+
+
+FIVE_WORDS = [["a", "b", "c", "d"], ["b", "c", "e"], ["d", "a", "e", "b"]] * 20
+
+
+@pytest.mark.parametrize(
+    "corpus, config, digest",
+    [
+        (
+            lambda: sample_corpus(make_template_grammar(seed=0), 3000, seed=1),
+            SkipgramConfig(dim=48, window=5, epochs=3, seed=0),
+            "ed26d23382af99961c3795e1fbf89212606c1705c106705209d7ffd338ea456c",
+        ),
+        (
+            lambda: FIVE_WORDS,
+            SkipgramConfig(dim=4, window=2, epochs=3, subsample=0, seed=0),
+            "052c2c6469dec738d4921ae3030ecc648cdeb51a7efbe0e60db67c7573c1f257",
+        ),
+    ],
+    ids=["desk-grammar", "five-words"],
+)
+def test_trained_vectors_are_pinned(corpus, config, digest):
+    """Words, order and vector bytes of two runs: the draws, the chunk
+    boundaries and every update's arithmetic, bit for bit."""
+    emb = train_skipgram(corpus(), config)
+    blob = "\n".join(emb.words).encode() + b"\0" + emb.vectors.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
