@@ -104,37 +104,15 @@ def sample_corpus(grammar: TemplateGrammar, target_tokens: int, seed: int = 0) -
     return corpus
 
 
-def _class_confusion(
-    grammar: TemplateGrammar,
-    vocab: Vocabulary,
-    word: str,
-    rng: np.random.Generator,
-    prefer_infrequent: bool,
-) -> str:
-    """A same-class in-shortlist stand-in for ``word`` (an acoustic confusion)."""
-    ci, _ = grammar.word_class[word]
-    members = [w for w in grammar.classes[ci] if w != word and vocab.is_shortlist(w)]
-    if not members:
+def _other_member(members: list[str], word: str, rng: np.random.Generator, upper_half=False) -> str:
+    """A random one of ``members`` other than ``word``, from the upper (less
+    frequent) half of them if asked; ``word`` itself when there is none."""
+    others = [w for w in members if w != word]
+    if not others:
         return word
-    if prefer_infrequent:
-        members = members[len(members) // 2 :]
-    return members[int(rng.integers(0, len(members)))]
-
-
-def _tail_alternative(
-    grammar: TemplateGrammar,
-    vocab: Vocabulary,
-    word: str,
-    rng: np.random.Generator,
-) -> str:
-    """A same-class out-of-shortlist alternative, for deep-hypothesis variety."""
-    ci, _ = grammar.word_class[word]
-    members = [
-        w for w in grammar.classes[ci] if w != word and w in vocab and not vocab.is_shortlist(w)
-    ]
-    if not members:
-        return word
-    return members[int(rng.integers(0, len(members)))]
+    if upper_half:
+        others = others[len(others) // 2 :]
+    return others[int(rng.integers(0, len(others)))]
 
 
 def make_nbest_fixture(
@@ -153,6 +131,12 @@ def make_nbest_fixture(
     """
     check_setting("depth", depth, depth >= 1, ">= 1")
     rng = _rng(seed)
+    # per class, most frequent first: its shortlist words (acoustic confusions)
+    # and its out-of-shortlist vocabulary words (deep-hypothesis variety)
+    confusions = [[w for w in cls if vocab.is_shortlist(w)] for cls in grammar.classes]
+    tails = [
+        [w for w in cls if w in vocab and not vocab.is_shortlist(w)] for cls in grammar.classes
+    ]
     nbest: NBestList = {}
     refs: dict[str, list[str]] = {}
     garbage_next = 0
@@ -175,10 +159,10 @@ def make_nbest_fixture(
         main = list(ref)
         if oos_positions:
             p = oos_positions[int(rng.integers(0, len(oos_positions)))]
-            main[p] = _class_confusion(grammar, vocab, main[p], rng, prefer_infrequent=True)
         else:
             p = int(rng.integers(0, len(main)))
-            main[p] = _class_confusion(grammar, vocab, main[p], rng, prefer_infrequent=False)
+        members = confusions[grammar.word_class[main[p]][0]]
+        main[p] = _other_member(members, main[p], rng, upper_half=bool(oos_positions))
         push(main)
 
         guard = 0
@@ -189,12 +173,8 @@ def make_nbest_fixture(
             for _ in range(n_swaps):
                 p = int(rng.integers(0, len(cand)))
                 roll = rng.random()
-                if roll < 0.15:
-                    cand[p] = _tail_alternative(grammar, vocab, cand[p], rng)
-                else:
-                    cand[p] = _class_confusion(
-                        grammar, vocab, cand[p], rng, prefer_infrequent=False
-                    )
+                members = (tails if roll < 0.15 else confusions)[grammar.word_class[cand[p]][0]]
+                cand[p] = _other_member(members, cand[p], rng)
             # Garbage tokens only beyond the first few ranks.
             if len(variants) >= 4 and rng.random() < 0.3:
                 p = int(rng.integers(0, len(cand)))

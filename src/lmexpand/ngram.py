@@ -149,9 +149,10 @@ class NgramModel:
         return float(sum(self.sentence_logprobs(tokens)))
 
     def sentence_logprobs(self, tokens: list[str]) -> list[float]:
-        ids = [self.vocab.encode(t) for t in tokens]
-        seq = [BOS_ID] + ids + [EOS_ID]
-        return [self.conditional_logprob(seq[i], tuple(seq[:i])) for i in range(1, len(seq))]
+        seq = [BOS_ID] + [self.vocab.encode(t) for t in tokens] + [EOS_ID]
+        n = self.order - 1  # only the last order - 1 ids of a context count
+        contexts = (tuple(seq[max(0, i - n) : i]) for i in range(1, len(seq)))
+        return [self.conditional_logprob(w, h) for w, h in zip(seq[1:], contexts)]
 
 
 def _estimate_discounts(values, order_k: int) -> tuple[float, float, float]:
@@ -195,9 +196,8 @@ def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
     for index, sentence in enumerate(corpus):
         check_sentence(sentence, f"sentence {index}")
         padded = [BOS_ID] + [vocab.encode(t) for t in sentence] + [EOS_ID]
-        for k in range(1, order + 1):
-            for i in range(len(padded) - k + 1):
-                raw[k][tuple(padded[i : i + k])] += 1
+        for k in range(1, order + 1):  # the k-grams in order, counted in C
+            raw[k].update(zip(*(padded[j:] for j in range(k))))
 
     # Adjusted counts: raw at the top order, continuation counts below,
     # except that <s>-initial grams keep raw counts (no left extension exists).

@@ -125,12 +125,14 @@ def zero_state(model: RnnLmModel) -> RnnState:
     return RnnState(h=np.zeros(shape), c=np.zeros(shape))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # exp of a non-positive argument never overflows; min(x, -x) is -|x|
     # and keeps NaN's sign.  The numerator max(e, x >= 0) is 1 where x >= 0
-    # (there e <= 1) and e elsewhere: the textbook split formula bit for bit
+    # (there e <= 1) and e elsewhere: the textbook split formula bit for bit.
+    # 1 + e and the quotient go into arrays already made, or into ``out``
     e = np.exp(np.minimum(x, -x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    num = np.maximum(e, x >= 0)
+    return np.divide(num, np.add(e, 1.0, out=e), out=num if out is None else out)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -345,75 +347,86 @@ def loss_and_grads(
 
     The initial state is treated as a constant (gradients are truncated at
     the window boundary).  Returns the loss, a gradient dict keyed like
-    ``named_parameters``, and the final (detached) state arrays.
+    ``named_parameters``, and the final (detached) state arrays.  Caches
+    are window arrays, and the softmax gradients are one pass over the
+    window; every product keeps its one-step shape and every sum its order.
     """
     T, B = inputs.shape
-    L = model.num_layers
-    hdim = model.hidden_dim
+    L, hdim = model.num_layers, model.hidden_dim
     if masks is None:
         masks = [[1.0] * (L + 1)] * T
-
-    h_prev = h0.copy()
-    c_prev = c0.copy()
-    caches: list[list[tuple]] = []
-    tops = []
-    logps = []
-    loss = 0.0
+    steps, rows = np.arange(T)[:, None], np.arange(B)
+    # xs[l][t]: layer l's input at step t (xs[L]: the top output); hs[l, t], cs[l, t]:
+    # layer l's state before step t; gates[l, t]: its sigmoid gates i | f | o
+    xs = [model.input_embed[inputs]] + [np.empty((T, B, hdim)) for _ in range(L)]
+    hs, cs = np.empty((2, L, T + 1, B, hdim))
+    hs[:, 0], cs[:, 0] = h0, c0
+    gates = np.empty((L, T, B, 3 * hdim))
+    cands, tanh_cs = np.empty((2, L, T, B, hdim))
+    logp = np.empty((T, B, model.n_explicit))
+    scratch = np.empty((B, model.n_explicit))
     for t in range(T):
-        x = model.input_embed[inputs[t]] * masks[t][0]
-        layer_caches = []
+        xs[0][t] *= masks[t][0]
         for l, layer in enumerate(model.layers):
-            z = x @ layer.w_in.T + h_prev[l] @ layer.w_rec.T + layer.bias
-            i, f, o, g, c_new, tc, h_new = _lstm_cell(z, c_prev[l])
-            layer_caches.append((x, h_prev[l].copy(), c_prev[l].copy(), i, f, o, g, tc))
-            h_prev[l] = h_new
-            c_prev[l] = c_new
-            x = h_new * masks[t][l + 1]
-        caches.append(layer_caches)
-        tops.append(x)
-        logits = x @ model.output_embed.T + model.output_bias
-        logp = log_softmax(logits)
-        logps.append(logp)
-        loss -= logp[np.arange(B), targets[t]].sum()
+            z = xs[l][t] @ layer.w_in.T
+            z += hs[l, t] @ layer.w_rec.T
+            z += layer.bias
+            ifo = _sigmoid(z[:, : 3 * hdim], out=gates[l, t])
+            i, f, o = ifo[:, :hdim], ifo[:, hdim : 2 * hdim], ifo[:, 2 * hdim :]
+            g = np.tanh(z[:, 3 * hdim :], out=cands[l, t])
+            c = np.multiply(f, cs[l, t], out=cs[l, t + 1])
+            c += i * g
+            np.multiply(o, np.tanh(c, out=tanh_cs[l, t]), out=hs[l, t + 1])
+            np.multiply(hs[l, t + 1], masks[t][l + 1], out=xs[l + 1][t])
+        np.matmul(xs[L][t], model.output_embed.T, out=scratch)
+        scratch += model.output_bias
+        np.subtract(scratch, np.max(scratch, axis=-1, keepdims=True), out=logp[t])
+        logp[t] -= np.log(np.sum(np.exp(logp[t], out=scratch), axis=-1, keepdims=True))
+    loss = 0.0
+    for step_sum in logp[steps, rows, targets].sum(axis=1):
+        loss -= step_sum
     denom = T * B
     loss /= denom
 
     grads = {name: np.zeros_like(arr) for name, arr in named_parameters(model)}
+    dlogits = np.exp(logp, out=logp)
+    dlogits[steps, rows, targets] -= 1.0
+    dlogits /= denom
+    # summed last step first, as the backward pass meets them
+    grads["output_bias"] = np.add.accumulate(dlogits.sum(axis=1)[::-1], axis=0)[-1]
     dh_time = np.zeros((L, B, hdim))
     dc_time = np.zeros((L, B, hdim))
+    dz = np.empty((B, 4 * hdim))
+    d_embed = np.empty((T, B, model.embed_dim))  # last step first
     for t in range(T - 1, -1, -1):
-        dlogits = np.exp(logps[t])
-        dlogits[np.arange(B), targets[t]] -= 1.0
-        dlogits /= denom
-        grads["output_embed"] += dlogits.T @ tops[t]
-        grads["output_bias"] += dlogits.sum(axis=0)
-        dx = dlogits @ model.output_embed
-        pending = dx * masks[t][L]
+        grads["output_embed"] += dlogits[t].T @ xs[L][t]
+        pending = dlogits[t] @ model.output_embed
+        pending *= masks[t][L]
         for l in range(L - 1, -1, -1):
-            x_l, h_l_prev, c_l_prev, i, f, o, g, tc = caches[t][l]
             layer = model.layers[l]
+            ifo, g, tc = gates[l, t], cands[l, t], tanh_cs[l, t]
+            i, f, o = ifo[:, :hdim], ifo[:, hdim : 2 * hdim], ifo[:, 2 * hdim :]
             dh = pending + dh_time[l]
-            dc = dh * o * (1.0 - tc * tc) + dc_time[l]
-            dz = np.concatenate(
-                [
-                    dc * g * i * (1.0 - i),
-                    dc * c_l_prev * f * (1.0 - f),
-                    dh * tc * o * (1.0 - o),
-                    dc * i * (1.0 - g * g),
-                ],
-                axis=1,
-            )
-            grads[f"layers.{l}.w_in"] += dz.T @ x_l
-            grads[f"layers.{l}.w_rec"] += dz.T @ h_l_prev
+            dc = dh * o
+            dc *= 1.0 - tc * tc
+            dc += dc_time[l]
+            np.multiply(dc, g, out=dz[:, :hdim])
+            np.multiply(dc, cs[l, t], out=dz[:, hdim : 2 * hdim])
+            np.multiply(dh, tc, out=dz[:, 2 * hdim : 3 * hdim])
+            dz[:, : 3 * hdim] *= ifo
+            dz[:, : 3 * hdim] *= 1.0 - ifo
+            np.multiply(dc, i, out=dz[:, 3 * hdim :])
+            dz[:, 3 * hdim :] *= 1.0 - g * g
+            grads[f"layers.{l}.w_in"] += dz.T @ xs[l][t]
+            grads[f"layers.{l}.w_rec"] += dz.T @ hs[l, t]
             grads[f"layers.{l}.bias"] += dz.sum(axis=0)
-            dh_time[l] = dz @ layer.w_rec
-            dc_time[l] = dc * f
-            dxin = dz @ layer.w_in
-            if l > 0:
-                pending = dxin * masks[t][l]
-            else:
-                np.add.at(grads["input_embed"], inputs[t], dxin * masks[t][0])
-    return float(loss), grads, h_prev, c_prev
+            np.matmul(dz, layer.w_rec, out=dh_time[l])
+            np.multiply(dc, f, out=dc_time[l])
+            pending = dz @ layer.w_in
+            pending *= masks[t][l]
+        d_embed[T - 1 - t] = pending
+    np.add.at(grads["input_embed"], inputs[::-1].ravel(), d_embed.reshape(T * B, -1))
+    return float(loss), grads, hs[:, T].copy(), cs[:, T].copy()
 
 
 @dataclass

@@ -125,10 +125,17 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
     w_out = np.zeros((len(words), config.dim))
     # context offsets -window .. -1, 1 .. window, farthest left first
     offsets = np.concatenate([np.arange(-config.window, 0), np.arange(1, config.window + 1)])
+    # what _update gathers per pair: its w_in row, the w_out rows of its targets
+    # (the context word, then the noise words) and their products with that row
+    width = config.negatives + 1
+    buffers = [np.empty((_CHUNK_PAIRS, k, config.dim)) for k in (1, width, width)]
+    # pair_counts[n][p][r]: pairs of position p of an n-word sentence at reduced window r
+    pair_counts: dict[int, list[list[int]]] = {}
 
     planned = max(1, config.epochs * int(total))
     seen = 0
-    pending: list[tuple[np.ndarray, ...]] = []  # (centre, context, lr) per sentence
+    pending: list[tuple] = []  # (kept ids, reduced windows, lr, pair count) per sentence
+    pairs = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
     n_pending = 0
     for _ in range(config.epochs):
         for sentence, ids in zip(corpus, encoded):
@@ -136,25 +143,42 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
             if config.subsample > 0:
                 ids = ids[rng.random(len(ids)) < keep_prob[ids]]
             reduced = rng.integers(1, config.window + 1, size=len(ids))
-            pos = np.arange(len(ids))[:, None] + offsets
-            centre, slot = np.nonzero(
-                (np.abs(offsets) <= reduced[:, None]) & (pos >= 0) & (pos < len(ids))
-            )
-            lr = max(MIN_LR, config.lr * (1.0 - seen / planned))
-            pending.append((ids[centre], ids[pos[centre, slot]], np.full(len(centre), lr)))
-            n_pending += len(centre)
+            n = len(ids)
+            if n not in pair_counts:
+                p, r = np.ogrid[:n, : config.window + 1]
+                pair_counts[n] = (np.minimum(r, p) + np.minimum(r, n - 1 - p)).tolist()
+            count = sum(map(list.__getitem__, pair_counts[n], reduced.tolist()))
+            pending.append((ids, reduced, max(MIN_LR, config.lr * (1.0 - seen / planned)), count))
+            n_pending += count
             if n_pending >= _CHUNK_PAIRS:
-                pairs = [np.concatenate(part) for part in zip(*pending)]
+                pairs = _pairs(pending, offsets, pairs)
                 full = n_pending - n_pending % _CHUNK_PAIRS
                 for start in range(0, full, _CHUNK_PAIRS):
                     chunk = (a[start : start + _CHUNK_PAIRS] for a in pairs)
-                    _update(w_in, w_out, *chunk, cum, config.negatives, rng)
-                pending = [tuple(a[full:] for a in pairs)]
+                    _update(w_in, w_out, *chunk, cum, config.negatives, rng, buffers)
+                pairs = tuple(a[full:] for a in pairs)
+                pending = []
                 n_pending -= full
     if n_pending:
-        pairs = (np.concatenate(part) for part in zip(*pending))
-        _update(w_in, w_out, *pairs, cum, config.negatives, rng)
+        pairs = _pairs(pending, offsets, pairs) if pending else pairs
+        _update(w_in, w_out, *pairs, cum, config.negatives, rng, buffers)
     return WordEmbeddings(words, w_in)
+
+
+def _pairs(pending: list[tuple], offsets: np.ndarray, carried: tuple) -> tuple:
+    """The (centre, context, lr) pairs of the ``pending`` sentences, after the
+    ``carried`` ones: centres in order, each one's contexts in ``offsets``
+    order, kept within its reduced window and its sentence."""
+    ids, reduced, lrs, counts = zip(*pending)
+    lengths = np.array([len(a) for a in ids])
+    ids, reduced = np.concatenate(ids), np.concatenate(reduced)
+    # each word's position in its sentence, and that sentence's length
+    at = np.arange(len(ids)) - (lengths.cumsum() - lengths).repeat(lengths)
+    n = lengths.repeat(lengths)[:, None]
+    pos = at[:, None] + offsets
+    centre, slot = np.nonzero((np.abs(offsets) <= reduced[:, None]) & (pos >= 0) & (pos < n))
+    new = (ids[centre], ids[centre + offsets[slot]], np.array(lrs).repeat(counts))
+    return tuple(np.concatenate(part) for part in zip(carried, new))
 
 
 def _update(
@@ -166,10 +190,12 @@ def _update(
     cum: np.ndarray,
     negatives: int,
     rng: np.random.Generator,
+    buffers: list[np.ndarray],
 ) -> None:
     """One SGD step on a chunk of (centre, context) pairs, each with its own
     learning rate and ``negatives`` noise words drawn from the cumulative
-    table ``cum``.  Every gradient is taken at the chunk's starting weights."""
+    table ``cum``.  Every gradient is taken at the chunk's starting weights.
+    ``buffers`` hold what is gathered per pair, for up to ``_CHUNK_PAIRS``."""
     neg = cum.searchsorted(rng.random((len(centre), negatives)) * cum[-1])
     # Resample negatives that collide with their centre word; after a few
     # rounds drop survivors (degenerate one-word corpora).
@@ -181,15 +207,19 @@ def _update(
     targets = np.concatenate([context[:, None], neg], axis=1)
     labels = np.zeros(targets.shape)
     labels[:, 0] = 1.0
-    l1 = w_in[centre]
-    out_rows = w_out[targets]
+    # mode "clip" (the ids are in range) lets take write straight into out
+    n = len(centre)
+    l1 = np.take(w_in, centre, axis=0, out=buffers[0][:n, 0], mode="clip")
+    out_rows = np.take(w_out, targets, axis=0, out=buffers[1][:n], mode="clip")
     act = _sigmoid(np.einsum("pd,ptd->pt", l1, out_rows))
     g = (labels - act) * lr[:, None]
     g[:, 1:][neg == centre[:, None]] = 0.0
     # the w_out rows g[p, t] * l1[p] are formed already grouped by target
     rows, order, starts = _segments(targets.ravel())
     pair = order // targets.shape[1]
-    w_out[rows] += np.add.reduceat(g.ravel()[order, None] * l1[pair], starts, axis=0)
+    grouped = np.take(l1, pair, axis=0, out=buffers[2][:n].reshape(len(pair), -1), mode="clip")
+    grouped *= g.ravel()[order, None]
+    w_out[rows] += np.add.reduceat(grouped, starts, axis=0)
     rows, order, starts = _segments(centre)
     w_in[rows] += np.add.reduceat(np.einsum("pt,ptd->pd", g, out_rows)[order], starts, axis=0)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmexpand.cli import main
@@ -590,6 +590,9 @@ def reference_loss_and_grads(model, inputs, targets, h0, c0, masks):
 
 
 @settings(max_examples=120, deadline=None)
+# windows of 8 rows or more, where numpy's pairwise sums change their grouping
+@example(T=16, B=32, L=1, dropout=0.0, scale=1.0, seed=7)
+@example(T=3, B=12, L=2, dropout=0.5, scale=30.0, seed=1)
 @given(
     st.integers(1, 6),
     st.integers(1, 5),
