@@ -149,10 +149,9 @@ class NgramModel:
         return float(sum(self.sentence_logprobs(tokens)))
 
     def sentence_logprobs(self, tokens: list[str]) -> list[float]:
-        seq = [BOS_ID] + [self.vocab.encode(t) for t in tokens] + [EOS_ID]
-        n = self.order - 1  # only the last order - 1 ids of a context count
-        contexts = (tuple(seq[max(0, i - n) : i]) for i in range(1, len(seq)))
-        return [self.conditional_logprob(w, h) for w, h in zip(seq[1:], contexts)]
+        ids = [self.vocab.encode(t) for t in tokens]
+        seq = [BOS_ID] + ids + [EOS_ID]
+        return [self.conditional_logprob(seq[i], tuple(seq[:i])) for i in range(1, len(seq))]
 
 
 def _estimate_discounts(values, order_k: int) -> tuple[float, float, float]:

@@ -129,8 +129,6 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
     # (the context word, then the noise words) and their products with that row
     width = config.negatives + 1
     buffers = [np.empty((_CHUNK_PAIRS, k, config.dim)) for k in (1, width, width)]
-    # pair_counts[n][p][r]: pairs of position p of an n-word sentence at reduced window r
-    pair_counts: dict[int, list[list[int]]] = {}
 
     planned = max(1, config.epochs * int(total))
     seen = 0
@@ -143,11 +141,9 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
             if config.subsample > 0:
                 ids = ids[rng.random(len(ids)) < keep_prob[ids]]
             reduced = rng.integers(1, config.window + 1, size=len(ids))
-            n = len(ids)
-            if n not in pair_counts:
-                p, r = np.ogrid[:n, : config.window + 1]
-                pair_counts[n] = (np.minimum(r, p) + np.minimum(r, n - 1 - p)).tolist()
-            count = sum(map(list.__getitem__, pair_counts[n], reduced.tolist()))
+            # each word's contexts within its reduced window and its sentence
+            at = np.arange(len(ids))
+            count = int((np.minimum(reduced, at) + np.minimum(reduced, at[::-1])).sum())
             pending.append((ids, reduced, max(MIN_LR, config.lr * (1.0 - seen / planned)), count))
             n_pending += count
             if n_pending >= _CHUNK_PAIRS:

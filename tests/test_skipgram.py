@@ -157,6 +157,30 @@ def test_sentence_longer_than_a_chunk_trains_in_whole_chunks(monkeypatch):
     assert not np.array_equal(emb.vectors, untrained.vectors)
 
 
+@pytest.mark.parametrize("window", [1, 4])
+def test_many_long_sentence_lengths_train_in_whole_chunks(monkeypatch, window):
+    """Sentences of 150 distinct lengths: each sentence's counted pairs
+    match the pairs built for it, so every chunk but the last is full and
+    every pair has its context and learning rate."""
+    sizes = []
+    real = skipgram._update
+
+    def recording(w_in, w_out, centre, context, lr, *rest):
+        assert len(centre) == len(context) == len(lr)
+        sizes.append(len(centre))
+        return real(w_in, w_out, centre, context, lr, *rest)
+
+    monkeypatch.setattr(skipgram, "_update", recording)
+    lengths = np.random.default_rng(7).permutation(np.arange(1, 151))
+    corpus = [[f"w{(n + i) % 60}" for i in range(n)] for n in lengths]
+    config = SkipgramConfig(dim=4, window=window, epochs=1, subsample=0, seed=1)
+    emb = train_skipgram(corpus, config)
+    assert all(n == _CHUNK_PAIRS for n in sizes[:-1]) and 0 < sizes[-1] <= _CHUNK_PAIRS
+    if window == 1:  # every word but the ends has both neighbours
+        assert sum(sizes) == sum(2 * (n - 1) for n in lengths)
+    assert np.isfinite(emb.vectors).all()
+
+
 FIVE_WORDS = [["a", "b", "c", "d"], ["b", "c", "e"], ["d", "a", "e", "b"]] * 20
 
 
