@@ -238,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ppl", help="perplexity of a checkpoint on text")
     p.add_argument("--model", required=True)
     p.add_argument("--text", required=True)
-    p.add_argument(
-        "--unk-mode", choices=list(expansion.POLICIES), default="shortlist"
-    )
+    p.add_argument("--unk-mode", choices=list(expansion.POLICIES), default="shortlist")
     p.add_argument("--full-vocab")
     p.add_argument("--arpa")
     p.set_defaults(func=_cmd_ppl)

@@ -176,10 +176,6 @@ def _estimate_discounts(values, order_k: int) -> tuple[float, float, float]:
     return 0.5, 0.5, 0.5
 
 
-def _discount_for(count: int, d: tuple[float, float, float]) -> float:
-    return 0.0 if count <= 0 else d[min(count, 3) - 1]
-
-
 def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
     """Estimate a modified Kneser-Ney model of the given order.
 
@@ -200,8 +196,7 @@ def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
 
     # Adjusted counts: raw at the top order, continuation counts below,
     # except that <s>-initial grams keep raw counts (no left extension exists).
-    adjusted: list[dict[tuple[int, ...], int]] = [dict() for _ in range(order + 1)]
-    adjusted[order] = dict(raw[order])
+    adjusted: list[dict[tuple[int, ...], int]] = list(raw)
     for k in range(order - 1, 0, -1):
         cont = Counter(gram[1:] for gram in raw[k + 1])
         adjusted[k] = {
@@ -215,26 +210,28 @@ def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
 
     probs: list[dict[tuple[int, ...], float]] = [dict() for _ in range(order)]
     backoffs: list[dict[tuple[int, ...], float]] = [dict() for _ in range(order - 1)]
-    model = NgramModel(order, vocab, probs, backoffs)
     for k in range(1, order + 1):
-        dk = _estimate_discounts(adjusted[k].values(), k)
+        # the discount of a count, indexed by min(count, 3): none for count 0
+        discount = (0.0, *_estimate_discounts(adjusted[k].values(), k))
         by_context: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for gram, a in adjusted[k].items():
             by_context.setdefault(gram[:-1], []).append((gram[-1], a))
         for h, followers in by_context.items():
-            total = sum(a for _, a in followers)
-            n1c = sum(1 for _, a in followers if a == 1)
-            n2c = sum(1 for _, a in followers if a == 2)
-            n3c = sum(1 for _, a in followers if a >= 3)
-            gamma = (dk[0] * n1c + dk[1] * n2c + dk[2] * n3c) / total
+            total, n = 0, [0, 0, 0, 0]  # n[j]: followers with min(count, 3) == j
+            for _, a in followers:
+                total += a
+                n[min(a, 3)] += 1
+            gamma = (discount[1] * n[1] + discount[2] * n[2] + discount[3] * n[3]) / total
             if h:
                 backoffs[k - 2][h] = math.log(gamma)
             for w, a in followers:
-                lower = math.exp(model.conditional_logprob(w, h[1:])) if h else uniform
-                p = max(a - _discount_for(a, dk), 0.0) / total + gamma * lower
+                # every k-gram's suffix was counted one order down, so its
+                # lower-order probability is one lookup; below the unigrams, uniform
+                lower = math.exp(probs[k - 2][h[1:] + (w,)]) if h else uniform
+                p = max(a - discount[min(a, 3)], 0.0) / total + gamma * lower
                 probs[k - 1][h + (w,)] = math.log(p)
     probs[0][(BOS_ID,)] = LOG10_TINY * LN10
-    return model
+    return NgramModel(order, vocab, probs, backoffs)
 
 
 def ngram_perplexity(model: NgramModel, corpus: Corpus) -> float:
@@ -255,9 +252,18 @@ def export_arpa(model: NgramModel, path: str | Path) -> None:
 
     Orders above the highest non-empty table are left out: their contexts
     carry no backoff weight, so leaving them out changes no score, and every
-    declared count is positive.
+    declared count is positive.  A non-finite score, which ``import_arpa``
+    rejects, is refused before writing.
     """
     tables = model.probs[: max(k for k, table in enumerate(model.probs, start=1) if table)]
+    for k, table in enumerate(tables, start=1):  # refuse what import_arpa rejects
+        bows = model.backoffs[k - 1] if k < len(tables) else {}
+        for kind, scores in [("score", table), ("backoff weight", bows)]:
+            finite = np.isfinite(np.fromiter(scores.values(), float, len(scores)))
+            if not finite.all():
+                gram = list(scores)[finite.argmin()]
+                words = " ".join(model.vocab.decode(i) for i in gram)
+                raise ValueError(f"non-finite {kind} {scores[gram]} for {k}-gram {words!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\\data\\\n")
         for k, table in enumerate(tables, start=1):

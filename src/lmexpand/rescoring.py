@@ -50,11 +50,7 @@ class RescoreConfig:
 
 
 def combined_score(hyp: Hypothesis, cfg: RescoreConfig) -> float:
-    return (
-        hyp.acoustic_score
-        + cfg.lm_scale * hyp.lm_score
-        + cfg.word_penalty * len(hyp.words)
-    )
+    return hyp.acoustic_score + cfg.lm_scale * hyp.lm_score + cfg.word_penalty * len(hyp.words)
 
 
 def _with_lm_scores(nbest: NBestList, lm: LmScorer) -> NBestList:

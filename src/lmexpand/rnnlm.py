@@ -146,18 +146,19 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _lstm_cell(z: np.ndarray, c: np.ndarray):
-    """One LSTM step from the stacked gate pre-activations z."""
+def _lstm_cell(z, c, gates, cand, c_new, tanh_c, h_new) -> None:
+    """One LSTM step from gate pre-activations z and cell state c into the
+    caller's arrays: sigmoid gates i | f | o, tanh candidate g, c_new = f c + i g,
+    tanh(c_new) and h_new = o tanh(c_new).  ``tanh_c`` may be ``h_new``."""
     hdim = c.shape[-1]
     # one elementwise call for the three sigmoid gates; the values are those
     # of three separate calls, with a third of the per-call overhead
-    ifo = _sigmoid(z[..., : 3 * hdim])
-    i, f, o = ifo[..., :hdim], ifo[..., hdim : 2 * hdim], ifo[..., 2 * hdim :]
-    g = np.tanh(z[..., 3 * hdim :])
-    c_new = f * c + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
-    return i, f, o, g, c_new, tc, h_new
+    _sigmoid(z[..., : 3 * hdim], out=gates)
+    i, f, o = gates[..., :hdim], gates[..., hdim : 2 * hdim], gates[..., 2 * hdim :]
+    np.tanh(z[..., 3 * hdim :], out=cand)
+    np.multiply(f, c, out=c_new)
+    c_new += i * cand
+    np.multiply(o, np.tanh(c_new, out=tanh_c), out=h_new)
 
 
 _TILE_ROWS, _TILE_COLS = 8, 64  # the one gemm shape _project runs
@@ -202,11 +203,13 @@ def _step(model: RnnLmModel, words, h: np.ndarray, c: np.ndarray):
     on ``_project``, so a batched row equals the single step bit for bit.
     """
     x = model.input_embed[words]
+    hdim = model.hidden_dim
     h_out = np.empty_like(h)
     c_out = np.empty_like(c)
     for l, layer in enumerate(model.layers):
         z = _project(x, layer.w_in) + _project(h[l], layer.w_rec) + layer.bias
-        *_, c_out[l], _, h_out[l] = _lstm_cell(z, c[l])
+        # the gates and candidate overwrite z, and tanh(c) is h_out[l] until o scales it
+        _lstm_cell(z, c[l], z[..., : 3 * hdim], z[..., 3 * hdim :], c_out[l], h_out[l], h_out[l])
         x = h_out[l]
     logits = _project(x, model.output_embed) + model.output_bias
     return logits, h_out, c_out
@@ -371,12 +374,9 @@ def loss_and_grads(
             z = xs[l][t] @ layer.w_in.T
             z += hs[l, t] @ layer.w_rec.T
             z += layer.bias
-            ifo = _sigmoid(z[:, : 3 * hdim], out=gates[l, t])
-            i, f, o = ifo[:, :hdim], ifo[:, hdim : 2 * hdim], ifo[:, 2 * hdim :]
-            g = np.tanh(z[:, 3 * hdim :], out=cands[l, t])
-            c = np.multiply(f, cs[l, t], out=cs[l, t + 1])
-            c += i * g
-            np.multiply(o, np.tanh(c, out=tanh_cs[l, t]), out=hs[l, t + 1])
+            _lstm_cell(
+                z, cs[l, t], gates[l, t], cands[l, t], cs[l, t + 1], tanh_cs[l, t], hs[l, t + 1]
+            )
             np.multiply(hs[l, t + 1], masks[t][l + 1], out=xs[l + 1][t])
         np.matmul(xs[L][t], model.output_embed.T, out=scratch)
         scratch += model.output_bias
@@ -496,14 +496,11 @@ def train_bptt(
     params = named_parameters(model)
     lr = config.lr
     history: list[float] = []
-    best = math.inf
-    prev = math.inf
+    best = prev = math.inf
 
     for epoch in range(config.epochs):
-        h = np.zeros((L, batch, hdim))
-        c = np.zeros((L, batch, hdim))
-        total_nll = 0.0
-        total_tok = 0
+        h, c = np.zeros((2, L, batch, hdim))
+        total_nll, total_tok = 0.0, 0
         for start in range(0, cols, config.unroll):
             xw = X[:, start : start + config.unroll].T.copy()
             yw = Y[:, start : start + config.unroll].T.copy()
@@ -553,30 +550,20 @@ def save_checkpoint(model: RnnLmModel, path: str) -> None:
     Matrices are serialized column-major in their word-per-column shapes
     (embed_dim x n_explicit for the input embedding, hidden_dim x n_explicit
     for the output embedding, 4*hidden x fan-in for LSTM blocks) as
-    little-endian float64, so round-trips are bit-exact.
+    little-endian float64, so round-trips are bit-exact.  A non-finite
+    parameter, which ``load_checkpoint`` rejects, is refused before writing.
     """
+    for name, arr in named_parameters(model):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite value in parameter block {name}: not saved")
     vocab_blob = model.vocab.to_text().encode("utf-8")
+    dims = model.embed_dim, model.hidden_dim, model.num_layers, len(model.vocab)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIII",
-                model.embed_dim,
-                model.hidden_dim,
-                model.num_layers,
-                len(model.vocab),
-                model.vocab.shortlist_size,
-            )
-        )
-        fh.write(struct.pack("<Q", len(vocab_blob)))
+        fh.write(struct.pack("<IIIIIQ", *dims, model.vocab.shortlist_size, len(vocab_blob)))
         fh.write(vocab_blob)
-        fh.write(np.ascontiguousarray(model.input_embed, dtype="<f8").tobytes())
-        for layer in model.layers:
-            fh.write(np.asarray(layer.w_in, dtype="<f8").tobytes(order="F"))
-            fh.write(np.asarray(layer.w_rec, dtype="<f8").tobytes(order="F"))
-            fh.write(np.asarray(layer.bias, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.output_embed, dtype="<f8").tobytes())
-        fh.write(np.asarray(model.output_bias, dtype="<f8").tobytes())
+        for name, arr in named_parameters(model):  # LSTM blocks column-major
+            fh.write(np.asarray(arr, dtype="<f8").tobytes(order="F" if "layers." in name else "C"))
 
 
 def load_checkpoint(path: str) -> RnnLmModel:

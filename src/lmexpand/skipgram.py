@@ -26,7 +26,7 @@ import numpy as np
 
 from .rnnlm import _sigmoid
 from .vocab import Corpus, ParseError, Vocabulary, VocabularyError, check_sentence, check_setting
-from .vocab import reading, text_lines
+from .vocab import reading, text_lines, word_index
 
 # Floor of the linearly decaying learning rate.
 MIN_LR = 1e-4
@@ -58,10 +58,7 @@ class WordEmbeddings:
             raise ValueError("word count disagrees with vector rows")
         self.words = list(words)
         self.vectors = np.asarray(vectors, dtype=float)
-        self.index: dict[str, int] = {}
-        for i, w in enumerate(self.words):
-            if self.index.setdefault(w, i) != i:
-                raise VocabularyError(f"duplicate word {w!r} at rows {self.index[w]} and {i}", i)
+        self.index = word_index(self.words, "row")
 
     def __contains__(self, word: str) -> bool:
         return word in self.index
@@ -223,8 +220,10 @@ def _update(
 def _segments(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group equal ids for a segment sum: the distinct ids in ascending
     order, the stable order that sorts ``ids``, and where each group starts
-    in it.  ``np.add.at(table, ids, values)`` is then
-    ``table[rows] += np.add.reduceat(values[order], starts, axis=0)``."""
+    in it.  ``table[rows] += np.add.reduceat(values[order], starts, axis=0)``
+    is then ``np.add.at(table, ids, values)`` within rounding: reduceat sums
+    a segment as its first row plus numpy's pairwise sum of the rest (numpy
+    2.4), not left to right, and the pinned skip-gram vectors hold that order."""
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
     starts = np.flatnonzero(np.concatenate([[True], ids[1:] != ids[:-1]]))
@@ -280,11 +279,16 @@ def _neighbor_search(embeddings: WordEmbeddings, vocab: Vocabulary, k: int):
 
 
 def save_w2v_text(embeddings: WordEmbeddings, path: str | Path) -> None:
-    """Text format: "<count> <dim>" header, then one word and vector per line."""
+    """Text format: "<count> <dim>" header, then one word and vector per line.
+    A non-finite value, which ``load_w2v_text`` rejects, is refused before writing."""
+    finite = np.isfinite(embeddings.vectors).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite vector value for word {embeddings.words[finite.argmin()]!r}")
+    row_format = " %.9g" * embeddings.dim
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(embeddings)} {embeddings.dim}\n")
-        for word, row in zip(embeddings.words, embeddings.vectors):
-            fh.write(word + " " + " ".join(format(v, ".9g") for v in row) + "\n")
+        for word, row in zip(embeddings.words, embeddings.vectors):  # no whole-table list
+            fh.write(word + row_format % tuple(row.tolist()) + "\n")
 
 
 def load_w2v_text(path: str | Path) -> WordEmbeddings:

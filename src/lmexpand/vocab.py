@@ -107,6 +107,18 @@ class VocabularyError(ValueError):
         self.word_id = word_id
 
 
+def word_index(words: list[str], unit: str) -> dict[str, int]:
+    """Each word's position in ``words``; a ``VocabularyError`` at the first
+    empty, whitespace-bearing or repeated word, naming positions as ``unit``s."""
+    index: dict[str, int] = {}
+    for i, w in enumerate(words):
+        if not w or w.split() != [w]:
+            raise VocabularyError(f"word {unit} {i} is empty or contains whitespace: {w!r}", i)
+        if index.setdefault(w, i) != i:
+            raise VocabularyError(f"duplicate word {w!r} at {unit}s {index[w]} and {i}", i)
+    return index
+
+
 class Vocabulary:
     """Ordered word<->id map with reserved tokens and a shortlist boundary.
 
@@ -127,12 +139,7 @@ class Vocabulary:
             raise ValueError(
                 f"shortlist_size {self.shortlist_size} outside [3, {len(self.words)}]"
             )
-        self._ids: dict[str, int] = {}
-        for i, w in enumerate(self.words):
-            if not w or w.split() != [w]:
-                raise VocabularyError(f"word id {i} is empty or contains whitespace: {w!r}", i)
-            if self._ids.setdefault(w, i) != i:
-                raise VocabularyError(f"duplicate word {w!r} at ids {self._ids[w]} and {i}", i)
+        self._ids = word_index(self.words, "id")
 
     def __len__(self) -> int:
         return len(self.words)

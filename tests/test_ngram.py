@@ -14,10 +14,12 @@ import functools
 import hashlib
 import math
 import random
+import re
 import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from hypothesis import strategies as st
 
 from lmexpand.datagen import make_template_grammar, sample_corpus
 from mutation import mutated_lines, write_lines
-from lmexpand.ngram import NgramModel, export_arpa, import_arpa, ngram_perplexity, train_kn
+from lmexpand.ngram import LN10, LOG10_TINY, NgramModel, _estimate_discounts
+from lmexpand.ngram import export_arpa, import_arpa, ngram_perplexity, train_kn
 from lmexpand.vocab import BOS_ID, EOS_ID, UNK_ID, ParseError, Vocabulary, build_vocabulary
 
 
@@ -288,6 +291,95 @@ def test_train_kn_tables_are_pinned(make_corpus, sizes, order, digest):
     assert _table_digest(model) == digest
 
 
+def per_gram_train_kn(corpus, vocab, order):
+    """``train_kn`` as it was first written: every lower-order probability
+    through the scalar backoff walk, every discount from ``_discount_for``.
+    The reference that the table lookups must reproduce bit for bit."""
+    raw = [Counter() for _ in range(order + 1)]
+    for sentence in corpus:
+        padded = [BOS_ID] + [vocab.encode(t) for t in sentence] + [EOS_ID]
+        for k in range(1, order + 1):
+            raw[k].update(zip(*(padded[j:] for j in range(k))))
+    adjusted = [dict() for _ in range(order + 1)]
+    adjusted[order] = dict(raw[order])
+    for k in range(order - 1, 0, -1):
+        cont = Counter(gram[1:] for gram in raw[k + 1])
+        adjusted[k] = {
+            gram: (c if gram[0] == BOS_ID else cont.get(gram, 0))
+            for gram, c in raw[k].items()
+        }
+    adjusted[1] = {(w,): adjusted[1].get((w,), 0) for w in range(len(vocab)) if w != BOS_ID}
+    uniform = 1.0 / (len(vocab) - 1)
+
+    def _discount_for(count, d):
+        return 0.0 if count <= 0 else d[min(count, 3) - 1]
+
+    probs = [dict() for _ in range(order)]
+    backoffs = [dict() for _ in range(order - 1)]
+    model = NgramModel(order, vocab, probs, backoffs)
+    for k in range(1, order + 1):
+        dk = _estimate_discounts(adjusted[k].values(), k)
+        by_context = {}
+        for gram, a in adjusted[k].items():
+            by_context.setdefault(gram[:-1], []).append((gram[-1], a))
+        for h, followers in by_context.items():
+            total = sum(a for _, a in followers)
+            n1c = sum(1 for _, a in followers if a == 1)
+            n2c = sum(1 for _, a in followers if a == 2)
+            n3c = sum(1 for _, a in followers if a >= 3)
+            gamma = (dk[0] * n1c + dk[1] * n2c + dk[2] * n3c) / total
+            if h:
+                backoffs[k - 2][h] = math.log(gamma)
+            for w, a in followers:
+                lower = math.exp(model.conditional_logprob(w, h[1:])) if h else uniform
+                p = max(a - _discount_for(a, dk), 0.0) / total + gamma * lower
+                probs[k - 1][h + (w,)] = math.log(p)
+    probs[0][(BOS_ID,)] = LOG10_TINY * LN10
+    return model
+
+
+# sentences over a few words and <unk>; vocabularies cut below the corpus's
+# words, so true out-of-vocabulary tokens map to <unk> too
+kn_corpora = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "d", "e", "<unk>"]), max_size=8),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kn_corpora, st.integers(1, 4), st.data())
+def test_train_kn_is_bitwise_the_per_gram_walk(corpus, order, data):
+    """Every table, in insertion order, as the per-gram backoff walk makes it;
+    and training scores no n-gram through ``conditional_logprob``."""
+    full = data.draw(st.integers(3, 8))
+    _assert_train_kn_is_the_walk(corpus, build_vocabulary(corpus, 3, full), order)
+
+
+@pytest.mark.parametrize(
+    "corpus, sizes, order",
+    [
+        pytest.param([["a", "b"]], (5, 5), 2, id="zero-count-of-counts"),
+        pytest.param(NON_POSITIVE_DISCOUNT, (9, 9), 2, id="non-positive-discount-bigram"),
+        pytest.param(NON_POSITIVE_DISCOUNT, (9, 9), 3, id="non-positive-discount-trigram"),
+    ],
+)
+def test_train_kn_is_the_per_gram_walk_on_fallback_discounts(corpus, sizes, order):
+    _assert_train_kn_is_the_walk(corpus, build_vocabulary(corpus, *sizes), order)
+
+
+def _assert_train_kn_is_the_walk(corpus, vocab, order):
+    walk = NgramModel.conditional_logprob
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = _table_digest(per_gram_train_kn(corpus, vocab, order))
+        with mock.patch.object(NgramModel, "conditional_logprob", autospec=True, side_effect=walk):
+            got = _table_digest(train_kn(corpus, vocab, order=order))
+            calls = NgramModel.conditional_logprob.call_count
+    assert got == want
+    assert calls == 0
+
+
 class TestArpa:
     def test_round_trip_within_tolerance(self, tmp_path, toy_vocab):
         with warnings.catch_warnings():
@@ -458,6 +550,29 @@ def test_arpa_export_import_export_is_byte_identical(corpus, order, data):
         export_arpa(model, first)
         export_arpa(import_arpa(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "kind, gram",
+    [
+        pytest.param("score", ("a", "b"), id="bigram-score"),
+        pytest.param("backoff weight", ("a",), id="unigram-backoff"),
+    ],
+)
+def test_export_refuses_a_score_the_reader_rejects(tmp_path, toy_vocab, kind, gram, bad):
+    """``import_arpa`` rejects a non-finite score, so ``export_arpa`` writes
+    no file with one and names its n-gram."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = train_kn(TOY, toy_vocab, order=2)
+    tables = model.probs if kind == "score" else model.backoffs
+    tables[len(gram) - 1][tuple(map(toy_vocab.encode, gram))] = bad
+    path = tmp_path / "lm.arpa"
+    named = f"non-finite {kind} {bad} for {len(gram)}-gram {' '.join(gram)!r}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        export_arpa(model, path)
+    assert not path.exists()
 
 
 # ------------------------------------------------------ ARPA reader fuzzing

@@ -519,6 +519,28 @@ def test_final_state_matches_stepwise_forward():
     np.testing.assert_allclose(c_t[:, 0, :], state.c, rtol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 2**32 - 1), st.lists(st.integers(0, 12), max_size=9))
+def test_training_forward_pass_is_the_inference_pass(L, seed, words):
+    """A sentence fed to ``loss_and_grads`` as a (T, 1) window from a zero
+    state, without dropout, has the loss ``-mean(score_ids)`` and ends in the
+    state that the ``forward_step`` chain reaches."""
+    rng = np.random.default_rng(seed)
+    embed, hidden, n_words = (int(d) for d in rng.integers(1, 8, size=3))
+    model = init_model(small_vocab(n_words), embed, hidden, L, seed=seed % 1000)
+    ids = [w % model.n_explicit for w in words]
+    inputs = np.array([BOS_ID] + ids)[:, None]
+    targets = np.array(ids + [EOS_ID])[:, None]
+    zeros = np.zeros((L, 1, hidden))
+    loss, _, h, c = loss_and_grads(model, inputs, targets, zeros, zeros, None)
+    assert loss == pytest.approx(-np.mean(score_ids(model, ids)), rel=1e-12, abs=0)
+    state = zero_state(model)
+    for w in inputs[:, 0]:
+        state = forward_step(model, int(w), state).state
+    np.testing.assert_allclose(h[:, 0], state.h, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(c[:, 0], state.c, rtol=1e-12, atol=1e-15)
+
+
 def reference_loss_and_grads(model, inputs, targets, h0, c0, masks):
     """One step at a time, as ``loss_and_grads`` was first written: the
     reference its window-wide passes must reproduce bit for bit, as
@@ -728,12 +750,30 @@ def test_checkpoint_round_trip_property(embed, hidden, layers, shortlist, tail, 
 @pytest.mark.parametrize("block", ["layers.0.w_rec", "layers.1.bias", "output_embed"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_checkpoint_rejects_non_finite_weights(tmp_path, block, bad):
+    """``save_checkpoint`` refuses such a model, so the bad value is written
+    over a marker value in the saved bytes."""
     model = checkpoint_model()
-    dict(named_parameters(model))[block].flat[1] = bad
+    marker, bad_bytes = struct.pack("<d", 1234.5), struct.pack("<d", bad)
+    dict(named_parameters(model))[block].flat[1] = 1234.5
     path = tmp_path / "model.bin"
     save_checkpoint(model, path)
+    assert path.read_bytes().count(marker) == 1
+    path.write_bytes(path.read_bytes().replace(marker, bad_bytes))
     with pytest.raises(ValueError, match=f"non-finite value in checkpoint block {block}"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("block", ["input_embed", "layers.0.w_in", "layers.1.bias", "output_bias"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_checkpoint_refuses_non_finite_weights(tmp_path, block, bad):
+    """``load_checkpoint`` rejects a non-finite parameter, so no file with one
+    is written, and the error names its block."""
+    model = checkpoint_model()
+    dict(named_parameters(model))[block].flat[-1] = bad
+    path = tmp_path / "model.bin"
+    with pytest.raises(ValueError, match=f"non-finite value in parameter block {block}: not saved"):
+        save_checkpoint(model, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("slot, field", [(0, "embed_dim"), (1, "hidden_dim"), (2, "num_layers")])

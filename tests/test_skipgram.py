@@ -31,7 +31,7 @@ from lmexpand.skipgram import (
     save_w2v_text,
     train_skipgram,
 )
-from lmexpand.vocab import RESERVED, Vocabulary
+from lmexpand.vocab import RESERVED, Vocabulary, VocabularyError
 from mutation import mutated_lines, write_lines
 
 
@@ -451,6 +451,23 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 5: duplicate word 'a' at rows 0 and 2"):
             load_w2v_text(path)
 
+    @pytest.mark.parametrize("word", ["", "a b", "tab\tin", "new\nline", "no\u00a0break"])
+    def test_words_are_one_field(self, word):
+        """The reader splits a row at whitespace, so a word must be one field."""
+        with pytest.raises(VocabularyError, match="word row 1 is empty or contains whitespace"):
+            WordEmbeddings(["a", word, "b"], np.ones((3, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_save_refuses_non_finite_values(self, tmp_path, bad):
+        """The reader rejects a non-finite value, so no file with one is
+        written, and the error names its word."""
+        vectors = np.ones((3, 2))
+        vectors[1, 1] = bad
+        path = tmp_path / "vec.txt"
+        with pytest.raises(ValueError, match="non-finite vector value for word 'beta'"):
+            save_w2v_text(WordEmbeddings(["alpha", "beta", "gamma"], vectors), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("header", ["-1 2", "1 0", "0 0", "2 -3"])
     def test_header_rejects_negative_count_or_empty_vectors(self, tmp_path, header):
         path = tmp_path / "vec.txt"
@@ -488,6 +505,33 @@ def test_w2v_round_trip_keeps_nine_digits_exactly(words, dim, data):
         # what was read back is written back byte for byte
         save_w2v_text(again, Path(tmp) / "again.txt")
         assert (Path(tmp) / "again.txt").read_bytes() == path.read_bytes()
+
+
+def value_by_value_w2v(embeddings):
+    """The w2v text as ``save_w2v_text`` first wrote it, one ``format`` call
+    per value: the reference for its row-at-a-time writer."""
+    lines = [f"{len(embeddings)} {embeddings.dim}\n"]
+    for word, row in zip(embeddings.words, embeddings.vectors):
+        lines.append(word + " " + " ".join(format(v, ".9g") for v in row) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+edge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7e308, -1.7e308]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(w2v_words, unique=True, max_size=6), st.integers(1, 6), st.data())
+def test_w2v_writer_is_bytewise_the_value_by_value_writer(words, dim, data):
+    rows = data.draw(st.lists(st.lists(edge_floats, min_size=dim, max_size=dim),
+                              min_size=len(words), max_size=len(words)))
+    emb = WordEmbeddings(words, np.array(rows, dtype=float).reshape(len(words), dim))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vec.txt"
+        save_w2v_text(emb, path)
+        assert path.read_bytes() == value_by_value_w2v(emb)
 
 
 # ------------------------------------------------------- w2v reader fuzzing

@@ -2,7 +2,8 @@
 reader takes its lines from ``vocab.text_lines``, reporting a bad line with
 ``ParseError`` after the file's path: a byte that is not UTF-8 fails on its
 own line, damaged files of every format load or fail at a line inside the
-file, and no other source file reads input or decodes text.
+file, and no other source file reads input or decodes text.  The same AST
+walk checks that ``rnnlm`` writes its LSTM cell once.
 """
 
 from __future__ import annotations
@@ -288,6 +289,14 @@ def test_input_is_read_in_one_place():
     input file, so every reader's errors name their file the same way."""
     sites = _callers(_reads)
     assert {site[:2] for site in sites} == {("vocab", "reading")}, sites
+
+
+def test_lstm_cell_is_written_once():
+    """``rnnlm._lstm_cell`` is the one LSTM cell step: no other function of
+    ``rnnlm`` calls ``_sigmoid`` or ``np.tanh``, so training and inference
+    run the same cell arithmetic."""
+    sites = _callers(lambda call: _call_name(call) in {"_sigmoid", "tanh"})
+    assert {site[:2] for site in sites if site[0] == "rnnlm"} == {("rnnlm", "_lstm_cell")}, sites
 
 
 def test_text_is_decoded_in_one_place():
