@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, ParseError, Vocabulary
-from .vocab import check_sentence, check_setting, reading, text_lines
+from .vocab import check_corpus, check_setting, reading, text_lines
 
 LN10 = math.log(10.0)
 # Conventional placeholder for the never-predicted sentence-begin unigram.
@@ -180,16 +180,14 @@ def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
     """Estimate a modified Kneser-Ney model of the given order.
 
     Counts run over the full vocabulary: tail words keep their own ids and
-    only true out-of-vocabulary tokens collapse to the unknown id.  A literal
-    <s> or </s> inside a sentence is rejected with the sentence index.
+    only true out-of-vocabulary tokens collapse to the unknown id.  The
+    corpus is checked by ``check_corpus``.
     """
     check_setting("order", order, order >= 1, ">= 1")
-    if not corpus:
-        raise ValueError("empty corpus")
+    check_corpus(corpus)
 
     raw: list[Counter] = [Counter() for _ in range(order + 1)]  # raw[k], k in 1..order
-    for index, sentence in enumerate(corpus):
-        check_sentence(sentence, f"sentence {index}")
+    for sentence in corpus:
         padded = [BOS_ID] + [vocab.encode(t) for t in sentence] + [EOS_ID]
         for k in range(1, order + 1):  # the k-grams in order, counted in C
             raw[k].update(zip(*(padded[j:] for j in range(k))))

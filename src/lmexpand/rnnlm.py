@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_sentence, check_setting, reading
+from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_corpus, check_setting, reading
 
 MAGIC = b"RNNLM1"
 _BLOCK_ROWS = 128  # trie nodes per batched step in score_batch
@@ -449,8 +449,7 @@ class TrainConfig:
 def _training_stream(corpus: Corpus, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     inputs: list[int] = []
     targets: list[int] = []
-    for index, sentence in enumerate(corpus):
-        check_sentence(sentence, f"sentence {index}")
+    for sentence in corpus:
         ids = [vocab.encode(t, shortlist_only=True) for t in sentence]
         inputs.extend([BOS_ID] + ids)
         targets.extend(ids + [EOS_ID])
@@ -468,13 +467,13 @@ def train_bptt(
     Sentences are concatenated into one stream, split across ``batch``
     parallel sub-streams; hidden state is carried across window boundaries
     within an epoch.  Without a validation corpus the history holds training
-    perplexity instead.  A literal <s> or </s> inside a training sentence is
-    rejected with the sentence index.
+    perplexity instead.  Both corpora are checked by ``check_corpus``.
     """
-    if not corpus:
-        raise ValueError("empty corpus")
-    if val_corpus is not None and not val_corpus:
-        raise ValueError("empty validation corpus: no scoreable tokens")
+    check_corpus(corpus)
+    if val_corpus is not None:
+        if not val_corpus:
+            raise ValueError("empty validation corpus: no scoreable tokens")
+        check_corpus(val_corpus, "validation sentence")
     for name, ok, bound in [
         ("unroll", config.unroll >= 1, ">= 1"),
         ("batch", config.batch >= 1, ">= 1"),

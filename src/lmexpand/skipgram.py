@@ -18,14 +18,13 @@ often a word repeats within one chunk, the larger its combined step.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .rnnlm import _sigmoid
-from .vocab import Corpus, ParseError, Vocabulary, VocabularyError, check_sentence, check_setting
+from .vocab import Corpus, ParseError, Vocabulary, VocabularyError, check_setting, ranked_words
 from .vocab import reading, text_lines, word_index
 
 # Floor of the linearly decaying learning rate.
@@ -77,10 +76,9 @@ class WordEmbeddings:
 
 
 def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) -> WordEmbeddings:
-    """Train embeddings covering every corpus word with count >= min_count.
-    A literal <s> or </s> inside a sentence is rejected with its index."""
-    if not corpus:
-        raise ValueError("empty corpus")
+    """Train embeddings covering every corpus word with count >= min_count,
+    ranked by ``ranked_words`` (which checks the corpus)."""
+    ranked = ranked_words(corpus)
     for name, ok, bound in [
         ("dim", config.dim >= 1, ">= 1"),
         ("window", config.window >= 1, ">= 1"),
@@ -91,18 +89,10 @@ def train_skipgram(corpus: Corpus, config: SkipgramConfig = SkipgramConfig()) ->
         ("seed", config.seed >= 0, ">= 0"),
     ]:
         check_setting(name, getattr(config, name), ok, bound)
-    counts = Counter()
-    for index, sentence in enumerate(corpus):
-        check_sentence(sentence, f"sentence {index}")
-        counts.update(sentence)
-    vocab_items = sorted(
-        ((w, c) for w, c in counts.items() if c >= config.min_count),
-        key=lambda item: (-item[1], item[0]),
-    )
-    if not vocab_items:
+    words = [w for w, c in ranked if c >= config.min_count]  # a prefix of the ranking
+    if not words:
         raise ValueError("no words meet min_count")
-    words = [w for w, _ in vocab_items]
-    freqs = np.array([c for _, c in vocab_items], dtype=float)
+    freqs = np.array([c for _, c in ranked[: len(words)]], dtype=float)
     index = {w: i for i, w in enumerate(words)}
     total = freqs.sum()
     encoded = [np.array([index[t] for t in s if t in index], dtype=np.int64) for s in corpus]

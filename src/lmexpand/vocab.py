@@ -13,6 +13,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 BOS = "<s>"
@@ -68,11 +69,26 @@ def text_lines(data: bytes | str) -> list[str]:
     return text.removesuffix("\n").split("\n") if text else []
 
 
-def check_sentence(tokens: Sentence, where: str) -> None:
-    """Reject a literal <s> or </s>: sentence bounds are implicit in a corpus."""
+def _misplaced(tokens: Sentence) -> str | None:
+    """The fault of a sentence's tokens, if any: its bounds are implicit."""
     for token in (BOS, EOS):
         if token in tokens:
-            raise ValueError(f"{where}: reserved token {token} inside a sentence")
+            return f"reserved token {token} inside a sentence"
+
+
+def check_corpus(corpus: Corpus, sentence: str = "sentence") -> None:
+    """The one corpus check of every trainer; a fault reads ``<sentence> <index>: ...``."""
+    if not corpus:
+        raise ValueError("empty corpus")
+    for index, tokens in enumerate(corpus):
+        if problem := _misplaced(tokens):
+            raise ValueError(f"{sentence} {index}: {problem}")
+
+
+def ranked_words(corpus: Corpus) -> list[tuple[str, int]]:
+    """The checked corpus's (word, count) pairs, most frequent first, ties in word order."""
+    check_corpus(corpus)
+    return sorted(Counter(chain.from_iterable(corpus)).items(), key=lambda wc: (-wc[1], wc[0]))
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -83,9 +99,8 @@ def load_corpus(path: str | Path) -> Corpus:
         sentences: Corpus = []
         for line_no, line in enumerate(lines, start=1):
             tokens = line.split()
-            for token in (BOS, EOS):
-                if token in tokens:
-                    raise ParseError(f"reserved token {token} inside a sentence", line_no)
+            if problem := _misplaced(tokens):
+                raise ParseError(problem, line_no)
             if tokens:
                 sentences.append(tokens)
         if not sentences:  # reported where the file ends
@@ -100,7 +115,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 class VocabularyError(ValueError):
-    """A misplaced reserved, empty, whitespace-bearing or repeated word at position ``word_id``."""
+    """A misplaced reserved, malformed or repeated word at position ``word_id``."""
 
     def __init__(self, message: str, word_id: int):
         super().__init__(message)
@@ -108,12 +123,14 @@ class VocabularyError(ValueError):
 
 
 def word_index(words: list[str], unit: str) -> dict[str, int]:
-    """Each word's position in ``words``; a ``VocabularyError`` at the first
-    empty, whitespace-bearing or repeated word, naming positions as ``unit``s."""
+    """Each word's position in ``words``; a ``VocabularyError`` at the first empty,
+    whitespace-bearing, non-UTF-8 or repeated word, naming positions as ``unit``s."""
     index: dict[str, int] = {}
     for i, w in enumerate(words):
         if not w or w.split() != [w]:
             raise VocabularyError(f"word {unit} {i} is empty or contains whitespace: {w!r}", i)
+        if not w.isascii() and any("\ud800" <= ch <= "\udfff" for ch in w):  # not in UTF-8
+            raise VocabularyError(f"word {unit} {i} does not encode as UTF-8: {w!r}", i)
         if index.setdefault(w, i) != i:
             raise VocabularyError(f"duplicate word {w!r} at {unit}s {index[w]} and {i}", i)
     return index
@@ -215,23 +232,15 @@ def build_vocabulary(corpus: Corpus, shortlist_size: int, full_size: int) -> Voc
     Words are ranked by descending frequency, ties broken lexicographically.
     The three reserved tokens always occupy ids 0..2 and count toward both
     sizes.  When the corpus has fewer unique words than requested, the
-    shortlist and the full vocabulary shrink to what exists.  A literal <s>
-    or </s> is rejected with the sentence index; <unk> keeps its reserved id.
+    shortlist and the full vocabulary shrink to what exists.  The corpus is
+    checked by ``check_corpus``; <unk> keeps its reserved id.
     """
-    if not corpus:
-        raise ValueError("empty corpus")
+    ranked = ranked_words(corpus)
     if shortlist_size < 3:
         raise ValueError("shortlist_size must be at least 3 (reserved tokens)")
     if full_size < shortlist_size:
         raise ValueError("full_size must be >= shortlist_size")
-    counts = Counter()
-    for index, sentence in enumerate(corpus):
-        check_sentence(sentence, f"sentence {index}")
-        counts.update(sentence)
-    counts.pop(UNK, None)
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    kept = [w for w, _ in ranked[: full_size - 3]]
-    words = list(RESERVED) + kept
+    words = [*RESERVED, *[w for w, _ in ranked if w != UNK][: full_size - 3]]
     return Vocabulary(words, min(shortlist_size, len(words)))
 
 
@@ -246,8 +255,8 @@ class Hypothesis:
 NBestList = dict[str, list[Hypothesis]]
 
 
-def _tab_records(blob: bytes, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of every non-blank line of a tab-separated file's bytes."""
+def _tab_records(blob: bytes, n_fields: int) -> Iterator[tuple[int, list[str], Sentence]]:
+    """(line number, leading fields, checked words of the last field) of each non-blank line."""
     for line_no, line in enumerate(text_lines(blob), start=1):
         if not line.strip():
             continue
@@ -256,14 +265,17 @@ def _tab_records(blob: bytes, n_fields: int) -> Iterator[tuple[int, list[str]]]:
             raise ParseError(
                 f"expected {n_fields} tab-separated fields, found {len(fields)}", line_no
             )
-        yield line_no, fields
+        words = fields.pop().split()
+        if problem := _misplaced(words):
+            raise ParseError(problem, line_no)
+        yield line_no, fields, words
 
 
 def parse_nbest(path: str | Path) -> NBestList:
     nbest: NBestList = {}
     seen: set[tuple[str, int]] = set()
     with reading(path) as blob:
-        for line_no, (utt, rank_s, ac_s, lm_s, words_s) in _tab_records(blob, 5):
+        for line_no, (utt, rank_s, ac_s, lm_s), words in _tab_records(blob, 5):
             try:
                 rank, acoustic, lm = int(rank_s), float(ac_s), float(lm_s)
             except ValueError as err:
@@ -274,7 +286,7 @@ def parse_nbest(path: str | Path) -> NBestList:
                 raise ParseError(f"duplicate hypothesis {utt!r} rank {rank}", line_no)
             seen.add((utt, rank))
             nbest.setdefault(utt, []).append(
-                Hypothesis(words=words_s.split(), acoustic_score=acoustic, lm_score=lm, rank=rank)
+                Hypothesis(words=words, acoustic_score=acoustic, lm_score=lm, rank=rank)
             )
     for hyps in nbest.values():
         hyps.sort(key=lambda h: h.rank)
@@ -295,10 +307,10 @@ def load_transcripts(path: str | Path) -> dict[str, list[str]]:
     """Read "<utt-id>\t<words>" lines (references or 1-best transcripts)."""
     out: dict[str, list[str]] = {}
     with reading(path) as blob:
-        for line_no, (utt, words_s) in _tab_records(blob, 2):
+        for line_no, (utt,), words in _tab_records(blob, 2):
             if utt in out:
                 raise ParseError(f"duplicate utterance {utt!r}", line_no)
-            out[utt] = words_s.split()
+            out[utt] = words
     return out
 
 

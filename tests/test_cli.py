@@ -672,6 +672,19 @@ def test_rescore_error_reports_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_boundary_token_in_an_nbest_hypothesis_reports_error(workdir, tmp_path, capsys):
+    """A hypothesis is a sentence, so ``rescore`` refuses a literal </s> in
+    one at its line instead of scoring a sentence end inside it."""
+    nbest = tmp_path / "t.nbest"
+    nbest.write_text("u0\t1\t-1.0\t-2.0\ta b\nu1\t1\t-1.0\t-2.0\ta </s> b\n")
+    rc = main(["rescore", "--nbest", str(nbest), "--arpa", str(workdir / "model.arpa"),
+               "--out", str(tmp_path / "never.nbest")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {nbest}: line 2: reserved token </s> inside a sentence\n"
+    assert not (tmp_path / "never.nbest").exists()
+
+
 def test_training_divergence_reports_error(workdir, tmp_path, capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise rnnlm.TrainingDivergedError("non-finite loss nan at epoch 0 window 3")

@@ -671,6 +671,16 @@ def test_train_bptt_rejects_boundary_tokens_inside_a_sentence(corpus, message):
     assert len(history) == 1 and math.isfinite(history[0])
 
 
+def test_train_bptt_rejects_boundary_tokens_inside_a_validation_sentence():
+    """Validation sentences obey the training corpus's rule, and the error
+    says which corpus holds the bad sentence."""
+    model = init_model(small_vocab(2), 2, 2, 1, seed=0)
+    config = TrainConfig(unroll=2, dropout=0.0, epochs=1, batch=1)
+    message = "validation sentence 1: reserved token </s> inside a sentence"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train_bptt(model, [["w0", "w1"]], config, val_corpus=[["w1"], ["w0", "</s>", "w1"]])
+
+
 @pytest.mark.parametrize("field", ["embed_dim", "hidden_dim", "num_layers"])
 def test_init_model_rejects_zero_sizes(field):
     sizes = {"embed_dim": 3, "hidden_dim": 2, "num_layers": 1, field: 0}

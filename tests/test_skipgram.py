@@ -451,11 +451,23 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 5: duplicate word 'a' at rows 0 and 2"):
             load_w2v_text(path)
 
-    @pytest.mark.parametrize("word", ["", "a b", "tab\tin", "new\nline", "no\u00a0break"])
+    @pytest.mark.parametrize(
+        "word", ["", "a b", "tab\tin", "new\nline", "no\u00a0break", "bad\ud800"]
+    )
     def test_words_are_one_field(self, word):
-        """The reader splits a row at whitespace, so a word must be one field."""
-        with pytest.raises(VocabularyError, match="word row 1 is empty or contains whitespace"):
+        """The reader splits a row at whitespace, so a word must be one field;
+        the file is UTF-8, so it must encode as UTF-8."""
+        fault = "does not encode as UTF-8" if word == "bad\ud800" else "is empty or contains whitespace"
+        with pytest.raises(VocabularyError, match=f"word row 1 {fault}"):
             WordEmbeddings(["a", word, "b"], np.ones((3, 2)))
+
+    def test_a_word_that_is_not_utf8_writes_no_file(self, tmp_path):
+        """A lone surrogate fails when the embeddings are built, naming its
+        row, not halfway through ``save_w2v_text``."""
+        path = tmp_path / "vec.txt"
+        with pytest.raises(VocabularyError, match="word row 1 does not encode as UTF-8"):
+            save_w2v_text(WordEmbeddings(["ok", "bad\ud800"], np.ones((2, 2))), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_save_refuses_non_finite_values(self, tmp_path, bad):

@@ -291,6 +291,47 @@ def test_input_is_read_in_one_place():
     assert {site[:2] for site in sites} == {("vocab", "reading")}, sites
 
 
+def _modules() -> dict[str, str]:
+    """The source of every module of the package, by name."""
+    return {p.stem: p.read_text("utf-8") for p in Path(lmexpand.__file__).parent.glob("*.py")}
+
+
+def test_corpus_rules_are_worded_in_vocab_only():
+    """``vocab.check_corpus`` is the one check of an in-memory corpus: no
+    other module holds a string with the empty-corpus or reserved-token error."""
+    found = {
+        (name, node.value)
+        for name, source in _modules().items()
+        if name != "vocab"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(phrase in node.value for phrase in ("empty corpus", "reserved token"))
+    }
+    assert not found
+
+
+def test_every_import_is_used():
+    """No module but ``__init__`` imports a name it never uses, unless the
+    import line says so with ``# noqa: F401``."""
+    unused = []
+    for name, source in _modules().items():
+        if name == "__init__":
+            continue
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        lines = source.splitlines()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", "") == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append((name, node.lineno, bound))
+    assert not unused
+
+
 def test_lstm_cell_is_written_once():
     """``rnnlm._lstm_cell`` is the one LSTM cell step: no other function of
     ``rnnlm`` calls ``_sigmoid`` or ``np.tanh``, so training and inference

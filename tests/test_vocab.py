@@ -23,10 +23,13 @@ from lmexpand.vocab import (
     Hypothesis,
     ParseError,
     Vocabulary,
+    VocabularyError,
     build_vocabulary,
+    check_corpus,
     load_corpus,
     load_transcripts,
     parse_nbest,
+    ranked_words,
     save_corpus,
     text_lines,
     write_nbest,
@@ -110,6 +113,28 @@ class TestBuildVocabulary:
             build_vocabulary([["a"]], 2, 10)
         with pytest.raises(ValueError):
             build_vocabulary([["a"]], 6, 5)
+
+
+class TestCorpusRules:
+    def test_ranked_words_orders_by_count_then_word(self):
+        corpus = [["b", "a", UNK], ["c", "a", "b"], ["d"]]
+        assert ranked_words(corpus) == [("a", 2), ("b", 2), ("<unk>", 1), ("c", 1), ("d", 1)]
+
+    @pytest.mark.parametrize(
+        "corpus, message",
+        [
+            ([], "empty corpus"),
+            ([["a"], [], ["b", EOS]], "sentence 2: reserved token </s> inside a sentence"),
+            ([[BOS, EOS]], "sentence 0: reserved token <s> inside a sentence"),
+        ],
+    )
+    def test_check_corpus_and_ranking_share_one_rule(self, corpus, message):
+        for check in (check_corpus, ranked_words):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check(corpus)
+
+    def test_empty_sentences_and_unk_pass(self):
+        check_corpus([[], [UNK, "a"]])
 
 
 class TestEncodeDecode:
@@ -209,11 +234,20 @@ class TestVocabularyFile:
         with pytest.raises(ValueError, match="duplicate word '<s>' at ids 0 and 4"):
             Vocabulary([BOS, EOS, UNK, "a", BOS], 4)
 
-    @pytest.mark.parametrize("word", ["", "a b", "tab\there", " "])
+    @pytest.mark.parametrize("word", ["", "a b", "tab\there", " ", "x\udc80"])
     def test_empty_or_whitespace_word_is_named(self, word):
-        message = f"word id 4 is empty or contains whitespace: {word!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        fault = "does not encode as UTF-8" if word == "x\udc80" else "is empty or contains whitespace"
+        message = f"word id 4 {fault}: {word!r}"
+        with pytest.raises(VocabularyError, match=re.escape(message)):
             Vocabulary([BOS, EOS, UNK, "a", word], 4)
+
+    def test_a_word_that_is_not_utf8_writes_no_file(self, tmp_path):
+        """A lone surrogate fails when the vocabulary is built, naming its id,
+        not halfway through ``save``."""
+        path = tmp_path / "v.txt"
+        with pytest.raises(VocabularyError, match="word id 3 does not encode as UTF-8"):
+            Vocabulary([*RESERVED, "x\udc80"], 4).save(path)
+        assert not path.exists()
 
     def test_file_errors_report_the_line(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -272,6 +306,32 @@ class TestCorpusIO:
             load_corpus(path)
 
 
+class TestSentenceRuleInTabFiles:
+    """Hypotheses and transcripts are sentences too: their bounds are
+    implicit, so a literal <s> or </s> among their words is an error at its line."""
+
+    @pytest.mark.parametrize("token", [BOS, EOS])
+    def test_nbest_word_field_is_a_sentence(self, tmp_path, token):
+        path = tmp_path / "t.nbest"
+        path.write_text(f"u0\t1\t-1.0\t-2.0\ta b\nu1\t1\t-1.0\t-2.0\ta {token} b\n")
+        message = f"{path}: line 2: reserved token {token} inside a sentence"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_nbest(path)
+
+    @pytest.mark.parametrize("token", [BOS, EOS])
+    def test_transcript_words_are_a_sentence(self, tmp_path, token):
+        path = tmp_path / "refs.txt"
+        path.write_text(f"u0\ta b\n\nu1\t{token} a\n")
+        message = f"{path}: line 3: reserved token {token} inside a sentence"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_transcripts(path)
+
+    def test_unk_and_reserved_utterance_ids_stay_legal(self, tmp_path):
+        path = tmp_path / "refs.txt"
+        path.write_text(f"{EOS}\ta {UNK}\n")
+        assert load_transcripts(path) == {EOS: ["a", UNK]}
+
+
 # ------------------------------------------------------ round-trip properties
 
 # one whitespace-free token: a vocabulary word, an utterance id or a word of
@@ -279,6 +339,8 @@ class TestCorpusIO:
 tokens = st.text(
     st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8
 ).filter(lambda t: t.split() == [t])
+# a word of a sentence (a hypothesis or a transcript), whose bounds are implicit
+sentence_words = tokens.filter(lambda t: t not in (BOS, EOS))
 scores = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -305,7 +367,7 @@ def test_vocabulary_text_round_trip(vocab):
 @given(
     st.dictionaries(
         tokens,
-        st.lists(st.tuples(st.lists(tokens, max_size=5), scores, scores), max_size=4),
+        st.lists(st.tuples(st.lists(sentence_words, max_size=5), scores, scores), max_size=4),
         max_size=5,
     )
 )
@@ -332,7 +394,7 @@ def test_nbest_round_trip_at_six_decimals(lists):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.dictionaries(tokens, st.lists(tokens, max_size=6), max_size=6))
+@given(st.dictionaries(tokens, st.lists(sentence_words, max_size=6), max_size=6))
 def test_transcripts_round_trip(transcripts):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.txt"
