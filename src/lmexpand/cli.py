@@ -99,8 +99,7 @@ def _cmd_extract_oos(args) -> int:
     v = vocab.Vocabulary.load(args.vocab)
     words = expansion.extract_oos_words(nb, v, **_given(args, "n"))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(w + "\n" for w in words)
+        vocab.writing(args.out, "".join(w + "\n" for w in words))
     else:
         for word in words:
             print(word)
@@ -121,7 +120,7 @@ def _cmd_expand(args) -> int:
     )
     rnnlm.save_checkpoint(expanded, args.out)
     if args.report:
-        Path(args.report).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        vocab.writing(args.report, json.dumps(report.to_dict(), indent=2) + "\n")
     print(
         f"expanded {len(report.expanded)} words, skipped {len(report.skipped)};"
         f" explicit columns {report.explicit_before} -> {report.explicit_after}"

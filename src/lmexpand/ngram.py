@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, ParseError, Vocabulary
-from .vocab import check_corpus, check_setting, reading, text_lines
+from .vocab import check_corpus, check_setting, reading, text_lines, writing
 
 LN10 = math.log(10.0)
 # Conventional placeholder for the never-predicted sentence-begin unigram.
@@ -254,27 +254,21 @@ def export_arpa(model: NgramModel, path: str | Path) -> None:
     rejects, is refused before writing.
     """
     tables = model.probs[: max(k for k, table in enumerate(model.probs, start=1) if table)]
-    for k, table in enumerate(tables, start=1):  # refuse what import_arpa rejects
+    out = ["\\data\\\n", *(f"ngram {k}={len(table)}\n" for k, table in enumerate(tables, 1))]
+    for k, table in enumerate(tables, start=1):
         bows = model.backoffs[k - 1] if k < len(tables) else {}
         for kind, scores in [("score", table), ("backoff weight", bows)]:
             finite = np.isfinite(np.fromiter(scores.values(), float, len(scores)))
-            if not finite.all():
+            if not finite.all():  # refuse what import_arpa rejects
                 gram = list(scores)[finite.argmin()]
                 words = " ".join(model.vocab.decode(i) for i in gram)
                 raise ValueError(f"non-finite {kind} {scores[gram]} for {k}-gram {words!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\\data\\\n")
-        for k, table in enumerate(tables, start=1):
-            fh.write(f"ngram {k}={len(table)}\n")
-        for k, table in enumerate(tables, start=1):
-            fh.write(f"\n\\{k}-grams:\n")
-            for gram in sorted(table):
-                words = " ".join(model.vocab.decode(i) for i in gram)
-                bow = ""
-                if k < len(tables):
-                    bow = f"\t{model.backoffs[k - 1].get(gram, 0.0) / LN10:.6f}"
-                fh.write(f"{table[gram] / LN10:.6f}\t{words}{bow}\n")
-        fh.write("\n\\end\\\n")
+        out.append(f"\n\\{k}-grams:\n")
+        for gram in sorted(table):
+            words = " ".join(model.vocab.decode(i) for i in gram)
+            bow = f"\t{bows.get(gram, 0.0) / LN10:.6f}" if k < len(tables) else ""
+            out.append(f"{table[gram] / LN10:.6f}\t{words}{bow}\n")
+    writing(path, "".join(out) + "\n\\end\\\n")
 
 
 def import_arpa(path: str | Path) -> NgramModel:

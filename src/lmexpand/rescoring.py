@@ -21,7 +21,7 @@ from . import ngram as _ngram
 from . import rnnlm as _rnnlm
 from . import skipgram as _skipgram
 from .vocab import Hypothesis, NBestList, ParseError, check_setting, load_transcripts, parse_nbest
-from .vocab import reading, text_lines
+from .vocab import reading, text_lines, writing
 from .vocab import write_nbest, write_transcripts  # noqa: F401  re-exported for callers
 
 
@@ -341,7 +341,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
         "systems": systems,
     }
     if "report" in config:
-        Path(config["report"]).write_text(json.dumps(out_report, indent=2) + "\n", encoding="utf-8")
+        writing(config["report"], json.dumps(out_report, indent=2) + "\n")
     if "expanded_checkpoint" in config:
         _rnnlm.save_checkpoint(expanded, config["expanded_checkpoint"])
     return out_report

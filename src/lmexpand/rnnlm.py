@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_corpus, check_setting, reading
+from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_corpus, check_setting, reading, writing
 
 MAGIC = b"RNNLM1"
 _BLOCK_ROWS = 128  # trie nodes per batched step in score_batch
@@ -552,17 +552,15 @@ def save_checkpoint(model: RnnLmModel, path: str) -> None:
     little-endian float64, so round-trips are bit-exact.  A non-finite
     parameter, which ``load_checkpoint`` rejects, is refused before writing.
     """
-    for name, arr in named_parameters(model):
+    blocks = []
+    for name, arr in named_parameters(model):  # LSTM blocks column-major
         if not np.isfinite(arr).all():
             raise ValueError(f"non-finite value in parameter block {name}: not saved")
+        blocks.append(np.asarray(arr, dtype="<f8").tobytes(order="F" if "layers." in name else "C"))
     vocab_blob = model.vocab.to_text().encode("utf-8")
     dims = model.embed_dim, model.hidden_dim, model.num_layers, len(model.vocab)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIIIIQ", *dims, model.vocab.shortlist_size, len(vocab_blob)))
-        fh.write(vocab_blob)
-        for name, arr in named_parameters(model):  # LSTM blocks column-major
-            fh.write(np.asarray(arr, dtype="<f8").tobytes(order="F" if "layers." in name else "C"))
+    header = struct.pack("<IIIIIQ", *dims, model.vocab.shortlist_size, len(vocab_blob))
+    writing(path, b"".join([MAGIC, header, vocab_blob, *blocks]))
 
 
 def load_checkpoint(path: str) -> RnnLmModel:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .rnnlm import _sigmoid
 from .vocab import Corpus, ParseError, Vocabulary, VocabularyError, check_setting, ranked_words
-from .vocab import reading, text_lines, word_index
+from .vocab import reading, text_lines, word_index, writing
 
 # Floor of the linearly decaying learning rate.
 MIN_LR = 1e-4
@@ -274,11 +274,10 @@ def save_w2v_text(embeddings: WordEmbeddings, path: str | Path) -> None:
     finite = np.isfinite(embeddings.vectors).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite vector value for word {embeddings.words[finite.argmin()]!r}")
-    row_format = " %.9g" * embeddings.dim
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(embeddings)} {embeddings.dim}\n")
-        for word, row in zip(embeddings.words, embeddings.vectors):  # no whole-table list
-            fh.write(word + row_format % tuple(row.tolist()) + "\n")
+    row_format = "%s" + " %.9g" * embeddings.dim + "\n"
+    rows = zip(embeddings.words, embeddings.vectors)
+    body = "".join(row_format % (word, *row.tolist()) for word, row in rows)
+    writing(path, f"{len(embeddings)} {embeddings.dim}\n" + body)
 
 
 def load_w2v_text(path: str | Path) -> WordEmbeddings:

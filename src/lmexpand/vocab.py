@@ -43,16 +43,33 @@ def check_setting(name: str, value: object, ok: bool, bound: str) -> None:
 
 
 @contextmanager
-def reading(path: str | Path) -> Iterator[bytes]:
-    """The bytes of the file at ``path``, the one place a reader gets its input.
-    A ``ValueError`` raised inside the block is raised again naming the file."""
-    blob = Path(path).read_bytes()
+def _naming(path: str | Path) -> Iterator[None]:
+    """A ``ValueError`` raised inside the block is raised again naming the file."""
     try:
-        yield blob
+        yield
     except ParseError as err:
         raise ParseError(err.message, err.line_no, path) from err
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
+
+
+@contextmanager
+def reading(path: str | Path) -> Iterator[bytes]:
+    """The bytes of the file at ``path``, the one place a reader gets its input."""
+    with _naming(path):
+        yield Path(path).read_bytes()
+
+
+def writing(path: str | Path, data: str | bytes) -> None:
+    """``data`` as the file at ``path``, the one place a writer puts its output.  Text is
+    encoded before the file is opened: a character that does not encode leaves no file."""
+    with _naming(path):
+        try:
+            blob = data.encode("utf-8") if isinstance(data, str) else data
+        except UnicodeEncodeError as err:  # the text before the bad character encodes
+            line_no = len(text_lines(data[: err.start] + "."))  # the bad character's line
+            raise ParseError(f"{data[err.start]!r} does not encode as UTF-8", line_no) from None
+    Path(path).write_bytes(blob)
 
 
 def text_lines(data: bytes | str) -> list[str]:
@@ -109,9 +126,7 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sentence in corpus:
-            fh.write(" ".join(sentence) + "\n")
+    writing(path, "".join(" ".join(sentence) + "\n" for sentence in corpus))
 
 
 class VocabularyError(ValueError):
@@ -200,9 +215,7 @@ class Vocabulary:
         return self.words[self.shortlist_size :]
 
     def to_text(self) -> str:
-        lines = [f"#shortlist={self.shortlist_size}"]
-        lines.extend(self.words)
-        return "\n".join(lines) + "\n"
+        return "\n".join([f"#shortlist={self.shortlist_size}", *self.words, ""])
 
     @classmethod
     def from_text(cls, text: str | bytes) -> Vocabulary:
@@ -218,7 +231,7 @@ class Vocabulary:
             raise ParseError(f"bad shortlist header {lines[0]!r}: {err}", 1) from err
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
+        writing(path, self.to_text())
 
     @classmethod
     def load(cls, path: str | Path) -> Vocabulary:
@@ -294,13 +307,11 @@ def parse_nbest(path: str | Path) -> NBestList:
 
 
 def write_nbest(nbest: NBestList, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt, hyps in nbest.items():
-            for hyp in hyps:
-                fh.write(
-                    f"{utt}\t{hyp.rank}\t{hyp.acoustic_score:.6f}"
-                    f"\t{hyp.lm_score:.6f}\t{' '.join(hyp.words)}\n"
-                )
+    lines = (
+        f"{utt}\t{hyp.rank}\t{hyp.acoustic_score:.6f}\t{hyp.lm_score:.6f}\t{' '.join(hyp.words)}\n"
+        for utt, hyps in nbest.items() for hyp in hyps
+    )
+    writing(path, "".join(lines))
 
 
 def load_transcripts(path: str | Path) -> dict[str, list[str]]:
@@ -315,6 +326,4 @@ def load_transcripts(path: str | Path) -> dict[str, list[str]]:
 
 
 def write_transcripts(transcripts: dict[str, list[str]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt, words in transcripts.items():
-            fh.write(f"{utt}\t{' '.join(words)}\n")
+    writing(path, "".join(f"{utt}\t{' '.join(words)}\n" for utt, words in transcripts.items()))

@@ -291,6 +291,22 @@ def test_input_is_read_in_one_place():
     assert {site[:2] for site in sites} == {("vocab", "reading")}, sites
 
 
+def _writes(call: ast.Call) -> bool:
+    """A call that writes a file: ``write_text``, ``write_bytes`` or ``open``
+    in a write, append or exclusive-create mode."""
+    name = _call_name(call)
+    if name == "open":
+        return bool(set(_open_mode(call)) & set("wax"))
+    return name in {"write_text", "write_bytes"}
+
+
+def test_output_is_written_in_one_place():
+    """``vocab.writing`` is the one function of the package that writes a
+    file, so every writer encodes before it opens and names its file the same way."""
+    sites = _callers(_writes)
+    assert {site[:2] for site in sites} == {("vocab", "writing")}, sites
+
+
 def _modules() -> dict[str, str]:
     """The source of every module of the package, by name."""
     return {p.stem: p.read_text("utf-8") for p in Path(lmexpand.__file__).parent.glob("*.py")}
