@@ -158,16 +158,18 @@ def _align_counts(ref: list[str], hyp: list[str]) -> tuple[int, int, int]:
 
 
 def wer(refs: dict[str, list[str]], hyps: dict[str, list[str]]) -> WerResult:
-    """Aggregate WER over utterances; every hypothesis needs a reference."""
-    total_s = total_i = total_d = total_n = 0
-    for utt, hyp_words in hyps.items():
+    """Aggregate WER over every reference; every hypothesis needs a reference,
+    and a reference without a hypothesis counts as the empty one (all deletions)."""
+    for utt in hyps:
         if utt not in refs:
             raise ValueError(f"missing reference for utterance {utt!r}")
-        s, ins, d = _align_counts(refs[utt], hyp_words)
+    total_s = total_i = total_d = total_n = 0
+    for utt, ref_words in refs.items():
+        s, ins, d = _align_counts(ref_words, hyps.get(utt, []))
         total_s += s
         total_i += ins
         total_d += d
-        total_n += len(refs[utt])
+        total_n += len(ref_words)
     return WerResult(total_s, total_i, total_d, total_n)
 
 

@@ -1,4 +1,4 @@
-"""Input files' bytes, their text lines and parse errors, corpus handling, frequency-ranked
+"""File input and output, text lines and parse errors, corpus handling, frequency-ranked
 vocabularies with a shortlist boundary, and the n-best and transcript formats.
 
 An n-best line is "<utt-id>\t<rank>\t<acoustic>\t<lm>\t<w1> <w2> ...", with
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -60,15 +60,20 @@ def reading(path: str | Path) -> Iterator[bytes]:
         yield Path(path).read_bytes()
 
 
-def writing(path: str | Path, data: str | bytes) -> None:
+def writing(
+    path: str | Path, data: str | bytes, parse: Callable[[bytes], object] | None = None
+) -> None:
     """``data`` as the file at ``path``, the one place a writer puts its output.  Text is
-    encoded before the file is opened: a character that does not encode leaves no file."""
+    encoded, and read back by ``parse`` (the format's reader) if given, before the file
+    is opened: output that does not encode, or that the reader rejects, leaves no file."""
     with _naming(path):
         try:
             blob = data.encode("utf-8") if isinstance(data, str) else data
         except UnicodeEncodeError as err:  # the text before the bad character encodes
             line_no = len(text_lines(data[: err.start] + "."))  # the bad character's line
             raise ParseError(f"{data[err.start]!r} does not encode as UTF-8", line_no) from None
+        if parse is not None:
+            parse(blob)
     Path(path).write_bytes(blob)
 
 
@@ -112,21 +117,27 @@ def load_corpus(path: str | Path) -> Corpus:
     """Read one whitespace-tokenized sentence per line.  Blank lines are
     dropped; a literal <s> or </s> is rejected with its line."""
     with reading(path) as blob:
-        lines = text_lines(blob)
-        sentences: Corpus = []
-        for line_no, line in enumerate(lines, start=1):
-            tokens = line.split()
-            if problem := _misplaced(tokens):
-                raise ParseError(problem, line_no)
-            if tokens:
-                sentences.append(tokens)
-        if not sentences:  # reported where the file ends
-            raise ParseError("empty corpus", max(len(lines), 1))
+        return _parse_corpus(blob)
+
+
+def _parse_corpus(blob: bytes) -> Corpus:
+    """``load_corpus`` of a file's bytes."""
+    lines = text_lines(blob)
+    sentences: Corpus = []
+    for line_no, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if problem := _misplaced(tokens):
+            raise ParseError(problem, line_no)
+        if tokens:
+            sentences.append(tokens)
+    if not sentences:  # reported where the file ends
+        raise ParseError("empty corpus", max(len(lines), 1))
     return sentences
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    writing(path, "".join(" ".join(sentence) + "\n" for sentence in corpus))
+    """One sentence per line; a corpus ``load_corpus`` would reject is refused."""
+    writing(path, "".join(" ".join(sentence) + "\n" for sentence in corpus), _parse_corpus)
 
 
 class VocabularyError(ValueError):
@@ -285,45 +296,58 @@ def _tab_records(blob: bytes, n_fields: int) -> Iterator[tuple[int, list[str], S
 
 
 def parse_nbest(path: str | Path) -> NBestList:
+    with reading(path) as blob:
+        return _parse_nbest(blob)
+
+
+def _parse_nbest(blob: bytes) -> NBestList:
+    """``parse_nbest`` of a file's bytes."""
     nbest: NBestList = {}
     seen: set[tuple[str, int]] = set()
-    with reading(path) as blob:
-        for line_no, (utt, rank_s, ac_s, lm_s), words in _tab_records(blob, 5):
-            try:
-                rank, acoustic, lm = int(rank_s), float(ac_s), float(lm_s)
-            except ValueError as err:
-                raise ParseError(f"bad numeric field: {err}", line_no) from err
-            if not (math.isfinite(acoustic) and math.isfinite(lm)):
-                raise ParseError("non-finite acoustic or LM score", line_no)
-            if (utt, rank) in seen:
-                raise ParseError(f"duplicate hypothesis {utt!r} rank {rank}", line_no)
-            seen.add((utt, rank))
-            nbest.setdefault(utt, []).append(
-                Hypothesis(words=words, acoustic_score=acoustic, lm_score=lm, rank=rank)
-            )
+    for line_no, (utt, rank_s, ac_s, lm_s), words in _tab_records(blob, 5):
+        try:
+            rank, acoustic, lm = int(rank_s), float(ac_s), float(lm_s)
+        except ValueError as err:
+            raise ParseError(f"bad numeric field: {err}", line_no) from err
+        if not (math.isfinite(acoustic) and math.isfinite(lm)):
+            raise ParseError("non-finite acoustic or LM score", line_no)
+        if (utt, rank) in seen:
+            raise ParseError(f"duplicate hypothesis {utt!r} rank {rank}", line_no)
+        seen.add((utt, rank))
+        nbest.setdefault(utt, []).append(
+            Hypothesis(words=words, acoustic_score=acoustic, lm_score=lm, rank=rank)
+        )
     for hyps in nbest.values():
         hyps.sort(key=lambda h: h.rank)
     return nbest
 
 
 def write_nbest(nbest: NBestList, path: str | Path) -> None:
+    """The n-best line format; a list ``parse_nbest`` would reject is refused."""
     lines = (
         f"{utt}\t{hyp.rank}\t{hyp.acoustic_score:.6f}\t{hyp.lm_score:.6f}\t{' '.join(hyp.words)}\n"
         for utt, hyps in nbest.items() for hyp in hyps
     )
-    writing(path, "".join(lines))
+    writing(path, "".join(lines), _parse_nbest)
 
 
 def load_transcripts(path: str | Path) -> dict[str, list[str]]:
     """Read "<utt-id>\t<words>" lines (references or 1-best transcripts)."""
-    out: dict[str, list[str]] = {}
     with reading(path) as blob:
-        for line_no, (utt,), words in _tab_records(blob, 2):
-            if utt in out:
-                raise ParseError(f"duplicate utterance {utt!r}", line_no)
-            out[utt] = words
+        return _parse_transcripts(blob)
+
+
+def _parse_transcripts(blob: bytes) -> dict[str, list[str]]:
+    """``load_transcripts`` of a file's bytes."""
+    out: dict[str, list[str]] = {}
+    for line_no, (utt,), words in _tab_records(blob, 2):
+        if utt in out:
+            raise ParseError(f"duplicate utterance {utt!r}", line_no)
+        out[utt] = words
     return out
 
 
 def write_transcripts(transcripts: dict[str, list[str]], path: str | Path) -> None:
-    writing(path, "".join(f"{utt}\t{' '.join(words)}\n" for utt, words in transcripts.items()))
+    """The transcript line format; transcripts ``load_transcripts`` would reject are refused."""
+    lines = (f"{utt}\t{' '.join(words)}\n" for utt, words in transcripts.items())
+    writing(path, "".join(lines), _parse_transcripts)

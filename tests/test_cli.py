@@ -325,6 +325,14 @@ def test_extract_expand_rescore_wer_flow(workdir, tmp_path, capsys):
     assert out.startswith("wer ")
 
 
+def test_wer_counts_an_utterance_without_hypothesis_as_deleted(tmp_path, capsys):
+    refs, hyps = tmp_path / "test.refs", tmp_path / "hyps.txt"
+    refs.write_text("u1\ta b\nu2\tc d\n")
+    hyps.write_text("u1\ta b\n")
+    assert main(["wer", "--refs", str(refs), "--hyps", str(hyps)]) == 0
+    assert capsys.readouterr().out == "wer 50.00% (0 sub, 0 ins, 2 del / 4 ref tokens)\n"
+
+
 def test_rescore_with_arpa_lm(workdir, tmp_path, capsys):
     out = tmp_path / "rescored.nbest"
     rc = main(

@@ -302,6 +302,13 @@ def test_wer_empty_hypothesis_is_all_deletions():
     assert (result.substitutions, result.insertions, result.deletions) == (0, 0, 3)
 
 
+def test_wer_counts_a_missing_hypothesis_as_empty():
+    """Every reference is scored: one without a hypothesis is all deletions."""
+    result = wer({"u1": ["a", "b"], "u2": ["c", "d"]}, {"u1": ["a", "b"]})
+    assert (result.substitutions, result.insertions, result.deletions) == (0, 0, 2)
+    assert (result.ref_tokens, result.wer) == (4, 50.0)
+
+
 def test_wer_can_exceed_hundred():
     result = wer({"u": ["a"]}, {"u": ["b", "c", "d"]})
     assert result.wer > 100.0

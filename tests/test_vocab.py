@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import tempfile
 from collections import Counter
@@ -332,21 +333,87 @@ class TestSentenceRuleInTabFiles:
         assert load_transcripts(path) == {EOS: ["a", UNK]}
 
 
+def _hyp(words=("a",), acoustic=-1.0, lm=-2.0, rank=1):
+    return Hypothesis(list(words), acoustic, lm, rank)
+
+
+class TestWritersRefuseWhatReadersReject:
+    """The corpus, n-best and transcript writers read their output back with
+    the format's reader before the file is opened: a refusal is the reader's
+    own error, after the path, and leaves no file."""
+
+    @pytest.mark.parametrize(
+        "write, data, message",
+        [
+            (save_corpus, [["a", BOS]], "line 1: reserved token <s> inside a sentence"),
+            (save_corpus, [], "line 1: empty corpus"),
+            (save_corpus, [["ok"], ["bad\ud800"]], "line 2: '\\ud800' does not encode as UTF-8"),
+            (
+                write_nbest,
+                {"u1": [_hyp(["a", EOS])]},
+                "line 1: reserved token </s> inside a sentence",
+            ),
+            *[
+                (write_nbest, {"u1": [hyp]}, "line 1: non-finite acoustic or LM score")
+                for hyp in [_hyp(acoustic=math.nan), _hyp(lm=math.inf), _hyp(lm=-math.inf)]
+            ],
+            (write_nbest, {"u1": [_hyp(), _hyp()]}, "line 2: duplicate hypothesis 'u1' rank 1"),
+            (write_nbest, {"u\t1": [_hyp()]}, "line 1: expected 5 tab-separated fields, found 6"),
+            (write_transcripts, {"u1": [BOS]}, "line 1: reserved token <s> inside a sentence"),
+            (
+                write_transcripts,
+                {"u1": [], "u2": ["\udc80"]},
+                "line 2: '\\udc80' does not encode as UTF-8",
+            ),
+        ],
+    )
+    def test_refusal_is_the_readers_error_and_writes_no_file(self, tmp_path, write, data, message):
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            write(data, path)
+        assert not path.exists()
+
+    def test_refusal_leaves_an_existing_file_as_it_was(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"keep me\r\n")
+        with pytest.raises(ParseError):
+            save_corpus([["a", EOS]], path)
+        assert path.read_bytes() == b"keep me\r\n"
+
+
 # ------------------------------------------------------ round-trip properties
 
 # one whitespace-free token: a vocabulary word, an utterance id or a word of
-# a hypothesis; surrogates cannot be written as UTF-8
-tokens = st.text(
-    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8
-).filter(lambda t: t.split() == [t])
-# a word of a sentence (a hypothesis or a transcript), whose bounds are implicit
-sentence_words = tokens.filter(lambda t: t not in (BOS, EOS))
-scores = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+# a sentence; reserved tokens and lone surrogates (which UTF-8 cannot hold) included
+tokens = st.text(st.characters(), min_size=1, max_size=8).filter(
+    lambda t: t.split() == [t]
+) | st.sampled_from(RESERVED)
+scores = st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _encodes(text: str) -> bool:
+    return not any("\ud800" <= ch <= "\udfff" for ch in text)
+
+
+def _sentence_ok(words: list[str]) -> bool:
+    """Whether a sentence's words can be written: UTF-8 and no <s> or </s>."""
+    return all(_encodes(w) and w not in (BOS, EOS) for w in words)
+
+
+def _refused(write, data, path: Path) -> bool:
+    """Whether ``write`` refused ``data``, raising ``ValueError`` and leaving no file."""
+    try:
+        write(data, path)
+    except ValueError:
+        assert not path.exists()
+        return True
+    return False
 
 
 @st.composite
 def vocabularies(draw):
-    words = draw(st.lists(tokens.filter(lambda t: t not in RESERVED), unique=True, max_size=30))
+    words = tokens.filter(lambda t: t not in RESERVED and _encodes(t))
+    words = draw(st.lists(words, unique=True, max_size=30))
     shortlist = draw(st.integers(3, len(words) + 3))
     return Vocabulary([*RESERVED, *words], shortlist)
 
@@ -364,10 +431,23 @@ def test_vocabulary_text_round_trip(vocab):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(tokens, max_size=6), max_size=6))
+def test_corpus_round_trip(corpus):
+    """A corpus reads back without its empty sentences, or is refused
+    exactly when it has none, or a word UTF-8 or a sentence cannot hold."""
+    writable = any(corpus) and all(map(_sentence_ok, corpus))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.txt"
+        assert _refused(save_corpus, corpus, path) is not writable
+        if writable:
+            assert load_corpus(path) == [sentence for sentence in corpus if sentence]
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.dictionaries(
         tokens,
-        st.lists(st.tuples(st.lists(sentence_words, max_size=5), scores, scores), max_size=4),
+        st.lists(st.tuples(st.lists(tokens, max_size=5), scores, scores), max_size=4),
         max_size=5,
     )
 )
@@ -377,9 +457,16 @@ def test_nbest_round_trip_at_six_decimals(lists):
         for utt, hyps in lists.items()
         if hyps
     }
+    writable = all(
+        _encodes(utt) and _sentence_ok(h.words) and math.isfinite(h.acoustic_score + h.lm_score)
+        for utt, hyps in nbest.items()
+        for h in hyps
+    )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "n.nbest"
-        write_nbest(nbest, path)
+        assert _refused(write_nbest, nbest, path) is not writable
+        if not writable:
+            return
         again = parse_nbest(path)
         assert list(again) == list(nbest)
         for utt, hyps in nbest.items():
@@ -394,9 +481,11 @@ def test_nbest_round_trip_at_six_decimals(lists):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.dictionaries(tokens, st.lists(sentence_words, max_size=6), max_size=6))
+@given(st.dictionaries(tokens, st.lists(tokens, max_size=6), max_size=6))
 def test_transcripts_round_trip(transcripts):
+    writable = all(_encodes(utt) and _sentence_ok(w) for utt, w in transcripts.items())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.txt"
-        write_transcripts(transcripts, path)
-        assert load_transcripts(path) == transcripts
+        assert _refused(write_transcripts, transcripts, path) is not writable
+        if writable:
+            assert load_transcripts(path) == transcripts
