@@ -19,7 +19,7 @@ from lmexpand.rnnlm import (
     init_model,
     load_checkpoint,
     save_checkpoint,
-    score_ids,
+    score_batch,
     train_bptt,
 )
 from lmexpand.vocab import build_vocabulary
@@ -40,7 +40,7 @@ for epoch, ppl in enumerate(history, start=1):
 # score one sentence token by token
 sentence = val[0]
 ids = [vocab.encode(t, shortlist_only=True) for t in sentence]
-logps = score_ids(model, ids)
+logps = score_batch(model, [ids])[0]
 print("sample sentence:", " ".join(sentence[:6]), "...")
 print("per-token ln P:", [round(float(x), 3) for x in logps[:6]])
 

@@ -41,7 +41,6 @@ from .rnnlm import (
     perplexity,
     save_checkpoint,
     score_batch,
-    score_ids,
     train_bptt,
     zero_state,
 )

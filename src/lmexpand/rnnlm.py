@@ -135,12 +135,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(num, np.add(e, 1.0, out=e), out=num if out is None else out)
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def log_softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - np.max(x, axis=-1, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
@@ -223,25 +217,6 @@ def forward_step(model: RnnLmModel, word: int, state: RnnState) -> StepOutput:
     return StepOutput(logits=logits, state=RnnState(h=h, c=c))
 
 
-def score_ids(model: RnnLmModel, ids: list[int]) -> np.ndarray:
-    """Per-position ln probabilities for a shortlist-encoded sentence.
-
-    The model is fed the begin token followed by the sentence; the returned
-    array has len(ids) + 1 entries, the last one for the end-of-sentence
-    event.  An empty sentence scores the end-of-sentence event alone.  This
-    one-sentence loop is the reference that ``score_batch`` reproduces.
-    """
-    inputs = [BOS_ID] + list(ids)
-    targets = list(ids) + [EOS_ID]
-    state = zero_state(model)
-    out = np.empty(len(targets))
-    for pos, (w_in, w_next) in enumerate(zip(inputs, targets)):
-        step = forward_step(model, w_in, state)
-        out[pos] = log_softmax(step.logits)[w_next]
-        state = step.state
-    return out
-
-
 def _pick_log_softmax(logits, rows, targets, widths) -> np.ndarray:
     """``log_softmax(logits[r, :w])[t]`` for each (r, t, w), bit for bit, from
     one normaliser per row and distinct width."""
@@ -259,7 +234,12 @@ def score_batch(
     sentences: Sequence[Sequence[int]],
     widths: Sequence[int] | None = None,
 ) -> list[np.ndarray]:
-    """``score_ids`` of every sentence, bit for bit, sharing common prefixes.
+    """Per-position ln probabilities of each shortlist-encoded sentence.
+
+    Sentence k = w1 .. wn gets n + 1 entries: entry d is ln p(w_{d+1} | <s>
+    w1 .. wd), taken from ``log_softmax`` of the logits that ``forward_step``
+    chained from the zero state gives after <s> w1 .. wd, bit for bit, and
+    entry n is the </s> event; an empty sentence scores </s> alone.
 
     The sentences form a prefix trie: its nodes at depth d are the distinct
     inputs <s> w1 .. wd, and each depth is stepped in batches of up to

@@ -36,7 +36,6 @@ from lmexpand.rnnlm import (
     loss_and_grads,
     named_parameters,
     save_checkpoint,
-    softmax,
     train_bptt,
     zero_state,
 )
@@ -44,6 +43,7 @@ from lmexpand.skipgram import SkipgramConfig, WordEmbeddings, save_w2v_text, tra
 from lmexpand.vocab import BOS_ID, RESERVED, UNK, UNK_ID, Vocabulary, build_vocabulary
 
 from test_ngram import ref_kn_prob
+from test_rnnlm import softmax
 
 
 def verdict(num: int, passed: bool, detail: str) -> None:

@@ -39,8 +39,6 @@ from lmexpand.rnnlm import (
     init_model,
     log_softmax,
     named_parameters,
-    score_ids,
-    softmax,
     zero_state,
 )
 from lmexpand.skipgram import WordEmbeddings, nearest_in_shortlist
@@ -54,6 +52,8 @@ from lmexpand.vocab import (
     Vocabulary,
     build_vocabulary,
 )
+
+from test_rnnlm import score_ids, softmax
 
 
 def make_vocab(content=7, shortlist_content=4):

@@ -42,8 +42,6 @@ from lmexpand.rnnlm import (
     _sigmoid,
     save_checkpoint,
     score_batch,
-    score_ids,
-    softmax,
     train_bptt,
     zero_state,
 )
@@ -160,11 +158,34 @@ def test_tail_ids_are_rejected_when_shortlist_limited():
 # ------------------------------------------------------------ distributions
 
 
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Probabilities over the last axis, shifted by the maximum: the plain
+    formula that ``log_softmax`` is checked against."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def score_ids(model, ids) -> np.ndarray:
+    """The stepwise reference for ``score_batch``: one sentence, one
+    ``forward_step`` and one ``log_softmax`` per position, from <s> through
+    the sentence-end event."""
+    inputs = [BOS_ID] + list(ids)
+    targets = list(ids) + [EOS_ID]
+    state = zero_state(model)
+    out = np.empty(len(targets))
+    for pos, (w_in, w_next) in enumerate(zip(inputs, targets)):
+        step = forward_step(model, w_in, state)
+        out[pos] = log_softmax(step.logits)[w_next]
+        state = step.state
+    return out
+
+
 def test_softmax_sums_to_one_under_extreme_logits():
     rng = np.random.default_rng(0)
     for _ in range(1000):
         x = rng.uniform(-1e4, 1e4, size=int(rng.integers(2, 40)))
-        p = softmax(x)
+        p = np.exp(log_softmax(x))
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0.0)
         assert np.all(np.isfinite(log_softmax(x)))
@@ -179,7 +200,7 @@ def test_score_ids_matches_stepwise_chain():
     vocab = small_vocab(6)
     model = init_model(vocab, 4, 3, 2, seed=5)
     ids = [vocab.encode(w) for w in ["w3", "w0", "w0", "w5"]]
-    got = score_ids(model, ids)
+    [got] = score_batch(model, [ids])
 
     state = zero_state(model)
     expected = []
@@ -196,7 +217,7 @@ def test_score_ids_matches_stepwise_chain():
 def test_score_ids_of_empty_sentence_is_sentence_end():
     model = init_model(small_vocab(), 4, 5, 1, seed=0)
     step = forward_step(model, BOS_ID, zero_state(model))
-    np.testing.assert_array_equal(score_ids(model, []), [log_softmax(step.logits)[EOS_ID]])
+    np.testing.assert_array_equal(score_batch(model, [[]])[0], [log_softmax(step.logits)[EOS_ID]])
 
 
 def sharp_model(num_layers, seed):
