@@ -46,6 +46,8 @@ def make_template_grammar(
     zipf: float = 1.0,
     seed: int = 0,
 ) -> TemplateGrammar:
+    check_setting("num_classes", num_classes, num_classes >= 1, ">= 1")
+    check_setting("words_per_class", words_per_class, words_per_class >= 1, ">= 1")
     rng = _rng(seed)
     classes = [
         [f"c{ci}w{ri:02d}" for ri in range(words_per_class)] for ci in range(num_classes)
@@ -93,6 +95,7 @@ def sample_sentence(grammar: TemplateGrammar, rng: np.random.Generator) -> list[
 
 
 def sample_corpus(grammar: TemplateGrammar, target_tokens: int, seed: int = 0) -> Corpus:
+    check_setting("target_tokens", target_tokens, target_tokens >= 1, ">= 1")
     rng = _rng(seed)
     sample = _sentence_sampler(grammar)
     corpus: Corpus = []

@@ -236,10 +236,9 @@ def score_batch(
 ) -> list[np.ndarray]:
     """Per-position ln probabilities of each shortlist-encoded sentence.
 
-    Sentence k = w1 .. wn gets n + 1 entries: entry d is ln p(w_{d+1} | <s>
-    w1 .. wd), taken from ``log_softmax`` of the logits that ``forward_step``
-    chained from the zero state gives after <s> w1 .. wd, bit for bit, and
-    entry n is the </s> event; an empty sentence scores </s> alone.
+    Sentence w1 .. wn gets n + 1 entries: entry d is ln p(w_{d+1} | <s> w1 .. wd),
+    bit for bit ``log_softmax`` of the logits ``forward_step`` chains from the zero
+    state over <s> w1 .. wd, and entry n is </s>; an empty sentence scores </s> alone.
 
     The sentences form a prefix trie: its nodes at depth d are the distinct
     inputs <s> w1 .. wd, and each depth is stepped in batches of up to

@@ -98,6 +98,20 @@ def _misplaced(tokens: Sentence) -> str | None:
             return f"reserved token {token} inside a sentence"
 
 
+def _split_word(sentences: list[Sentence]) -> tuple[int, str] | None:
+    """(index, fault) of the first sentence with a word that a reader's ``str.split`` would
+    drop or split, empty or holding whitespace; each distinct word is checked once."""
+    if any(w.split() != [w] for w in set(chain.from_iterable(sentences))):
+        index, bad = next((i, w) for i, s in enumerate(sentences) for w in s if w.split() != [w])
+        return index, f"word {bad!r} is empty or contains whitespace"
+
+
+def _check_lines(path: str | Path, lines: list[Sentence]) -> None:
+    """A writer's refusal of the first output line whose words would not read back."""
+    if fault := _split_word(lines):
+        raise ParseError(fault[1], fault[0] + 1, path)
+
+
 def check_corpus(corpus: Corpus, sentence: str = "sentence") -> None:
     """The one corpus check of every trainer; a fault reads ``<sentence> <index>: ...``."""
     if not corpus:
@@ -105,6 +119,8 @@ def check_corpus(corpus: Corpus, sentence: str = "sentence") -> None:
     for index, tokens in enumerate(corpus):
         if problem := _misplaced(tokens):
             raise ValueError(f"{sentence} {index}: {problem}")
+    if fault := _split_word(corpus):
+        raise ValueError(f"{sentence} {fault[0]}: {fault[1]}")
 
 
 def ranked_words(corpus: Corpus) -> list[tuple[str, int]]:
@@ -136,7 +152,8 @@ def _parse_corpus(blob: bytes) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """One sentence per line; a corpus ``load_corpus`` would reject is refused."""
+    """One sentence per line; a corpus ``load_corpus`` would not read back as given is refused."""
+    _check_lines(path, corpus)
     writing(path, "".join(" ".join(sentence) + "\n" for sentence in corpus), _parse_corpus)
 
 
@@ -323,7 +340,8 @@ def _parse_nbest(blob: bytes) -> NBestList:
 
 
 def write_nbest(nbest: NBestList, path: str | Path) -> None:
-    """The n-best line format; a list ``parse_nbest`` would reject is refused."""
+    """The n-best line format; a list ``parse_nbest`` would not read back as given is refused."""
+    _check_lines(path, [hyp.words for hyps in nbest.values() for hyp in hyps])
     lines = (
         f"{utt}\t{hyp.rank}\t{hyp.acoustic_score:.6f}\t{hyp.lm_score:.6f}\t{' '.join(hyp.words)}\n"
         for utt, hyps in nbest.items() for hyp in hyps
@@ -348,6 +366,7 @@ def _parse_transcripts(blob: bytes) -> dict[str, list[str]]:
 
 
 def write_transcripts(transcripts: dict[str, list[str]], path: str | Path) -> None:
-    """The transcript line format; transcripts ``load_transcripts`` would reject are refused."""
+    """The transcript line format; what ``load_transcripts`` would not read back is refused."""
+    _check_lines(path, list(transcripts.values()))
     lines = (f"{utt}\t{' '.join(words)}\n" for utt, words in transcripts.items())
     writing(path, "".join(lines), _parse_transcripts)

@@ -777,6 +777,9 @@ def test_out_of_range_training_settings_report_error(tmp_path, capsys, command, 
         ("--seed", "-5", "seed must be >= 0, got -5"),
         ("--shortlist", "2", "shortlist_size must be at least 3 (reserved tokens)"),
         ("--depth", "0", "depth must be >= 1, got 0"),
+        ("--words-per-class", "0", "words_per_class must be >= 1, got 0"),
+        ("--classes", "0", "num_classes must be >= 1, got 0"),
+        ("--val-tokens", "0", "target_tokens must be >= 1, got 0"),
     ],
 )
 def test_bad_fixture_flag_reports_error_and_writes_nothing(tmp_path, capsys, flag, value, message):

@@ -43,6 +43,16 @@ ENTRY_POINTS = {
         lambda: skipgram.train_skipgram([["a"]], skipgram.SkipgramConfig(window=0)),
         "window must be >= 1, got 0",
     ),
+    "make_template_grammar num_classes": (
+        lambda: datagen.make_template_grammar(num_classes=0), "num_classes must be >= 1, got 0"
+    ),
+    "make_template_grammar words_per_class": (
+        lambda: datagen.make_template_grammar(words_per_class=0),
+        "words_per_class must be >= 1, got 0",
+    ),
+    "sample_corpus target_tokens": (
+        lambda: datagen.sample_corpus(GRAMMAR, 0), "target_tokens must be >= 1, got 0"
+    ),
     "sample_corpus seed": (
         lambda: datagen.sample_corpus(GRAMMAR, 10, seed=-2), "seed must be >= 0, got -2"
     ),

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lmexpand import ngram, rnnlm, skipgram
 from lmexpand.vocab import (
     BOS,
     BOS_ID,
@@ -127,12 +128,33 @@ class TestCorpusRules:
             ([], "empty corpus"),
             ([["a"], [], ["b", EOS]], "sentence 2: reserved token </s> inside a sentence"),
             ([[BOS, EOS]], "sentence 0: reserved token <s> inside a sentence"),
+            ([["a"], ["b", "c d"]], "sentence 1: word 'c d' is empty or contains whitespace"),
+            ([["", "a"]], "sentence 0: word '' is empty or contains whitespace"),
+            ([["a\nb"]], "sentence 0: word 'a\\nb' is empty or contains whitespace"),
         ],
     )
     def test_check_corpus_and_ranking_share_one_rule(self, corpus, message):
         for check in (check_corpus, ranked_words):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 check(corpus)
+
+    def test_every_trainer_refuses_a_word_that_would_split(self):
+        """A word that a file would read back as two words, or as none, is
+        refused by every trainer in one wording, before any training."""
+        corpus = [["c", "a"], ["a b", "c"]] * 5
+        vocab = Vocabulary([*RESERVED, "a", "c"], 5)
+        trainers = [
+            lambda: build_vocabulary(corpus, 5, 10),
+            lambda: ngram.train_kn(corpus, vocab),
+            lambda: skipgram.train_skipgram(corpus, skipgram.SkipgramConfig(epochs=0)),
+            lambda: rnnlm.train_bptt(
+                rnnlm.init_model(vocab, 2, 2, 1), corpus, rnnlm.TrainConfig(epochs=0)
+            ),
+        ]
+        for train in trainers:
+            with pytest.raises(ValueError) as err:
+                train()
+            assert str(err.value) == "sentence 1: word 'a b' is empty or contains whitespace"
 
     def test_empty_sentences_and_unk_pass(self):
         check_corpus([[], [UNK, "a"]])
@@ -373,6 +395,35 @@ class TestWritersRefuseWhatReadersReject:
             write(data, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "write, data, message",
+        [
+            (save_corpus, [["a b", "c"]], "line 1: word 'a b' is empty or contains whitespace"),
+            (
+                save_corpus,
+                [["a"], [], ["c\td"]],
+                "line 3: word 'c\\td' is empty or contains whitespace",
+            ),
+            (
+                write_nbest,
+                {"u1": [_hyp()], "u2": [_hyp(["x y"])]},
+                "line 2: word 'x y' is empty or contains whitespace",
+            ),
+            (
+                write_transcripts,
+                {"u1": ["a"], "u2": [""]},
+                "line 2: word '' is empty or contains whitespace",
+            ),
+        ],
+    )
+    def test_a_word_that_would_not_read_back_is_refused(self, tmp_path, write, data, message):
+        """The readers split words at whitespace, so a writer refuses a word
+        that is empty or holds whitespace, in ``check_corpus``'s words."""
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            write(data, path)
+        assert not path.exists()
+
     def test_refusal_leaves_an_existing_file_as_it_was(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_bytes(b"keep me\r\n")
@@ -383,11 +434,13 @@ class TestWritersRefuseWhatReadersReject:
 
 # ------------------------------------------------------ round-trip properties
 
-# one whitespace-free token: a vocabulary word, an utterance id or a word of
-# a sentence; reserved tokens and lone surrogates (which UTF-8 cannot hold) included
+# one whitespace-free token: a vocabulary word or an utterance id; reserved
+# tokens and lone surrogates (which UTF-8 cannot hold) included
 tokens = st.text(st.characters(), min_size=1, max_size=8).filter(
     lambda t: t.split() == [t]
 ) | st.sampled_from(RESERVED)
+# a word of a sentence: a token, or a word that is empty or holds whitespace
+sentence_words = tokens | st.sampled_from(["", "a b", "a\tb", "a\nb"])
 scores = st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -396,8 +449,9 @@ def _encodes(text: str) -> bool:
 
 
 def _sentence_ok(words: list[str]) -> bool:
-    """Whether a sentence's words can be written: UTF-8 and no <s> or </s>."""
-    return all(_encodes(w) and w not in (BOS, EOS) for w in words)
+    """Whether a sentence's words can be written: each one UTF-8, one
+    whitespace-free word, and neither <s> nor </s>."""
+    return all(_encodes(w) and w.split() == [w] and w not in (BOS, EOS) for w in words)
 
 
 def _refused(write, data, path: Path) -> bool:
@@ -431,10 +485,13 @@ def test_vocabulary_text_round_trip(vocab):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(tokens, max_size=6), max_size=6))
+@given(st.lists(st.lists(sentence_words, max_size=6), max_size=6))
+@example([["a b", "c"]])
+@example([["a", ""]])
 def test_corpus_round_trip(corpus):
-    """A corpus reads back without its empty sentences, or is refused
-    exactly when it has none, or a word UTF-8 or a sentence cannot hold."""
+    """A corpus reads back without its empty sentences, or is refused exactly
+    when it has none, or a word that UTF-8 or a sentence cannot hold or that
+    would not read back as one word."""
     writable = any(corpus) and all(map(_sentence_ok, corpus))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.txt"
@@ -447,10 +504,12 @@ def test_corpus_round_trip(corpus):
 @given(
     st.dictionaries(
         tokens,
-        st.lists(st.tuples(st.lists(tokens, max_size=5), scores, scores), max_size=4),
+        st.lists(st.tuples(st.lists(sentence_words, max_size=5), scores, scores), max_size=4),
         max_size=5,
     )
 )
+@example({"u1": [(["x y"], -1.0, -2.0)]})
+@example({"u1": [(["", "x"], -1.0, -2.0)]})
 def test_nbest_round_trip_at_six_decimals(lists):
     nbest = {
         utt: [Hypothesis(words, ac, lm, rank) for rank, (words, ac, lm) in enumerate(hyps, 1)]
@@ -481,7 +540,9 @@ def test_nbest_round_trip_at_six_decimals(lists):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.dictionaries(tokens, st.lists(tokens, max_size=6), max_size=6))
+@given(st.dictionaries(tokens, st.lists(sentence_words, max_size=6), max_size=6))
+@example({"u1": ["a b"]})
+@example({"u1": [""]})
 def test_transcripts_round_trip(transcripts):
     writable = all(_encodes(utt) and _sentence_ok(w) for utt, w in transcripts.items())
     with tempfile.TemporaryDirectory() as tmp:
