@@ -156,7 +156,7 @@ def _cmd_make_fixture(args) -> int:
 
 def _lm_from_args(args) -> rescoring.LmScorer:
     if args.arpa is not None:
-        return rescoring.per_sentence(ngram.import_arpa(args.arpa).sentence_logprob)
+        return ngram.import_arpa(args.arpa).batch_logprob
     return _scorer(args.model, args.policy, args.full_vocab, args.policy_arpa).batch_logprob
 
 

@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ngram import NgramModel
+from .ngram import NgramModel, unscorable
 from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_batch
 from .rnnlm import forward_step  # noqa: F401  unused; lmbench tests delete this name
 from .skipgram import WordEmbeddings, _neighbor_search
-from .vocab import BOS, UNK_ID, Corpus, Hypothesis, Vocabulary, check_setting
+from .vocab import UNK_ID, Corpus, Hypothesis, TokenTable, Vocabulary, check_setting
 
 POLICIES = ("shortlist", "uniform", "ngram")
 
@@ -244,34 +245,52 @@ class FullVocabScorer:
         an ``<unk>`` to fall back to: a closed n-gram model is checked here."""
         wid = self.ngram.vocab.encode(word)
         if (UNK_ID,) not in self.ngram.probs[0] and (wid,) not in self.ngram.probs[0]:
-            raise ValueError(
-                f"word {word!r} has no unigram in the n-gram model, which has no <unk> either"
-            )
+            raise unscorable(word)
         return wid
+
+    def _log_denominators(self, contexts: np.ndarray) -> np.ndarray:
+        """The log-sum-exp of every out-of-shortlist word's ln p under each row of
+        ``contexts`` (``NgramModel.context_logprobs`` rows), shifted by the
+        largest, so that probabilities that underflow in linear space still give
+        a share.  Each distinct context is computed once per scorer."""
+        keys = list(map(tuple, contexts.tolist()))
+        new = [key for key in dict.fromkeys(keys) if key not in self._log_denoms]
+        if new:
+            rows = np.array(new, np.int64).reshape(len(new), -1)
+            lps = self.ngram.context_logprobs(rows, self._oos_ngram_ids)
+            top = lps.max(axis=1)
+            for key, t, shifted in zip(new, top.tolist(), (lps - top[:, None]).tolist()):
+                # math.exp and a left-to-right sum, not np.exp / np.sum: same last bits
+                self._log_denoms[key] = t + math.log(sum(map(math.exp, shifted)))
+        return np.array([self._log_denoms[key] for key in keys])
 
     def _oos_share(self, word: str, context: Sequence[str]) -> float:
         """ln share of the unknown mass that an out-of-shortlist word gets.
 
         The ngram share is ln p(word | ctx) minus the log-sum-exp of every
-        out-of-shortlist word's ln p under ctx, shifted by the largest, so
-        probabilities that underflow in linear space still give a share.
+        out-of-shortlist word's ln p under ctx (``_log_denominators``).
         """
         if self.policy == "uniform":
             return -math.log(self.n_oos + 1)
         if self.policy == "shortlist" or self.n_oos == 0:
             # no spreading, or no out-of-shortlist words to spread over
             return 0.0
-        assert self.ngram is not None
-        start = max(0, len(context) - self.ngram.order + 1)
-        ctx = tuple(self.ngram.vocab.encode(t) for t in context[start:])
-        log_denom = self._log_denoms.get(ctx)
-        if log_denom is None:
-            lps = self.ngram.logprobs(self._oos_ngram_ids, ctx)
-            top = float(lps.max())
-            # math.exp and a left-to-right sum, not np.exp / np.sum: same last bits
-            log_denom = top + math.log(sum(map(math.exp, (lps - top).tolist())))
-            self._log_denoms[ctx] = log_denom
-        return self.ngram.conditional_logprob(self._ngram_id(word), ctx) - log_denom
+        ng = self.ngram
+        ids = [ng.vocab.encode(t) for t in context[max(0, len(context) - ng.order + 1) :]]
+        row = np.array([-1] * (ng.order - 1 - len(ids)) + ids, np.int64).reshape(1, -1)
+        [[lp]] = ng.context_logprobs(row, [self._ngram_id(word)]).tolist()
+        return lp - float(self._log_denominators(row)[0])
+
+    def _oos_shares(self, table: TokenTable, events: np.ndarray):
+        """``_oos_share`` of the token of each of the ``table`` events given,
+        after the tokens before it in its sentence; the numerators are the
+        n-gram model's scores of the table's events."""
+        if self.policy != "ngram" or self.n_oos == 0:
+            return self._oos_share("", ())  # one share for every word
+        for row in dict.fromkeys(table.rows[events].tolist()):
+            self._ngram_id(table.tokens[row])  # a closed n-gram model names what it lacks
+        scores, contexts = self.ngram.table_events(table)
+        return scores[events] - self._log_denominators(contexts[events])
 
     def word_logprob(
         self,
@@ -312,28 +331,33 @@ class FullVocabScorer:
 
 
 def score_jointly(
-    scorers: Sequence[FullVocabScorer], sentences: Sequence[Sequence[str]]
+    scorers: Sequence[FullVocabScorer], sentences: Sequence[Sequence[str]] | TokenTable
 ) -> list[list[np.ndarray]]:
     """Per-position ln probabilities of each token sequence plus sentence end
     under each scorer of one model, from one ``rnnlm.score_batch`` call at
     each scorer's width.  Out-of-shortlist words are fed back into the
     network as the unknown token; n-gram contexts use the true word identities.
+    The sentences may come as a ``TokenTable``, so that other models share it.
     """
     model = scorers[0].model
     if any(scorer.model is not model for scorer in scorers):
         raise ValueError("jointly scored scorers must share one model")
+    table = sentences if isinstance(sentences, TokenTable) else TokenTable(sentences)
+    n = len(table.lengths)
     scores = score_batch(
         model,
-        [[sc.vocab.encode(t, shortlist_only=True) for t in s] for sc in scorers for s in sentences],
-        [sc.width for sc in scorers for _ in sentences],
+        [
+            ids[:-1]  # the tokens; the last event is </s>
+            for sc in scorers
+            for ids in table.split(table.gather(partial(sc.vocab.encode, shortlist_only=True)))
+        ],
+        [sc.width for sc in scorers for _ in range(n)],
     )
     out = []
     for i, scorer in enumerate(scorers):
-        mine = scores[i * len(sentences) : (i + 1) * len(sentences)]
-        for tokens, lps in zip(sentences, mine):
-            history = [BOS, *tokens]
-            for pos, token in enumerate(tokens):
-                if not scorer.vocab.is_shortlist(token):
-                    lps[pos] += scorer._oos_share(token, history[: pos + 1])
-        out.append(mine)
+        events = np.concatenate([np.empty(0), *scores[i * n : (i + 1) * n]])
+        oos = np.flatnonzero(~table.gather(scorer.vocab.is_shortlist, bool))
+        if oos.size:
+            events[oos] += scorer._oos_shares(table, oos)
+        out.append(table.split(events))
     return out

@@ -17,10 +17,18 @@ probability.  The sentence-begin token is never predicted.
 
 Probabilities are held as natural logs; the ARPA text format uses log10.
 
-``NgramModel.logprobs`` scores many words under one context from a follower
-index (context -> follower ids and ln p, per order, as in KenLM's sorted
-per-context arrays).  The index is built from the tables on the first call,
-so the tables must not change after that.
+Every lookup reads one index, built from the tables on the first lookup, so
+the tables must not change after that.  Per order it holds sorted n-gram
+keys, as KenLM's sorted arrays do, with each n-gram's ln p and ln backoff.
+A j-gram's id is its rank at order j; its key is the id of its first j - 1
+words times (vocabulary size + 1), plus its last word.  Every prefix of a
+stored n-gram has an id, so no key reaches (stored n-grams and contexts + 1)
+* (vocabulary size + 1), whatever the order.  ``NgramModel.table_events``
+scores every event of many sentences in one backoff walk, and
+``context_logprobs`` many words under many contexts, whose followers are one
+slice of the next order's keys.  Both add the backoff weights longest
+context first, as a walk over the tables one word at a time does, so each
+score is that walk's bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, ParseError, Vocabulary
+from .vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, ParseError, TokenTable, Vocabulary
 from .vocab import check_corpus, check_setting, reading, text_lines, writing
 
 LN10 = math.log(10.0)
@@ -62,96 +70,170 @@ class NgramModel:
         self.vocab = vocab
         self.probs = probs
         self.backoffs = backoffs
-        self._index: tuple | None = None  # built by ``_follower_index`` on first use
+        self._index: tuple | None = None  # built by ``_lookup`` on first use
+
+    def _lookup(self) -> tuple:
+        """(per order j = 1..N: the sorted keys of its ids then a sentinel key,
+        ln p by id (NaN: only a prefix is stored) and ln backoff by id (0: none);
+        ln p of <unk>, NaN if there is none).  The sentinel id, one past the
+        last, stands for every n-gram an order does not hold."""
+        if self._index is None:
+            n, stride = self.order, len(self.vocab) + 1
+            tables = [(self.probs[k], self.backoffs[k] if k < n - 1 else {}) for k in range(n)]
+            # rows[2k], rows[2k + 1]: the stored (k+1)-grams and backoff contexts
+            rows = [_gram_rows(table, k + 1) for k, pair in enumerate(tables) for table in pair]
+            ids = [np.zeros(len(r), np.int64) for r in rows]  # the id of each row's prefix
+            levels = []
+            for j, (scores, bows) in enumerate(tables):  # the first j + 1 words of longer rows
+                longer = range(2 * j, len(rows))
+                keys, inverse = np.unique(
+                    np.concatenate([ids[i] * stride + rows[i][:, j] for i in longer]),
+                    return_inverse=True,
+                )
+                ids[2 * j :] = np.split(inverse, np.cumsum([len(rows[i]) for i in longer])[:-1])
+                lps, bow = np.full(len(keys) + 1, np.nan), np.zeros(len(keys) + 1)
+                lps[ids[2 * j]] = np.fromiter(scores.values(), float, len(scores))
+                bow[ids[2 * j + 1]] = np.fromiter(bows.values(), float, len(bows))
+                levels.append((np.append(keys, np.iinfo(np.int64).max), lps, bow))
+            self._index = (levels, self.probs[0].get((UNK_ID,), math.nan))
+        return self._index
+
+    def _grams(self, seq: np.ndarray, depth: int) -> list[np.ndarray]:
+        """Item j - 1: the id of the j-gram of ``seq`` starting at each position,
+        for j = 1..depth.  An id outside the vocabulary, such as -1, is in none."""
+        levels, _ = self._lookup()
+        n_words = len(self.vocab)
+        seq = np.where((seq >= 0) & (seq < n_words), seq, n_words)
+        nodes = [np.zeros(len(seq), np.int64)]
+        for j in range(depth):
+            nodes.append(_find(levels[j][0], nodes[-1][: len(seq) - j] * (n_words + 1) + seq[j:]))
+        return nodes[1:]
+
+    def table_events(self, table: TokenTable) -> tuple[np.ndarray, np.ndarray]:
+        """(ln P of every event of ``table``, NaN where the model cannot score
+        it; each event's context, the order - 1 ids before it, -1 before <s>),
+        from one backoff walk the first time a table is asked."""
+        if self not in table.results:
+            pad, lengths = self.order - 1, table.lengths
+            block = lengths + pad + 1  # -1s, <s> and the events of one sentence
+            seq = np.full(int(block.sum()), -1, np.int64)
+            first = np.cumsum(block) - lengths
+            seq[first - 1] = BOS_ID
+            events = np.repeat(first - np.cumsum(lengths) + lengths, lengths)
+            events += np.arange(len(events))
+            seq[events] = table.gather(self.vocab.encode)
+            levels, unk = self._lookup()
+            grams = self._grams(seq, self.order)
+            out, acc = np.full(len(events), np.nan), np.zeros(len(events))
+            for j in range(pad, -1, -1):  # context length, longest first
+                lps = levels[j][1][grams[j][events - j]]
+                hit = np.isnan(out) & ~np.isnan(lps)
+                out[hit] = acc[hit] + lps[hit]
+                if j:  # a miss backs off by the context's weight, 0 if it has none
+                    acc += levels[j - 1][2][grams[j - 1][events - j]]
+            out = np.where(np.isnan(out), acc + unk, out)
+            table.results[self] = (out, seq[events[:, None] + np.arange(-pad, 0)])
+        return table.results[self]
+
+    def context_logprobs(self, contexts: np.ndarray, ids) -> np.ndarray:
+        """ln P(w | h) for each row h of ``contexts`` (the order - 1 ids before
+        the word, -1 on the left of a shorter context) and each id w of ``ids``,
+        one row per context: NaN where the model cannot score w.  Each row
+        starts at the unigrams plus every backoff weight of its context; the
+        followers of each longer suffix, one slice of the next order's keys,
+        overwrite theirs."""
+        levels, unk = self._lookup()
+        n, stride = self.order, len(self.vocab) + 1
+        rows = len(contexts)
+        grams = self._grams(np.hstack([np.full((rows, 1), -1), contexts]).ravel(), n - 1)
+        # suffix[j]: the id of each context's last j words; acc[j]: the backoff
+        # weights a walk adds before it reaches them
+        suffix = [None] + [grams[j - 1][np.arange(1, rows + 1) * n - j] for j in range(1, n)]
+        acc = [np.zeros(rows)]
+        for j in range(n - 1, 0, -1):
+            acc.insert(0, acc[0] + levels[j - 1][2][suffix[j]])
+        ids = np.asarray(ids, np.int64)
+        words, column = np.unique(np.where((ids >= 0) & (ids < stride), ids, stride - 1),
+                                  return_inverse=True)
+        unigrams = levels[0][1][_find(levels[0][0], words)]
+        out = acc[0][:, None] + np.where(np.isnan(unigrams), unk, unigrams)
+        col = np.full(stride, -1)
+        col[words] = np.arange(len(words))
+        for j in range(1, n):
+            keys, lps, _ = levels[j]
+            lo = np.searchsorted(keys, suffix[j] * stride)
+            count = np.searchsorted(keys, (suffix[j] + 1) * stride) - lo
+            row = np.repeat(np.arange(rows), count)
+            at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(row))
+            c = col[keys[at] % stride]
+            keep = (c >= 0) & ~np.isnan(lps[at])
+            out[row[keep], c[keep]] = acc[j][row[keep]] + lps[at[keep]]
+        return out[:, column]
+
+    def logprobs(self, ids, context: tuple[int, ...] = ()) -> np.ndarray:
+        """ln P(w | context) for each vocabulary id w in ``ids``: one row of
+        ``context_logprobs``.  A word the model cannot score raises ``ValueError``."""
+        h = list(context[max(0, len(context) - self.order + 1) :])
+        row = np.array([-1] * (self.order - 1 - len(h)) + h, np.int64).reshape(1, -1)
+        [out] = self.context_logprobs(row, ids)
+        failed = np.flatnonzero(np.isnan(out))
+        if failed.size:
+            raise unscorable(self.vocab.decode(int(np.asarray(ids)[failed[0]])))
+        return out
 
     def conditional_logprob(self, word: int, context: tuple[int, ...] = ()) -> float:
         """ln P(word | context), backing off through shorter contexts."""
-        h = tuple(context)[-(self.order - 1) :] if self.order > 1 else ()
-        acc = 0.0
-        while True:
-            entry = self.probs[len(h)].get(h + (word,))
-            if entry is not None:
-                return acc + entry
-            if not h:
-                unk = self.probs[0].get((UNK_ID,))
-                if unk is None:
-                    raise KeyError(f"word id {word} has no unigram probability")
-                return acc + unk
-            acc += self.backoffs[len(h) - 1].get(h, 0.0)
-            h = h[1:]
-
-    def _follower_index(self) -> tuple:
-        """(unigram ln p by word id, per context length k >= 1:
-        (context -> slice, follower ids, ln p)).
-
-        Each longer order's n-grams are sorted by context, so the followers
-        of one context are one slice of the two arrays.  An id without a
-        unigram takes the <unk> score, or NaN when there is no <unk>: the
-        tables themselves hold only finite scores.
-        """
-        if self._index is None:
-            unk = self.probs[0].get((UNK_ID,))
-            unigrams = np.full(len(self.vocab), math.nan if unk is None else unk)
-            for (word,), lp in self.probs[0].items():
-                unigrams[word] = lp
-            levels = []
-            for n, table in enumerate(self.probs[1:], start=2):
-                grams = list(table)
-                flat = np.fromiter(chain.from_iterable(grams), np.intp, n * len(grams))
-                flat = flat.reshape(-1, n)
-                by_context = np.lexsort(flat[:, -2::-1].T)  # stable, first word major
-                flat = flat[by_context]
-                first = np.ones(len(grams), dtype=bool)
-                first[1:] = (flat[1:, :-1] != flat[:-1, :-1]).any(axis=1)
-                starts = np.flatnonzero(first)
-                bounds = [*starts.tolist(), len(grams)]
-                spans = {
-                    grams[i][:-1]: slice(lo, hi)
-                    for i, lo, hi in zip(by_context[starts].tolist(), bounds, bounds[1:])
-                }
-                lps = np.fromiter(table.values(), float, len(grams))[by_context]
-                levels.append((spans, flat[:, -1].copy(), lps))
-            self._index = (unigrams, levels)
-        return self._index
-
-    def logprobs(self, ids, context: tuple[int, ...] = ()) -> np.ndarray:
-        """ln P(w | context) for each vocabulary id w in ``ids``, bit for bit
-        ``conditional_logprob(w, context)``.
-
-        One vector over the vocabulary starts at the unigram level; the
-        followers of each longer context suffix overwrite it.  The backoff
-        weights are summed longest context first, as the scalar walk adds
-        them, so each score is the same two-term sum.
-        """
-        unigrams, levels = self._follower_index()
-        h = tuple(context)[-(self.order - 1) :] if self.order > 1 else ()
-        # acc[j]: backoff weights added before a walk from h reaches level j
-        acc = [0.0] * (len(h) + 1)
-        for j in range(len(h), 0, -1):
-            acc[j - 1] = acc[j] + self.backoffs[j - 1].get(h[-j:], 0.0)
-        scores = acc[0] + unigrams
-        for j, (spans, followers, lps) in enumerate(levels[: len(h)], start=1):
-            span = spans.get(h[-j:])
-            if span is not None:
-                scores[followers[span]] = acc[j] + lps[span]
-        ids = np.asarray(ids, dtype=np.intp)
-        out = scores[ids]
-        fell_through = np.isnan(out)  # reached the unigram level, which lacks them
-        if fell_through.any():
-            raise KeyError(f"word id {int(ids[fell_through][0])} has no unigram probability")
-        return out
+        return float(self.logprobs([word], context)[0])
 
     def conditional_prob(self, word: int, context: tuple[int, ...] = ()) -> float:
         return math.exp(self.conditional_logprob(word, context))
+
+    def score_sentences(self, sentences) -> list[np.ndarray]:
+        """ln P of the events of each tokenized sentence: its tokens, then </s>.
+        A word the model cannot score raises ``ValueError``."""
+        table = TokenTable(sentences)
+        scores, _ = self.table_events(table)
+        failed = first_unscorable(table, scores)
+        if failed is not None:
+            raise failed[1]
+        return table.split(scores)
+
+    def batch_logprob(self, sentences) -> list[float]:
+        """ln P of each tokenized sentence: the LM contract of ``rescoring.rescore``."""
+        return [sum(lps.tolist()) for lps in self.score_sentences(sentences)]
 
     def sentence_logprob(self, tokens: list[str]) -> float:
         """ln P of a tokenized sentence, including the end-of-sentence event."""
         return float(sum(self.sentence_logprobs(tokens)))
 
     def sentence_logprobs(self, tokens: list[str]) -> list[float]:
-        ids = [self.vocab.encode(t) for t in tokens]
-        seq = [BOS_ID] + ids + [EOS_ID]
-        return [self.conditional_logprob(seq[i], tuple(seq[:i])) for i in range(1, len(seq))]
+        return self.score_sentences([tokens])[0].tolist()
+
+
+def unscorable(word: str) -> ValueError:
+    return ValueError(
+        f"word {word!r} has no unigram in the n-gram model, which has no <unk> either"
+    )
+
+
+def first_unscorable(table: TokenTable, scores: np.ndarray) -> tuple[int, ValueError] | None:
+    """The sentence of the first NaN among ``scores``, ln P of the events of
+    ``table``, and the error naming its word; None if there is none."""
+    failed = np.flatnonzero(np.isnan(scores))
+    if not failed.size:
+        return None
+    sentence = int(np.searchsorted(np.cumsum(table.lengths), failed[0], side="right"))
+    return sentence, unscorable(table.tokens[table.rows[failed[0]]])
+
+
+def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Where each key is in the sorted ``keys``, or their last (sentinel) position."""
+    at = np.searchsorted(keys, key)
+    return np.where(keys[at] == key, at, len(keys) - 1)
+
+
+def _gram_rows(table: dict[tuple[int, ...], float], k: int) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(table), np.int64, k * len(table)).reshape(-1, k)
 
 
 def _estimate_discounts(values, order_k: int) -> tuple[float, float, float]:
@@ -234,15 +316,15 @@ def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
 
 def ngram_perplexity(model: NgramModel, corpus: Corpus) -> float:
     """Perplexity over a corpus; end-of-sentence events count as predictions."""
-    total = 0.0
-    n = 0
-    for sentence in corpus:
-        lps = model.sentence_logprobs(sentence)
-        total += sum(lps)
-        n += len(lps)
+    return sentence_perplexity(model.score_sentences(corpus))
+
+
+def sentence_perplexity(scores: list[np.ndarray]) -> float:
+    """Perplexity of each sentence's event ln probabilities, summed sentence by sentence."""
+    n = sum(map(len, scores))
     if n == 0:
         raise ValueError("no scoreable tokens")
-    return math.exp(-total / n)
+    return math.exp(-sum(sum(lps.tolist()) for lps in scores) / n)
 
 
 def export_arpa(model: NgramModel, path: str | Path) -> None:

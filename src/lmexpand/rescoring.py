@@ -20,7 +20,8 @@ from . import expansion as _expansion
 from . import ngram as _ngram
 from . import rnnlm as _rnnlm
 from . import skipgram as _skipgram
-from .vocab import Hypothesis, NBestList, ParseError, check_setting, load_transcripts, parse_nbest
+from .vocab import Hypothesis, NBestList, ParseError, TokenTable, check_setting, load_transcripts
+from .vocab import parse_nbest
 from .vocab import reading, text_lines, writing
 from .vocab import write_nbest, write_transcripts  # noqa: F401  re-exported for callers
 
@@ -32,11 +33,6 @@ class RescoreError(RuntimeError):
 # An LM scores a batch: it takes the word lists of every hypothesis of an
 # n-best list and returns one ln probability per list, in order.
 LmScorer = Callable[[list[list[str]]], Sequence[float]]
-
-
-def per_sentence(score: Callable[[list[str]], float]) -> LmScorer:
-    """Lift a one-sentence scorer, such as ``NgramModel.sentence_logprob``."""
-    return lambda sentences: [score(words) for words in sentences]
 
 
 @dataclass
@@ -70,9 +66,7 @@ def _with_lm_scores(nbest: NBestList, lm: LmScorer) -> NBestList:
                 try:
                     lm([hyp.words])
                 except Exception as one_err:
-                    raise RescoreError(
-                        f"LM failed on utterance {utt!r} rank {hyp.rank}: {one_err}"
-                    ) from one_err
+                    raise _lm_failed(utt, hyp, one_err) from one_err
         raise RescoreError(f"LM failed on the n-best list: {err}") from err
     if len(scores) != len(batch):
         raise RescoreError(
@@ -84,6 +78,10 @@ def _with_lm_scores(nbest: NBestList, lm: LmScorer) -> NBestList:
         utt: [Hypothesis(list(h.words), h.acoustic_score, next(flat), h.rank) for h in hyps]
         for utt, hyps in nbest.items()
     }
+
+
+def _lm_failed(utt: str, hyp: Hypothesis, err: Exception) -> RescoreError:
+    return RescoreError(f"LM failed on utterance {utt!r} rank {hyp.rank}: {err}")
 
 
 def _rerank(scored: NBestList, cfg: RescoreConfig) -> NBestList:
@@ -250,7 +248,7 @@ def _scored_system(scores: list, n_hyps: int) -> tuple[LmScorer, Callable[[], fl
 
 # The model last parsed from each kind of file, under the SHA-256 of its bytes:
 # pipelines only read these objects, so the same bytes are parsed (and the
-# n-gram follower index built) once per process.  A failed parse stores nothing.
+# n-gram lookup index built) once per process.  A failed parse stores nothing.
 _PARSED: dict[str, tuple[bytes, object]] = {}
 
 
@@ -303,23 +301,35 @@ def run_pipeline(config: dict[str, str]) -> dict:
 
     full_vocab = model.vocab
     ref_corpus = [words for words in refs.values() if words]
-    batch = [hyp.words for hyps in nbest.values() for hyp in hyps]
+    hyps = [(utt, hyp) for utt, utt_hyps in nbest.items() for hyp in utt_hyps]
+    batch = [hyp.words for _, hyp in hyps]
 
-    # One engine call scores hypotheses and references under both LSTM
-    # systems: the base system is the expanded model at the base width.
+    # Hypotheses and references are encoded once.  One engine call scores
+    # them under both LSTM systems (the base system is the expanded model at
+    # the base width), and one n-gram walk scores every event for the n-gram
+    # system and the ngram policy's numerators.
+    table = TokenTable(batch + ref_corpus)
     lstm = _expansion.score_jointly(
         [
             _expansion.FullVocabScorer(expanded, policy, full_vocab, ngram_model, model.n_explicit),
             _expansion.FullVocabScorer(expanded, policy, full_vocab, ngram_model),
         ],
-        batch + ref_corpus,
+        table,
     )
+    kn, _ = ngram_model.table_events(table)
+    failed = _ngram.first_unscorable(table, kn)
+    if failed is not None:
+        sentence, err = failed
+        if sentence < len(hyps):
+            raise _lm_failed(*hyps[sentence], err) from err
+        raise err
+    kn = table.split(kn)
     systems = []
     for name, lm_fn, ppl_fn in [
         (
             "ngram",
-            per_sentence(ngram_model.sentence_logprob),
-            lambda: _ngram.ngram_perplexity(ngram_model, ref_corpus),
+            lambda _: [sum(lps.tolist()) for lps in kn[: len(batch)]],
+            lambda: _ngram.sentence_perplexity(kn[len(batch) :]),
         ),
         ("rnnlm", *_scored_system(lstm[0], len(batch))),
         ("rnnlm-expanded", *_scored_system(lstm[1], len(batch))),

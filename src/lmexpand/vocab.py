@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 BOS = "<s>"
 EOS = "</s>"
@@ -265,6 +267,34 @@ class Vocabulary:
     def load(cls, path: str | Path) -> Vocabulary:
         with reading(path) as blob:
             return cls.from_text(blob)
+
+
+class TokenTable:
+    """The events of tokenized sentences, each distinct token stored once.
+
+    A sentence's events are what a language model predicts: its tokens, then
+    </s>.  ``rows`` gives every event of every sentence in turn as an index
+    into ``tokens``, so ``gather`` maps each distinct token once.  ``results``
+    holds what a model computed from the table, for its next caller.
+    """
+
+    def __init__(self, sentences: Iterable[Sequence[str]]):
+        events = [[*sentence, EOS] for sentence in sentences]
+        flat = list(chain.from_iterable(events))
+        index = {token: i for i, token in enumerate(dict.fromkeys(flat))}
+        self.tokens = list(index)
+        self.rows = np.fromiter(map(index.__getitem__, flat), np.intp, len(flat))
+        self.lengths = np.fromiter(map(len, events), np.intp, len(events))  # events per sentence
+        self.results: dict = {}
+
+    def gather(self, per_token: Callable[[str], object], dtype=np.intp) -> np.ndarray:
+        """``per_token`` of every event's token, called once per distinct token."""
+        return np.fromiter(map(per_token, self.tokens), dtype, len(self.tokens))[self.rows]
+
+    def split(self, per_event: np.ndarray) -> list[np.ndarray]:
+        """A per-event array cut into one view per sentence."""
+        ends = np.cumsum(self.lengths).tolist()
+        return [per_event[end - n : end] for end, n in zip(ends, self.lengths.tolist())]
 
 
 def build_vocabulary(corpus: Corpus, shortlist_size: int, full_size: int) -> Vocabulary:

@@ -676,8 +676,44 @@ def test_rescore_error_reports_error(tmp_path, capsys):
                "--out", str(tmp_path / "never.nbest")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: LM failed on utterance 'u' rank 1")
-    assert err.count("\n") == 1
+    assert err == (
+        "error: LM failed on utterance 'u' rank 1: word 'unseen' has no unigram"
+        " in the n-gram model, which has no <unk> either\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "hyps, refs, message",
+    [
+        ("u\t1\t-1.0\t0.0\ta unseen\n", "u\ta\n",
+         "LM failed on utterance 'u' rank 1: word 'unseen'"),
+        ("u\t1\t-1.0\t0.0\ta\nu\t2\t-2.0\t0.0\tunseen a\n", "u\ta\n",
+         "LM failed on utterance 'u' rank 2: word 'unseen'"),
+        ("u\t1\t-1.0\t0.0\ta\n", "u\ta unseen\n", "word 'unseen'"),
+    ],
+    ids=["rank-1", "rank-2", "reference"],
+)
+def test_pipeline_names_the_word_a_closed_arpa_cannot_score(
+    workdir, tmp_path, capsys, hyps, refs, message
+):
+    # without an <unk> unigram the n-gram model cannot score an unseen word
+    (tmp_path / "no-unk.arpa").write_text(
+        "\\data\\\nngram 1=3\n\n\\1-grams:\n-99\t<s>\n-0.3\ta\n-0.3\t</s>\n\n\\end\\\n"
+    )
+    (tmp_path / "t.nbest").write_text(hyps)
+    (tmp_path / "t.refs").write_text(refs)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"nbest = {tmp_path / 't.nbest'}\nrefs = {tmp_path / 't.refs'}\n"
+        f"model = {workdir / 'model.bin'}\nvectors = {workdir / 'vectors.txt'}\n"
+        f"arpa = {tmp_path / 'no-unk.arpa'}\nreport = {tmp_path / 'report.json'}\n"
+    )
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {message} has no unigram in the n-gram model, which has no <unk> either\n"
+    )
+    assert captured.out == "" and not (tmp_path / "report.json").exists()
 
 
 def test_boundary_token_in_an_nbest_hypothesis_reports_error(workdir, tmp_path, capsys):

@@ -53,6 +53,7 @@ from lmexpand.vocab import (
     build_vocabulary,
 )
 
+from test_ngram import walk_logprob
 from test_rnnlm import score_ids, softmax
 
 
@@ -457,14 +458,15 @@ def test_ngram_policy_names_a_word_beyond_a_closed_arpa(tmp_path):
 
 
 def reference_oos_share(scorer, word, context):
-    """The per-word walk and log-sum-exp the ngram policy share is defined by."""
+    """The per-word walk (``test_ngram.walk_logprob``) and log-sum-exp the
+    ngram policy share is defined by."""
     ng = scorer.ngram
     start = max(0, len(context) - ng.order + 1)
     ctx = tuple(ng.vocab.encode(t) for t in context[start:])
-    lps = [ng.conditional_logprob(ng.vocab.encode(w), ctx) for w in scorer.oos_words]
+    lps = [walk_logprob(ng, ng.vocab.encode(w), ctx) for w in scorer.oos_words]
     top = max(lps)
     log_denom = top + math.log(sum(math.exp(lp - top) for lp in lps))
-    return ng.conditional_logprob(ng.vocab.encode(word), ctx) - log_denom
+    return walk_logprob(ng, ng.vocab.encode(word), ctx) - log_denom
 
 
 @settings(max_examples=30, deadline=None)

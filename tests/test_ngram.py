@@ -30,7 +30,8 @@ from lmexpand.datagen import make_template_grammar, sample_corpus
 from mutation import mutated_lines, write_lines
 from lmexpand.ngram import LN10, LOG10_TINY, NgramModel, _estimate_discounts
 from lmexpand.ngram import export_arpa, import_arpa, ngram_perplexity, train_kn
-from lmexpand.vocab import BOS_ID, EOS_ID, UNK_ID, ParseError, Vocabulary, build_vocabulary
+from lmexpand.vocab import BOS_ID, EOS_ID, UNK_ID, ParseError, TokenTable, Vocabulary
+from lmexpand.vocab import build_vocabulary
 
 
 # ---------------------------------------------------------------- reference
@@ -291,6 +292,23 @@ def test_train_kn_tables_are_pinned(make_corpus, sizes, order, digest):
     assert _table_digest(model) == digest
 
 
+def walk_logprob(model, word, context=()):
+    """ln P(word | context) by the backoff walk over the tables, one dict
+    lookup at a time, as ``NgramModel`` first looked words up: the reference
+    every vectorised lookup must equal bit for bit.  NaN where the walk reaches
+    the unigrams and neither the word nor <unk> has one."""
+    h = tuple(context)[-(model.order - 1) :] if model.order > 1 else ()
+    acc = 0.0
+    while True:
+        entry = model.probs[len(h)].get(h + (word,))
+        if entry is not None:
+            return acc + entry
+        if not h:
+            return acc + model.probs[0].get((UNK_ID,), math.nan)
+        acc += model.backoffs[len(h) - 1].get(h, 0.0)
+        h = h[1:]
+
+
 def per_gram_train_kn(corpus, vocab, order):
     """``train_kn`` as it was first written: every lower-order probability
     through the scalar backoff walk, every discount from ``_discount_for``.
@@ -331,7 +349,7 @@ def per_gram_train_kn(corpus, vocab, order):
             if h:
                 backoffs[k - 2][h] = math.log(gamma)
             for w, a in followers:
-                lower = math.exp(model.conditional_logprob(w, h[1:])) if h else uniform
+                lower = math.exp(walk_logprob(model, w, h[1:])) if h else uniform
                 p = max(a - _discount_for(a, dk), 0.0) / total + gamma * lower
                 probs[k - 1][h + (w,)] = math.log(p)
     probs[0][(BOS_ID,)] = LOG10_TINY * LN10
@@ -632,7 +650,7 @@ def _shuffled_arpa(model, path, seed):
 def _assert_logprobs_match_walk(model, context):
     ids = np.arange(len(model.vocab))
     got = model.logprobs(ids, context)
-    want = [model.conditional_logprob(int(w), context) for w in ids]
+    want = [walk_logprob(model, int(w), context) for w in ids]
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], context
 
 
@@ -642,7 +660,7 @@ def _assert_logprobs_match_walk(model, context):
     st.integers(1, 4),
     st.data(),
 )
-def test_logprobs_match_conditional_logprob_bit_for_bit(corpus, order, data):
+def test_logprobs_match_the_walk_bit_for_bit(corpus, order, data):
     full = data.draw(st.integers(4, 10))
     vocab = build_vocabulary(corpus, data.draw(st.integers(3, full)), full)
     with warnings.catch_warnings():
@@ -668,6 +686,83 @@ def test_logprobs_match_conditional_logprob_bit_for_bit(corpus, order, data):
             _assert_logprobs_match_walk(m, tuple(context))
 
 
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+def _assert_lookups_match_walk(model, sentences, contexts):
+    """Every event of ``sentences`` from one batched walk, and every id (one
+    past the vocabulary too) under each context row, NaN included, against
+    ``walk_logprob``; a context row is right-aligned, -1 on its left."""
+    table = TokenTable(sentences)
+    scores, rows = model.table_events(table)
+    want, want_rows = [], []
+    for sentence in sentences:
+        seq = [BOS_ID, *map(model.vocab.encode, sentence), EOS_ID]
+        for i in range(1, len(seq)):
+            want.append(walk_logprob(model, seq[i], seq[:i]))
+            h = seq[max(0, i - model.order + 1) : i]
+            want_rows.append([-1] * (model.order - 1 - len(h)) + h)
+    assert _hex(scores) == _hex(want)
+    assert rows.tolist() == want_rows
+    ids = np.arange(len(model.vocab) + 1)
+    got = model.context_logprobs(np.array(contexts, np.int64).reshape(len(contexts), -1), ids)
+    for context, row in zip(contexts, got):
+        assert _hex(row) == _hex(walk_logprob(model, int(w), tuple(context)) for w in ids), context
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abcdefg"), max_size=8), min_size=1, max_size=8),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_batched_lookups_match_the_walk_bit_for_bit(corpus, order, data):
+    """Sentences with words the model has never seen, and contexts that need
+    not start at <s>, hold ids it has never seen or hold -1 on the left."""
+    full = data.draw(st.integers(4, 10))
+    vocab = build_vocabulary(corpus, data.draw(st.integers(3, full)), full)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = train_kn(corpus, vocab, order=order)
+    words = st.sampled_from([*"abcdefg", "unheard-of"])
+    sentences = data.draw(st.lists(st.lists(words, max_size=6), max_size=5))
+    n = len(vocab)
+    ids = st.integers(-1, n + 1)
+    contexts = data.draw(
+        st.lists(st.lists(ids, min_size=order - 1, max_size=order - 1), max_size=6)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.arpa"
+        export_arpa(model, path)
+        shuffled = _shuffled_arpa(model, path, data.draw(st.integers()))
+    for m in [model, shuffled]:  # the file leaves out an empty top order
+        rows = [row[len(row) - m.order + 1 :] for row in [[-1] * (order - 1), *contexts]]
+        _assert_lookups_match_walk(m, sentences, rows)
+
+
+def test_batched_lookups_match_the_walk_on_a_hand_written_closed_model(tmp_path):
+    """No <unk>; the trigram "b b a" is stored without its context "b b";
+    contexts with a backoff weight ("<s> a", "a") and without ("a b", "b")."""
+    path = tmp_path / "closed.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=4\nngram 2=3\nngram 3=2\n\n"
+        "\\1-grams:\n-99\t<s>\t-0.5\n-0.5\ta\t-0.25\n-0.6\tb\n-0.4\t</s>\n\n"
+        "\\2-grams:\n-0.2\t<s> a\t-0.3\n-0.3\ta b\n-0.35\tb a\t-0.15\n\n"
+        "\\3-grams:\n-0.05\t<s> a b\n-0.07\tb b a\n\n\\end\\\n"
+    )
+    model = import_arpa(path)
+    a, b = model.vocab.encode("a"), model.vocab.encode("b")
+    sentences = [[], ["a", "b", "b", "a"], ["b", "b", "a", "zz", "a"], ["a", "b", "a", "b"]]
+    contexts = [[x, y] for x in (-1, BOS_ID, EOS_ID, UNK_ID, a, b) for y in (BOS_ID, UNK_ID, a, b)]
+    _assert_lookups_match_walk(model, sentences, contexts)
+    assert walk_logprob(model, a, (b, b)) == -0.07 * LN10  # the trigram, found
+    # "b a" and then "a" back off with their weights, longest first
+    assert walk_logprob(model, a, (b, a)) == (-0.15 * LN10 + -0.25 * LN10) + -0.5 * LN10
+    with pytest.raises(ValueError, match="word 'zz' has no unigram"):
+        model.score_sentences(sentences)
+
+
 def test_empty_top_order_round_trips(tmp_path):
     """One-word sentences leave the 4-gram table empty; the file stops at
     the trigrams, and the empty order it leaves out changes no score."""
@@ -687,7 +782,7 @@ def test_empty_top_order_round_trips(tmp_path):
     a = vocab.encode("a")
     ids = np.arange(len(vocab))
     for context in [(), (BOS_ID,), (BOS_ID, a), (BOS_ID, a, EOS_ID), (a, a, a), (7, 7, 7)]:
-        want = [padded.conditional_logprob(int(w), context).hex() for w in ids]
+        want = [walk_logprob(padded, int(w), context).hex() for w in ids]
         assert [x.hex() for x in again.logprobs(ids, context).tolist()] == want, context
         assert [again.conditional_logprob(int(w), context).hex() for w in ids] == want, context
         assert again.logprobs(ids, context) == pytest.approx(model.logprobs(ids, context), abs=1e-5)
@@ -719,12 +814,14 @@ def test_logprobs_add_backoffs_longest_context_first():
     model = NgramModel(4, vocab, probs, backoffs)
     [got] = model.logprobs([b], (a, a, a)).tolist()
     assert got == model.conditional_logprob(b, (a, a, a)) == ((0.3 + 0.2) + 0.1) + -1.0
+    [event] = model.score_sentences([["a", "a", "a", "b"]])[0][3:4].tolist()
+    assert event == walk_logprob(model, b, (BOS_ID, a, a, a)) == ((0.3 + 0.2) + 0.1) + -1.0
     _assert_logprobs_match_walk(model, (b, a, a, a))
 
 
 def test_logprobs_fall_back_and_fail_like_the_walk(tmp_path):
-    """Without <unk>, an id reached only through a bigram scores there and
-    raises the walk's KeyError where it would fall to the unigram level."""
+    """Without <unk>, an id reached only through a bigram scores there; where
+    the walk would fall to the unigram level, a ValueError names the word."""
     path = tmp_path / "closed.arpa"
     path.write_text(
         "\\data\\\nngram 1=2\nngram 2=2\n\n\\1-grams:\n-0.3\ta\t-0.2\n-0.4\t</s>\n\n"
@@ -735,13 +832,19 @@ def test_logprobs_fall_back_and_fail_like_the_walk(tmp_path):
     for context in [(), (EOS_ID,), (a,)]:
         known = [a, EOS_ID] + [UNK_ID] * (context == (a,))
         got = model.logprobs(known, context).tolist()
-        assert got == [model.conditional_logprob(w, context) for w in known]
+        assert got == [walk_logprob(model, w, context) for w in known]
         for missing in [BOS_ID, UNK_ID][: 1 + (context != (a,))]:
-            with pytest.raises(KeyError) as walk:
+            assert math.isnan(walk_logprob(model, missing, context))
+            word = model.vocab.decode(missing)
+            with pytest.raises(ValueError, match=f"word '{word}' has no unigram"):
                 model.conditional_logprob(missing, context)
-            with pytest.raises(KeyError) as vector:
+            with pytest.raises(ValueError, match=f"word '{word}' has no unigram"):
                 model.logprobs([a, missing, EOS_ID], context)
-            assert str(vector.value) == str(walk.value)
+    seq = [BOS_ID, a, UNK_ID, EOS_ID]  # "a zz": zz is <unk>, which only "a <unk>" scores
+    walk = [walk_logprob(model, seq[i], seq[:i]) for i in range(1, len(seq))]
+    assert model.batch_logprob([["a", "zz"]]) == [sum(walk)]
+    with pytest.raises(ValueError, match="word 'zz' has no unigram"):
+        model.batch_logprob([["a"], ["zz", "a"]])
 
 
 def test_perplexity_matches_manual_chain(toy_vocab):

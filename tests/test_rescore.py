@@ -36,7 +36,6 @@ from lmexpand.rescoring import (
     one_best,
     parse_config,
     parse_nbest,
-    per_sentence,
     render_report,
     rescore,
     run_pipeline,
@@ -232,9 +231,16 @@ def test_rescore_rejects_a_short_score_list():
         rescore(nbest, lambda batch: [-1.0], RescoreConfig())
 
 
-def test_per_sentence_lifts_a_one_sentence_scorer():
-    lm = per_sentence(lambda words: -0.5 * len(words))
-    assert lm([["a", "b"], [], ["c"]]) == [-1.0, -0.0, -0.5]
+def test_ngram_batch_logprob_sums_each_sentence_in_order(tmp_path):
+    """The n-gram LM of ``rescore``: one batched walk, then each sentence's
+    events summed left to right, as ``sentence_logprob`` sums them."""
+    corpus = [["a", "b"], ["b", "a", "a"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = train_kn(corpus, build_vocabulary(corpus, 5, 5), order=2)
+    sentences = [["a", "b"], [], ["b", "zz", "a"]]
+    assert model.batch_logprob(sentences) == [model.sentence_logprob(s) for s in sentences]
+    assert model.batch_logprob([]) == []
 
 
 def test_one_best_skips_empty_utterances():

@@ -368,6 +368,14 @@ def test_sentences_are_scored_in_one_place():
     }, sites
 
 
+def test_ngram_events_are_scored_in_one_place():
+    """Outside ``ngram`` no function scores n-gram events one at a time or
+    one sentence at a time: every caller takes the batched lookups."""
+    wrappers = {"conditional_logprob", "sentence_logprob", "sentence_logprobs"}
+    sites = _callers(lambda call: _call_name(call) in wrappers)
+    assert {site[0] for site in sites} <= {"ngram"}, sites
+
+
 def test_text_is_decoded_in_one_place():
     """``vocab.text_lines`` is the one function of the package that decodes
     text it reads; the checkpoint's binary read decodes nothing."""
