@@ -282,9 +282,9 @@ class FullVocabScorer:
         return lp - float(self._log_denominators(row)[0])
 
     def _oos_shares(self, table: TokenTable, events: np.ndarray):
-        """``_oos_share`` of the token of each of the ``table`` events given,
-        after the tokens before it in its sentence; the numerators are the
-        n-gram model's scores of the table's events."""
+        """``_oos_share`` of the token at each given event of ``table``, in the
+        context of the tokens before it in its sentence; the numerators are the
+        n-gram model's scores of those events."""
         if self.policy != "ngram" or self.n_oos == 0:
             return self._oos_share("", ())  # one share for every word
         for row in dict.fromkeys(table.rows[events].tolist()):

@@ -142,8 +142,10 @@ class NgramModel:
         starts at the unigrams plus every backoff weight of its context; the
         followers of each longer suffix, one slice of the next order's keys,
         overwrite theirs."""
-        levels, unk = self._lookup()
         n, stride = self.order, len(self.vocab) + 1
+        if np.shape(contexts)[1:] != (n - 1,):
+            raise ValueError(f"context rows must hold order - 1 = {n - 1} ids each")
+        levels, unk = self._lookup()
         rows = len(contexts)
         grams = self._grams(np.hstack([np.full((rows, 1), -1), contexts]).ravel(), n - 1)
         # suffix[j]: the id of each context's last j words; acc[j]: the backoff

@@ -1,5 +1,6 @@
 """File input and output, text lines and parse errors, corpus handling, frequency-ranked
-vocabularies with a shortlist boundary, and the n-best and transcript formats.
+vocabularies with a shortlist boundary, token tables that encode sentences once, and the
+n-best and transcript formats.
 
 An n-best line is "<utt-id>\t<rank>\t<acoustic>\t<lm>\t<w1> <w2> ...", with
 natural-log scores printed with six decimals; the word field may be empty

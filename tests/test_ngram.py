@@ -761,6 +761,8 @@ def test_batched_lookups_match_the_walk_on_a_hand_written_closed_model(tmp_path)
     assert walk_logprob(model, a, (b, a)) == (-0.15 * LN10 + -0.25 * LN10) + -0.5 * LN10
     with pytest.raises(ValueError, match="word 'zz' has no unigram"):
         model.score_sentences(sentences)
+    with pytest.raises(ValueError, match="context rows must hold order - 1 = 2 ids each"):
+        model.context_logprobs(np.array([[a, b, a]]), [a])
 
 
 def test_empty_top_order_round_trips(tmp_path):
