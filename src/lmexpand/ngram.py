@@ -76,21 +76,23 @@ class NgramModel:
         """(per order j = 1..N: the sorted keys of its ids then a sentinel key,
         ln p by id (NaN: only a prefix is stored) and ln backoff by id (0: none);
         ln p of <unk>, NaN if there is none).  The sentinel id, one past the
-        last, stands for every n-gram an order does not hold."""
+        last, stands for every n-gram an order does not hold.  A unigram's id
+        is its word's, so the order-1 keys are every word id."""
         if self._index is None:
             n, stride = self.order, len(self.vocab) + 1
             tables = [(self.probs[k], self.backoffs[k] if k < n - 1 else {}) for k in range(n)]
             # rows[2k], rows[2k + 1]: the stored (k+1)-grams and backoff contexts
             rows = [_gram_rows(table, k + 1) for k, pair in enumerate(tables) for table in pair]
-            ids = [np.zeros(len(r), np.int64) for r in rows]  # the id of each row's prefix
-            levels = []
-            for j, (scores, bows) in enumerate(tables):  # the first j + 1 words of longer rows
-                longer = range(2 * j, len(rows))
-                keys, inverse = np.unique(
-                    np.concatenate([ids[i] * stride + rows[i][:, j] for i in longer]),
-                    return_inverse=True,
-                )
-                ids[2 * j :] = np.split(inverse, np.cumsum([len(rows[i]) for i in longer])[:-1])
+            ids = [r[:, 0] for r in rows]  # the id of each row's first j words
+            keys, levels = np.arange(stride - 1), []
+            for j, (scores, bows) in enumerate(tables):
+                if j:  # the first j + 1 words of every row that long
+                    longer = range(2 * j, len(rows))
+                    keys, inverse = np.unique(
+                        np.concatenate([ids[i] * stride + rows[i][:, j] for i in longer]),
+                        return_inverse=True,
+                    )
+                    ids[2 * j :] = np.split(inverse, np.cumsum([len(rows[i]) for i in longer])[:-1])
                 lps, bow = np.full(len(keys) + 1, np.nan), np.zeros(len(keys) + 1)
                 lps[ids[2 * j]] = np.fromiter(scores.values(), float, len(scores))
                 bow[ids[2 * j + 1]] = np.fromiter(bows.values(), float, len(bows))
@@ -104,10 +106,10 @@ class NgramModel:
         levels, _ = self._lookup()
         n_words = len(self.vocab)
         seq = np.where((seq >= 0) & (seq < n_words), seq, n_words)
-        nodes = [np.zeros(len(seq), np.int64)]
-        for j in range(depth):
+        nodes = [seq]  # a unigram's id is its word's, and the no-word's the sentinel
+        for j in range(1, depth):
             nodes.append(_find(levels[j][0], nodes[-1][: len(seq) - j] * (n_words + 1) + seq[j:]))
-        return nodes[1:]
+        return nodes[:depth]
 
     def table_events(self, table: TokenTable) -> tuple[np.ndarray, np.ndarray]:
         """(ln P of every event of ``table``, NaN where the model cannot score
@@ -157,7 +159,7 @@ class NgramModel:
         ids = np.asarray(ids, np.int64)
         words, column = np.unique(np.where((ids >= 0) & (ids < stride), ids, stride - 1),
                                   return_inverse=True)
-        unigrams = levels[0][1][_find(levels[0][0], words)]
+        unigrams = levels[0][1][words]
         out = acc[0][:, None] + np.where(np.isnan(unigrams), unk, unigrams)
         col = np.full(stride, -1)
         col[words] = np.arange(len(words))
