@@ -83,7 +83,7 @@ class NgramModel:
             tables = [(self.probs[k], self.backoffs[k] if k < n - 1 else {}) for k in range(n)]
             # rows[2k], rows[2k + 1]: the stored (k+1)-grams and backoff contexts
             rows = [_gram_rows(table, k + 1) for k, pair in enumerate(tables) for table in pair]
-            ids = [r[:, 0] for r in rows]  # the id of each row's first j words
+            ids = [r[:, 0] for r in rows]  # the id of each row's first words so far
             keys, levels = np.arange(stride - 1), []
             for j, (scores, bows) in enumerate(tables):
                 if j:  # the first j + 1 words of every row that long
