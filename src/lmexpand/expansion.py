@@ -29,11 +29,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ngram import NgramModel, unscorable
+from .ngram import NgramModel, first_unscorable
 from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_batch
 from .rnnlm import forward_step  # noqa: F401  unused; lmbench tests delete this name
 from .skipgram import WordEmbeddings, _neighbor_search
-from .vocab import UNK_ID, Corpus, Hypothesis, TokenTable, Vocabulary, check_setting
+from .vocab import Corpus, Hypothesis, TokenTable, Vocabulary, check_setting
 
 POLICIES = ("shortlist", "uniform", "ngram")
 
@@ -237,16 +237,12 @@ class FullVocabScorer:
         self.oos_words = [w for w in full_vocab.words if not self.vocab.is_shortlist(w)]
         self.n_oos = len(self.oos_words)
         if policy == "ngram":  # only this policy reads the n-gram model
-            self._oos_ngram_ids = np.array([self._ngram_id(w) for w in self.oos_words], np.intp)
+            self._oos_ngram_ids = np.array([ngram.vocab.encode(w) for w in self.oos_words], np.intp)
             self._log_denoms: dict[tuple[int, ...], float] = {}
-
-    def _ngram_id(self, word: str) -> int:
-        """The n-gram model's id for ``word``, which must have a unigram or
-        an ``<unk>`` to fall back to: a closed n-gram model is checked here."""
-        wid = self.ngram.vocab.encode(word)
-        if (UNK_ID,) not in self.ngram.probs[0] and (wid,) not in self.ngram.probs[0]:
-            raise unscorable(word)
-        return wid
+            # a closed n-gram model names the first word it cannot score
+            [row] = ngram.context_logprobs(np.full((1, ngram.order - 1), -1), self._oos_ngram_ids)
+            if failed := first_unscorable(row, self.oos_words.__getitem__):
+                raise failed[1]
 
     def _log_denominators(self, contexts: np.ndarray) -> np.ndarray:
         """The log-sum-exp of every out-of-shortlist word's ln p under each row of
@@ -264,33 +260,21 @@ class FullVocabScorer:
                 self._log_denoms[key] = t + math.log(sum(map(math.exp, shifted)))
         return np.array([self._log_denoms[key] for key in keys])
 
-    def _oos_share(self, word: str, context: Sequence[str]) -> float:
-        """ln share of the unknown mass that an out-of-shortlist word gets.
-
-        The ngram share is ln p(word | ctx) minus the log-sum-exp of every
-        out-of-shortlist word's ln p under ctx (``_log_denominators``).
-        """
-        if self.policy == "uniform":
-            return -math.log(self.n_oos + 1)
-        if self.policy == "shortlist" or self.n_oos == 0:
-            # no spreading, or no out-of-shortlist words to spread over
-            return 0.0
-        ng = self.ngram
-        ids = [ng.vocab.encode(t) for t in context[max(0, len(context) - ng.order + 1) :]]
-        row = np.array([-1] * (ng.order - 1 - len(ids)) + ids, np.int64).reshape(1, -1)
-        [[lp]] = ng.context_logprobs(row, [self._ngram_id(word)]).tolist()
-        return lp - float(self._log_denominators(row)[0])
-
-    def _oos_shares(self, table: TokenTable, events: np.ndarray):
-        """``_oos_share`` of the token at each given event of ``table``, in the
-        context of the tokens before it in its sentence; the numerators are the
-        n-gram model's scores of those events."""
+    def _oos_shares(self, table: TokenTable, events: np.ndarray) -> np.ndarray:
+        """ln share of the unknown mass that the out-of-shortlist token at each
+        given event of ``table`` gets, in the context of the tokens before it in
+        its sentence.  The ngram share is the n-gram model's score of the event
+        minus the log-sum-exp of every out-of-shortlist word's ln p under its
+        context (``_log_denominators``)."""
         if self.policy != "ngram" or self.n_oos == 0:
-            return self._oos_share("", ())  # one share for every word
-        for row in dict.fromkeys(table.rows[events].tolist()):
-            self._ngram_id(table.tokens[row])  # a closed n-gram model names what it lacks
+            # an even split, no spreading, or no out-of-shortlist words to spread over
+            share = -math.log(self.n_oos + 1) if self.policy == "uniform" else 0.0
+            return np.full(len(events), share)
         scores, contexts = self.ngram.table_events(table)
-        return scores[events] - self._log_denominators(contexts[events])
+        lps = scores[events]
+        if failed := first_unscorable(lps, lambda i: table.tokens[table.rows[events[i]]]):
+            raise failed[1]
+        return lps - self._log_denominators(contexts[events])
 
     def word_logprob(
         self,
@@ -298,7 +282,10 @@ class FullVocabScorer:
         word: str,
         context: Sequence[str] = (),
     ) -> float:
-        """ln probability of ``word`` under the policy given prediction logits.
+        """ln probability of ``word`` under the policy given prediction logits,
+        the network's output after ``<s>`` and ``context``, the sentence so far.
+        An out-of-shortlist word's share comes from ``_oos_shares`` over the
+        sentence ``[*context, word]``, so each position scores as in ``score_batch``.
 
         Words beyond even the full vocabulary take the unseen-word residual
         share (uniform), the unknown token's share (ngram), or the plain
@@ -307,7 +294,10 @@ class FullVocabScorer:
         rejects such a word, with a ``ValueError`` naming it.
         """
         lp = float(log_softmax(logits[: self.width])[self.vocab.encode(word, shortlist_only=True)])
-        return lp if self.vocab.is_shortlist(word) else lp + self._oos_share(word, context)
+        if self.vocab.is_shortlist(word):
+            return lp
+        [share] = self._oos_shares(TokenTable([[*context, word]]), np.array([len(context)]))
+        return lp + float(share)
 
     def score_batch(self, sentences: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Per-position ln probabilities of each token sequence plus sentence end:

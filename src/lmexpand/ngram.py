@@ -38,6 +38,7 @@ import warnings
 from collections import Counter
 from itertools import chain
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -180,9 +181,8 @@ class NgramModel:
         h = list(context[max(0, len(context) - self.order + 1) :])
         row = np.array([-1] * (self.order - 1 - len(h)) + h, np.int64).reshape(1, -1)
         [out] = self.context_logprobs(row, ids)
-        failed = np.flatnonzero(np.isnan(out))
-        if failed.size:
-            raise unscorable(self.vocab.decode(int(np.asarray(ids)[failed[0]])))
+        if failed := first_unscorable(out, lambda i: self.vocab.decode(int(np.asarray(ids)[i]))):
+            raise failed[1]
         return out
 
     def conditional_logprob(self, word: int, context: tuple[int, ...] = ()) -> float:
@@ -197,8 +197,7 @@ class NgramModel:
         A word the model cannot score raises ``ValueError``."""
         table = TokenTable(sentences)
         scores, _ = self.table_events(table)
-        failed = first_unscorable(table, scores)
-        if failed is not None:
+        if failed := first_unscorable(scores, lambda i: table.tokens[table.rows[i]]):
             raise failed[1]
         return table.split(scores)
 
@@ -214,20 +213,19 @@ class NgramModel:
         return self.score_sentences([tokens])[0].tolist()
 
 
-def unscorable(word: str) -> ValueError:
-    return ValueError(
-        f"word {word!r} has no unigram in the n-gram model, which has no <unk> either"
-    )
-
-
-def first_unscorable(table: TokenTable, scores: np.ndarray) -> tuple[int, ValueError] | None:
-    """The sentence of the first NaN among ``scores``, ln P of the events of
-    ``table``, and the error naming its word; None if there is none."""
+def first_unscorable(
+    scores: np.ndarray, word: Callable[[int], str]
+) -> tuple[int, ValueError] | None:
+    """The position of the first NaN among ``scores``, which the lookups give
+    for a word the model cannot score, and the error naming ``word(position)``;
+    None if there is none.  Every check of a closed model goes through here."""
     failed = np.flatnonzero(np.isnan(scores))
     if not failed.size:
         return None
-    sentence = int(np.searchsorted(np.cumsum(table.lengths), failed[0], side="right"))
-    return sentence, unscorable(table.tokens[table.rows[failed[0]]])
+    at = int(failed[0])
+    return at, ValueError(
+        f"word {word(at)!r} has no unigram in the n-gram model, which has no <unk> either"
+    )
 
 
 def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray:

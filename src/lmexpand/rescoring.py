@@ -304,11 +304,21 @@ def run_pipeline(config: dict[str, str]) -> dict:
     hyps = [(utt, hyp) for utt, utt_hyps in nbest.items() for hyp in utt_hyps]
     batch = [hyp.words for _, hyp in hyps]
 
-    # Hypotheses and references are encoded once.  One engine call scores
-    # them under both LSTM systems (the base system is the expanded model at
-    # the base width), and one n-gram walk scores every event for the n-gram
-    # system and the ngram policy's numerators.
+    # Hypotheses and references are encoded once.  One n-gram walk scores
+    # every event for the n-gram system and the ngram policy's numerators; it
+    # is checked first, so that a word it cannot score is named with its
+    # utterance and rank under every policy.  One engine call scores the table
+    # under both LSTM systems (the base system is the expanded model at the
+    # base width).
     table = TokenTable(batch + ref_corpus)
+    kn, _ = ngram_model.table_events(table)
+    if failed := _ngram.first_unscorable(kn, lambda i: table.tokens[table.rows[i]]):
+        at, err = failed
+        sentence = int(np.searchsorted(np.cumsum(table.lengths), at, side="right"))
+        if sentence < len(hyps):
+            raise _lm_failed(*hyps[sentence], err) from err
+        raise err
+    kn = table.split(kn)
     lstm = _expansion.score_jointly(
         [
             _expansion.FullVocabScorer(expanded, policy, full_vocab, ngram_model, model.n_explicit),
@@ -316,14 +326,6 @@ def run_pipeline(config: dict[str, str]) -> dict:
         ],
         table,
     )
-    kn, _ = ngram_model.table_events(table)
-    failed = _ngram.first_unscorable(table, kn)
-    if failed is not None:
-        sentence, err = failed
-        if sentence < len(hyps):
-            raise _lm_failed(*hyps[sentence], err) from err
-        raise err
-    kn = table.split(kn)
     systems = []
     for name, lm_fn, ppl_fn in [
         (

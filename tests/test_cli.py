@@ -682,6 +682,7 @@ def test_rescore_error_reports_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("policy", ["uniform", "ngram"])
 @pytest.mark.parametrize(
     "hyps, refs, message",
     [
@@ -694,19 +695,24 @@ def test_rescore_error_reports_error(tmp_path, capsys):
     ids=["rank-1", "rank-2", "reference"],
 )
 def test_pipeline_names_the_word_a_closed_arpa_cannot_score(
-    workdir, tmp_path, capsys, hyps, refs, message
+    tmp_path, capsys, hyps, refs, message, policy
 ):
-    # without an <unk> unigram the n-gram model cannot score an unseen word
+    # without an <unk> unigram the n-gram model cannot score an unseen word; it
+    # scores every word of the full vocabulary, so the ngram policy can build
+    vocab = Vocabulary(["<s>", "</s>", "<unk>", "a", "b"], shortlist_size=4)
+    save_checkpoint(init_model(vocab, 2, 3, 1, seed=0), tmp_path / "m.bin")
+    (tmp_path / "v.txt").write_text("2 2\na 0.1 0.2\nb 0.3 0.4\n")
     (tmp_path / "no-unk.arpa").write_text(
-        "\\data\\\nngram 1=3\n\n\\1-grams:\n-99\t<s>\n-0.3\ta\n-0.3\t</s>\n\n\\end\\\n"
+        "\\data\\\nngram 1=4\n\n\\1-grams:\n-99\t<s>\n-0.3\ta\n-0.5\tb\n-0.3\t</s>\n\n\\end\\\n"
     )
     (tmp_path / "t.nbest").write_text(hyps)
     (tmp_path / "t.refs").write_text(refs)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"nbest = {tmp_path / 't.nbest'}\nrefs = {tmp_path / 't.refs'}\n"
-        f"model = {workdir / 'model.bin'}\nvectors = {workdir / 'vectors.txt'}\n"
+        f"model = {tmp_path / 'm.bin'}\nvectors = {tmp_path / 'v.txt'}\n"
         f"arpa = {tmp_path / 'no-unk.arpa'}\nreport = {tmp_path / 'report.json'}\n"
+        f"policy = {policy}\n"
     )
     assert main(["pipeline", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()

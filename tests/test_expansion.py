@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmexpand.expansion import (
+    POLICIES,
     SKIP_IN_SHORTLIST,
     SKIP_NO_VECTOR,
     ExpansionReport,
@@ -45,10 +46,12 @@ from lmexpand.skipgram import WordEmbeddings, nearest_in_shortlist
 from lmexpand.vocab import (
     BOS,
     BOS_ID,
+    EOS,
     EOS_ID,
     RESERVED,
     UNK,
     UNK_ID,
+    TokenTable,
     Vocabulary,
     build_vocabulary,
 )
@@ -339,42 +342,52 @@ def test_weighted_plan_uses_cosine_weights():
 # ----------------------------------------------------------------- policies
 
 
+POLICY_CORPUS = [
+    ["w0", "w4", "w1", "w5"],
+    ["w2", "w6", "w0"],
+    ["w4", "w5", "w6", "w3"],
+    ["w1", "w0", "w2", "w4"],
+]
+
+
+def quiet_kn(corpus, vocab, order):
+    """``train_kn`` without its warning about degenerate counts-of-counts."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return train_kn(corpus, vocab, order=order)
+
+
 @pytest.fixture(scope="module")
 def policy_setup():
     """A 10-word vocabulary, a shortlist model, and a matching n-gram model."""
     words = list(RESERVED) + [f"w{i}" for i in range(7)]
     full_vocab = Vocabulary(words, shortlist_size=7)  # w4, w5, w6 out of shortlist
     model = init_model(full_vocab, embed_dim=4, hidden_dim=5, num_layers=1, seed=4)
-    corpus = [
-        ["w0", "w4", "w1", "w5"],
-        ["w2", "w6", "w0"],
-        ["w4", "w5", "w6", "w3"],
-        ["w1", "w0", "w2", "w4"],
-    ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ngram = train_kn(corpus, full_vocab, order=3)
-    return model, full_vocab, ngram
+    return model, full_vocab, quiet_kn(POLICY_CORPUS, full_vocab, 3)
+
+
+def step_logits(model, sentence):
+    """The logits after <s> and each prefix of ``sentence``, one forward step
+    per word fed (out-of-shortlist words as the unknown token)."""
+    state, out = zero_state(model), []
+    for w in [BOS_ID] + [model.vocab.encode(t, shortlist_only=True) for t in sentence]:
+        step = forward_step(model, w, state)
+        state = step.state
+        out.append(step.logits)
+    return out
 
 
 def contexts_to_probe(model):
+    """(history, the logits after <s> and the history) of each probed history."""
     histories = [[], ["w0"], ["w0", "w4"], ["w2", "w6", "w1"]]
-    probes = []
-    for history in histories:
-        state = zero_state(model)
-        feed = [BOS_ID] + [model.vocab.encode(t, shortlist_only=True) for t in history]
-        for w in feed:
-            state = forward_step(model, w, state).state
-        probes.append((history, state))
-    return probes
+    return [(history, step_logits(model, history)[-1]) for history in histories]
 
 
 def test_uniform_policy_accounting_identity(policy_setup):
     model, full_vocab, _ = policy_setup
     scorer = FullVocabScorer(model, "uniform", full_vocab)
     assert scorer.n_oos == 3
-    for history, state in contexts_to_probe(model):
-        logits = forward_step(model, BOS_ID, state).logits
+    for history, logits in contexts_to_probe(model):
         unk_p = softmax(logits)[UNK_ID]
         total = sum(
             math.exp(scorer.word_logprob(logits, w, history))
@@ -387,8 +400,7 @@ def test_uniform_policy_accounting_identity(policy_setup):
 def test_ngram_policy_accounting_identity(policy_setup):
     model, full_vocab, ngram = policy_setup
     scorer = FullVocabScorer(model, "ngram", full_vocab, ngram=ngram)
-    for history, state in contexts_to_probe(model):
-        logits = forward_step(model, BOS_ID, state).logits
+    for history, logits in contexts_to_probe(model):
         total = sum(
             math.exp(scorer.word_logprob(logits, w, history))
             for w in full_vocab.words
@@ -459,10 +471,10 @@ def test_ngram_policy_names_a_word_beyond_a_closed_arpa(tmp_path):
 
 def reference_oos_share(scorer, word, context):
     """The per-word walk (``test_ngram.walk_logprob``) and log-sum-exp the
-    ngram policy share is defined by."""
+    ngram policy share is defined by, after <s> and the sentence so far
+    ``context``: the walk reads the last order - 1 of those ids."""
     ng = scorer.ngram
-    start = max(0, len(context) - ng.order + 1)
-    ctx = tuple(ng.vocab.encode(t) for t in context[start:])
+    ctx = (BOS_ID, *map(ng.vocab.encode, context))
     lps = [walk_logprob(ng, ng.vocab.encode(w), ctx) for w in scorer.oos_words]
     top = max(lps)
     log_denom = top + math.log(sum(math.exp(lp - top) for lp in lps))
@@ -477,16 +489,41 @@ def reference_oos_share(scorer, word, context):
 )
 def test_ngram_share_matches_per_word_reference_bit_for_bit(corpus, order, data):
     full_vocab = build_vocabulary(corpus, 3, 11)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ngram = train_kn(corpus, full_vocab, order=order)
+    ngram = quiet_kn(corpus, full_vocab, order)
     shortlist = Vocabulary(full_vocab.words, data.draw(st.integers(3, len(full_vocab) - 1)))
     scorer = FullVocabScorer(init_model(shortlist, 2, 3, 1, seed=0), "ngram", full_vocab, ngram)
     tokens = st.sampled_from([BOS, *full_vocab.words[3:], "unheard-of"])
     for context in data.draw(st.lists(st.lists(tokens, max_size=order + 1), min_size=1, max_size=4)):
         for word in [*scorer.oos_words, "unheard-of"]:
-            got = scorer._oos_share(word, context)
-            assert got.hex() == reference_oos_share(scorer, word, context).hex()
+            [got] = scorer._oos_shares(TokenTable([[*context, word]]), np.array([len(context)]))
+            assert float(got).hex() == reference_oos_share(scorer, word, context).hex()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_word_logprob_is_score_tokens_at_every_position(policy_setup, policy, order):
+    """Given the logits after <s> and the sentence so far, ``word_logprob``
+    scores every position bit for bit as ``score_tokens``: from the first
+    word on, where the history is shorter than order - 1, and for a word
+    outside even the full vocabulary."""
+    model, full_vocab, _ = policy_setup
+    scorer = FullVocabScorer(model, policy, full_vocab, quiet_kn(POLICY_CORPUS, full_vocab, order))
+    sentences = [
+        ["w4"],
+        ["w0", "w4"],
+        ["w5", "w6", "w4", "w1"],
+        ["w2", "unheard-of", "w5"],
+        ["w6", "w0", "w5", "w3", "w4"],
+        [],
+    ]
+    for sentence in sentences:
+        want = scorer.score_tokens(sentence)
+        events = [*sentence, EOS]
+        got = [
+            scorer.word_logprob(logits, word, sentence[:i])
+            for i, (word, logits) in enumerate(zip(events, step_logits(model, sentence)))
+        ]
+        assert [lp.hex() for lp in got] == [float(lp).hex() for lp in want], sentence
 
 
 def test_shortlist_policy_scores_oos_as_unk(policy_setup):

@@ -376,6 +376,20 @@ def test_ngram_events_are_scored_in_one_place():
     assert {site[0] for site in sites} <= {"ngram"}, sites
 
 
+def test_ngram_tables_are_read_in_ngram_only():
+    """No module but ``ngram`` reads an attribute named ``probs`` or
+    ``backoffs``: every other caller takes the batched lookups, whose NaNs
+    mark a word a closed n-gram model cannot score."""
+    found = {
+        (name, node.lineno)
+        for name, source in _modules().items()
+        if name != "ngram"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in {"probs", "backoffs"}
+    }
+    assert not found
+
+
 def test_text_is_decoded_in_one_place():
     """``vocab.text_lines`` is the one function of the package that decodes
     text it reads; the checkpoint's binary read decodes nothing."""
