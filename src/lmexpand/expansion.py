@@ -72,13 +72,8 @@ def extract_oos_words(
     is sorted for determinism.
     """
     check_setting("n", n, n >= 1, ">= 1")
-    found: set[str] = set()
-    for hyps in nbest.values():
-        for hyp in list(hyps)[:n]:
-            for token in hyp.words:
-                if not vocab.is_shortlist(token):
-                    found.add(token)
-    return sorted(found)
+    found = {token for hyps in nbest.values() for hyp in hyps[:n] for token in hyp.words}
+    return sorted(token for token in found if not vocab.is_shortlist(token))
 
 
 def synthesize_vector(vectors: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
@@ -87,17 +82,22 @@ def synthesize_vector(vectors: Sequence[np.ndarray], weights: Sequence[float]) -
         raise ValueError("no candidate vectors")
     if len(vectors) != len(weights):
         raise ValueError("weights and vectors differ in length")
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("negative candidate weight")
-    wsum = float(w.sum())
-    if wsum <= 0.0:
-        raise ValueError("all-zero weights")
     arrays = [np.asarray(v, dtype=float) for v in vectors]
     if len({a.shape for a in arrays}) != 1:
         raise ValueError("candidate vectors differ in dimension")
-    mat = np.stack(arrays)
-    return (w[:, None] * mat).sum(axis=0) / wsum
+    [row] = _weighted_means(np.stack(arrays)[None], np.asarray(weights, dtype=float)[None])
+    return row
+
+
+def _weighted_means(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row's weighted mean of its ``vectors`` (rows, candidates, dim) under its
+    ``weights`` (rows, candidates); each row's sums are those of the row alone."""
+    if np.any(weights < 0):
+        raise ValueError("negative candidate weight")
+    wsum = weights.sum(axis=1)
+    if np.any(wsum <= 0.0):
+        raise ValueError("all-zero weights")
+    return (weights[:, :, None] * vectors).sum(axis=1) / wsum[:, None]
 
 
 def build_candidate_plan(
@@ -116,23 +116,21 @@ def build_candidate_plan(
     """
     plan: CandidatePlan = {}
     skipped: list[tuple[str, str]] = []
-    nearest = _neighbor_search(embeddings, vocab, k)
+    searched = [word for word in oos_words if not vocab.is_shortlist(word) and word in embeddings]
+    found = dict(zip(searched, _neighbor_search(embeddings, vocab, searched, k)))
     for word in oos_words:
+        if weighted:
+            entries = [(wid, sim) for wid, sim in found.get(word, []) if sim > 0.0]
+        else:
+            entries = [(wid, 1.0) for wid, _ in found.get(word, [])]
         if vocab.is_shortlist(word):
             skipped.append((word, SKIP_IN_SHORTLIST))
-            continue
-        if word not in embeddings:
+        elif word not in found:
             skipped.append((word, SKIP_NO_VECTOR))
-            continue
-        neighbors = nearest(word)
-        if weighted:
-            entries = [(wid, sim) for wid, sim in neighbors if sim > 0.0]
+        elif entries:
+            plan[word] = entries
         else:
-            entries = [(wid, 1.0) for wid, _ in neighbors]
-        if not entries:
             skipped.append((word, SKIP_NO_CANDIDATES))
-            continue
-        plan[word] = entries
     return plan, skipped
 
 
@@ -157,10 +155,14 @@ def expand_model(model: RnnLmModel, plan: CandidatePlan) -> tuple[RnnLmModel, Ex
                     f"candidate id {wid} for {word} outside explicit range [0, {n_before})"
                 )
 
-    # One synthesis per new word over its candidates' [input | output | bias] rows.
+    # each new [input | output | bias] row, synthesized with those of as many candidates
     table = np.hstack([model.input_embed, model.output_embed, model.output_bias[:, None]])
-    rows = [synthesize_vector(table[[i for i, _ in e]], [wt for _, wt in e]) for e in plan.values()]
-    new = np.vstack([table[:0], *rows])  # a (0, ·) block when the plan is empty
+    chosen = list(plan.values())
+    new = np.empty((len(chosen), table.shape[1]))
+    for size in {len(entries) for entries in chosen}:
+        rows = [i for i, entries in enumerate(chosen) if len(entries) == size]
+        pairs = np.array([chosen[i] for i in rows], dtype=float)  # (rows, size, [id, weight])
+        new[rows] = _weighted_means(table[pairs[..., 0].astype(np.intp)], pairs[..., 1])
     new_words = list(plan)
     words = vocab.shortlist_words + new_words + [w for w in vocab.tail_words if w not in plan]
     new_vocab = Vocabulary(words, vocab.shortlist_size + len(new_words))

@@ -46,51 +46,46 @@ class RescoreConfig:
 
 
 def combined_score(hyp: Hypothesis, cfg: RescoreConfig) -> float:
-    return hyp.acoustic_score + cfg.lm_scale * hyp.lm_score + cfg.word_penalty * len(hyp.words)
+    return _combined(cfg, hyp.acoustic_score, hyp.lm_score, len(hyp.words))
 
 
-def _with_lm_scores(nbest: NBestList, lm: LmScorer) -> NBestList:
-    """Copies of every hypothesis with ``lm_score`` from one LM call over the
-    whole list, in file order.
+def _combined(cfg: RescoreConfig, acoustic, lm, length):
+    """The combined score of floats, or elementwise of arrays, bit for bit."""
+    return acoustic + cfg.lm_scale * lm + cfg.word_penalty * length
+
+
+def _lm_scores(nbest: NBestList, lm: LmScorer) -> list[float]:
+    """The ``lm`` score of every hypothesis, from one call over the whole
+    list, in file order.
 
     If the call raises, the hypotheses are scored one at a time, in file
     order, so the error names the utterance and rank of the first that fails
-    alone.  A wrong number of scores is an error.
+    alone.  A wrong number of scores, or a score that is not finite, is an
+    error.
     """
-    batch = [hyp.words for hyps in nbest.values() for hyp in hyps]
+    hyps = [(utt, hyp) for utt, utt_hyps in nbest.items() for hyp in utt_hyps]
     try:
-        scores = [float(lp) for lp in lm(batch)]
+        scores = [float(lp) for lp in lm([hyp.words for _, hyp in hyps])]
     except Exception as err:
-        for utt, hyps in nbest.items():
-            for hyp in hyps:
-                try:
-                    lm([hyp.words])
-                except Exception as one_err:
-                    raise _lm_failed(utt, hyp, one_err) from one_err
+        for utt, hyp in hyps:
+            try:
+                lm([hyp.words])
+            except Exception as one_err:
+                raise _lm_failed(utt, hyp, one_err) from one_err
         raise RescoreError(f"LM failed on the n-best list: {err}") from err
-    if len(scores) != len(batch):
+    if len(scores) != len(hyps):
         raise RescoreError(
-            f"LM returned {len(scores)} scores for the {len(batch)} hypotheses"
+            f"LM returned {len(scores)} scores for the {len(hyps)} hypotheses"
             " of the n-best list"
         )
-    flat = iter(scores)
-    return {
-        utt: [Hypothesis(list(h.words), h.acoustic_score, next(flat), h.rank) for h in hyps]
-        for utt, hyps in nbest.items()
-    }
+    if not all(map(math.isfinite, scores)):
+        at = next(i for i, lp in enumerate(scores) if not math.isfinite(lp))
+        raise _lm_failed(*hyps[at], ValueError(f"non-finite score {scores[at]}"))
+    return scores
 
 
 def _lm_failed(utt: str, hyp: Hypothesis, err: Exception) -> RescoreError:
     return RescoreError(f"LM failed on utterance {utt!r} rank {hyp.rank}: {err}")
-
-
-def _rerank(scored: NBestList, cfg: RescoreConfig) -> NBestList:
-    """Each utterance sorted best first by combined score.  The sort is
-    stable, so equal scores keep their order in ``scored``."""
-    return {
-        utt: sorted(hyps, key=lambda h: -combined_score(h, cfg))
-        for utt, hyps in scored.items()
-    }
 
 
 def rescore(nbest: NBestList, lm: LmScorer, cfg: RescoreConfig) -> NBestList:
@@ -101,11 +96,32 @@ def rescore(nbest: NBestList, lm: LmScorer, cfg: RescoreConfig) -> NBestList:
     keep their file order.  Original rank fields are preserved for
     traceability.
     """
-    return _rerank(_with_lm_scores(nbest, lm), cfg)
+    flat = iter(_lm_scores(nbest, lm))
+    scored = [
+        (utt, [Hypothesis(list(h.words), h.acoustic_score, next(flat), h.rank) for h in hyps])
+        for utt, hyps in nbest.items()
+    ]
+    return {utt: sorted(hyps, key=lambda h: -combined_score(h, cfg)) for utt, hyps in scored}
 
 
 def one_best(nbest: NBestList) -> dict[str, list[str]]:
     return {utt: list(hyps[0].words) for utt, hyps in nbest.items() if hyps}
+
+
+def _one_bests(nbest: NBestList, runs: Sequence[tuple]) -> list[dict[str, list[str]]]:
+    """``one_best(rescore(nbest, lm, cfg))`` of each run (the ``_lm_scores``
+    of an LM, and a config), without copying a hypothesis: each utterance's
+    first hypothesis of highest combined score, which is what the stable sort
+    puts first when no combined score is NaN."""
+    hyps = [hyp for utt_hyps in nbest.values() for hyp in utt_hyps]
+    acoustic, lengths = np.array([(h.acoustic_score, len(h.words)) for h in hyps]).reshape(-1, 2).T
+    sizes = [len(utt_hyps) for utt_hyps in nbest.values()]
+    ends = np.cumsum(sizes).tolist()
+    spans = [(utt, end - n, end) for utt, n, end in zip(nbest, sizes, ends) if n]
+    return [
+        {utt: hyps[at + int(total[at:end].argmax())].words for utt, at, end in spans}
+        for total in (_combined(cfg, acoustic, np.array(scores), lengths) for scores, cfg in runs)
+    ]
 
 
 @dataclass
@@ -158,17 +174,22 @@ def _align_counts(ref: list[str], hyp: list[str]) -> tuple[int, int, int]:
 def wer(refs: dict[str, list[str]], hyps: dict[str, list[str]]) -> WerResult:
     """Aggregate WER over every reference; every hypothesis needs a reference,
     and a reference without a hypothesis counts as the empty one (all deletions)."""
-    for utt in hyps:
-        if utt not in refs:
-            raise ValueError(f"missing reference for utterance {utt!r}")
-    total_s = total_i = total_d = total_n = 0
-    for utt, ref_words in refs.items():
-        s, ins, d = _align_counts(ref_words, hyps.get(utt, []))
-        total_s += s
-        total_i += ins
-        total_d += d
-        total_n += len(ref_words)
-    return WerResult(total_s, total_i, total_d, total_n)
+    [result] = _wers(refs, [hyps])
+    return result
+
+
+def _wers(refs: dict[str, list[str]], systems: Sequence[dict[str, list[str]]]) -> list[WerResult]:
+    """``wer`` of each system's hypotheses.  Each distinct (reference,
+    hypothesis) pair is aligned once over all the systems, and a hypothesis
+    equal to its reference counts no error without an alignment."""
+    missing = [utt for hyps in systems for utt in hyps if utt not in refs]
+    if missing:
+        raise ValueError(f"missing reference for utterance {missing[0]!r}")
+    pairs = [[(tuple(r), tuple(hyps.get(utt, ()))) for utt, r in refs.items()] for hyps in systems]
+    counts = {p: (0, 0, 0) if p[0] == p[1] else _align_counts(*p) for p in set().union(*pairs)}
+    n_tokens = sum(map(len, refs.values()))
+    # each kind of error summed over a system's references, (0, 0, 0) over none
+    return [WerResult(*map(sum, zip((0, 0, 0), *map(counts.get, row))), n_tokens) for row in pairs]
 
 
 DEFAULT_SCALES = tuple(float(s) for s in range(2, 21, 2))
@@ -184,24 +205,20 @@ def tune(
 ) -> tuple[RescoreConfig, float, list[tuple[float, float, float]]]:
     """Grid-search lm_scale and word penalty against reference WER.
 
-    The LM is called once for the whole list, and each grid point re-ranks
-    exactly as ``rescore`` does.  Returns the best config (first in grid
-    order on ties), its WER, and the full (scale, penalty, wer) grid.  An
-    empty grid or a non-finite grid value raises ``ValueError``.
+    The LM is called once for the whole list, and each grid point takes the
+    1-best that ``rescore`` ranks first, without re-ranking.  Returns the best
+    config (first in grid order on ties), its WER, and the full (scale,
+    penalty, wer) grid.  An empty grid or a non-finite grid value raises
+    ``ValueError``.
     """
     configs = [RescoreConfig(scale, penalty) for scale in scales for penalty in penalties]
     if not configs:
         raise ValueError("empty tuning grid: give at least one scale and one penalty")
-    scored = _with_lm_scores(nbest, lm)
-    grid: list[tuple[float, float, float]] = []
-    best_cfg, best_wer = configs[0], math.inf
-    for cfg in configs:
-        result = wer(refs, one_best(_rerank(scored, cfg)))
-        grid.append((cfg.lm_scale, cfg.word_penalty, result.wer))
-        if result.wer < best_wer:
-            best_wer = result.wer
-            best_cfg = cfg
-    return best_cfg, best_wer, grid
+    scores = _lm_scores(nbest, lm)
+    results = _wers(refs, _one_bests(nbest, [(scores, cfg) for cfg in configs]))
+    grid = [(cfg.lm_scale, cfg.word_penalty, result.wer) for cfg, result in zip(configs, results)]
+    best = min(range(len(grid)), key=lambda i: grid[i][2])  # the first of equal WERs
+    return configs[best], grid[best][2], grid
 
 
 def parse_config(path: str | Path) -> dict[str, str]:
@@ -326,8 +343,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
         ],
         table,
     )
-    systems = []
-    for name, lm_fn, ppl_fn in [
+    names, lms, ppls = zip(
         (
             "ngram",
             lambda _: [sum(lps.tolist()) for lps in kn[: len(batch)]],
@@ -335,19 +351,19 @@ def run_pipeline(config: dict[str, str]) -> dict:
         ),
         ("rnnlm", *_scored_system(lstm[0], len(batch))),
         ("rnnlm-expanded", *_scored_system(lstm[1], len(batch))),
-    ]:
-        reranked = rescore(nbest, lm_fn, cfg)
-        result = wer(refs, one_best(reranked))
-        systems.append(
-            {
-                "system": name,
-                "perplexity": ppl_fn(),
-                "wer": result.wer,
-                "substitutions": result.substitutions,
-                "insertions": result.insertions,
-                "deletions": result.deletions,
-            }
-        )
+    )
+    results = _wers(refs, _one_bests(nbest, [(_lm_scores(nbest, lm), cfg) for lm in lms]))
+    systems = [
+        {
+            "system": name,
+            "perplexity": ppl(),
+            "wer": result.wer,
+            "substitutions": result.substitutions,
+            "insertions": result.insertions,
+            "deletions": result.deletions,
+        }
+        for name, ppl, result in zip(names, ppls, results)
+    ]
 
     out_report = {
         "settings": settings,

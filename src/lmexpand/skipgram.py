@@ -31,6 +31,8 @@ from .vocab import reading, text_lines, word_index, writing
 MIN_LR = 1e-4
 # (centre, context) pairs per update; larger chunks train on staler weights
 _CHUNK_PAIRS = 256
+# targets per neighbour search pass: its arrays hold one entry per (target, shortlist row)
+_TARGET_BLOCK = 256
 
 
 class UnknownTargetError(KeyError):
@@ -240,32 +242,33 @@ def nearest_in_shortlist(
     no embedding vector are skipped.  Ties break toward the smaller word id.
     Returns (word id, similarity) pairs, best first.
     """
-    return _neighbor_search(embeddings, vocab, k)(target)
+    return _neighbor_search(embeddings, vocab, [target], k)[0]
 
 
-def _neighbor_search(embeddings: WordEmbeddings, vocab: Vocabulary, k: int):
-    """``nearest_in_shortlist`` as a function of the target alone: ``k`` is checked,
+def _neighbor_search(embeddings: WordEmbeddings, vocab: Vocabulary, targets: list[str], k: int):
+    """``nearest_in_shortlist`` of every target, in one pass: ``k`` is checked,
     and the embedded shortlist content words, their rows and norms gathered, once."""
     check_setting("k", k, k >= 1, ">= 1")
+    if len(targets) > _TARGET_BLOCK:
+        blocks = (targets[at : at + _TARGET_BLOCK] for at in range(0, len(targets), _TARGET_BLOCK))
+        return [near for block in blocks for near in _neighbor_search(embeddings, vocab, block, k)]
     ids = [wid for wid, word in enumerate(vocab.shortlist_words[3:], start=3) if word in embeddings]
     rows = embeddings.vectors[[embeddings.index[vocab.words[wid]] for wid in ids]][:, None, :]
-    ids = np.array(ids, dtype=np.intp)
-    # One dot product per row for the norms and for each target's dots, each
-    # exactly as ``cosine_similarity`` computes it: a plain gemv rounds equal
-    # rows differently by position, breaking ties.
+    tvecs = np.reshape([embeddings.vector(t) for t in targets], (len(targets), 1, embeddings.dim))
+    # One dot product per row for the norms and per (target, row) pair for the
+    # dots, each exactly as ``cosine_similarity`` computes it: a plain gemm or
+    # gemv rounds equal rows differently by position, breaking ties.
     norms = np.sqrt((rows @ rows.transpose(0, 2, 1))[:, 0, 0])
-
-    def nearest(target: str) -> list[tuple[int, float]]:
-        tvec = embeddings.vector(target)
-        dots = (rows @ tvec)[:, 0]
-        tnorm = float(np.linalg.norm(tvec))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sims = np.where((norms == 0.0) | (tnorm == 0.0), 0.0, dots / (tnorm * norms))
-        others = ids != vocab.encode(target)  # a target inside the shortlist
-        best = np.argsort(-sims[others], kind="stable")[:k]
-        return list(zip(ids[others][best].tolist(), sims[others][best].tolist()))
-
-    return nearest
+    tnorms = np.sqrt((tvecs @ tvecs.transpose(0, 2, 1))[:, :, 0])
+    dots = (rows[None] @ tvecs[:, :, :, None])[:, :, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.where((norms == 0.0) | (tnorms == 0.0), 0.0, dots / (tnorms * norms))
+    # one stable sort per target; a target inside the shortlist is left out of
+    # its own list, which keeps the others in the same order
+    order = np.argsort(-sims, axis=1, kind="stable")[:, : k + 1]
+    found = zip(np.array(ids, np.intp)[order].tolist(), np.take_along_axis(sims, order, 1).tolist())
+    own = map(vocab.encode, targets)
+    return [[pair for pair in zip(*row) if pair[0] != wid][:k] for row, wid in zip(found, own)]
 
 
 def save_w2v_text(embeddings: WordEmbeddings, path: str | Path) -> None:

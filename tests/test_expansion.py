@@ -42,6 +42,7 @@ from lmexpand.rnnlm import (
     named_parameters,
     zero_state,
 )
+from lmexpand import skipgram
 from lmexpand.skipgram import WordEmbeddings, nearest_in_shortlist
 from lmexpand.vocab import (
     BOS,
@@ -209,6 +210,29 @@ def test_new_rows_match_per_block_synthesis():
         bound = len(ids) * np.finfo(float).eps * magnitude
         assert abs(expanded.output_bias[row] - new_bias[0]) <= bound
     assert expanded.input_embed.flags.c_contiguous and expanded.output_embed.flags.c_contiguous
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_ragged_weighted_plan_synthesizes_each_row_as_its_own_mean(seed):
+    """A weighted plan drops candidates of similarity <= 0, so its words have
+    different numbers of candidates; each new [input | output | bias] row is
+    still ``synthesize_vector`` of that row's candidates alone, bit for bit,
+    weight sums of more than eight candidates (summed pairwise) included."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i:02d}" for i in range(24)] + [f"n{i}" for i in range(12)]
+    vocab = Vocabulary(list(RESERVED) + words, shortlist_size=27)
+    model = init_model(vocab, embed_dim=7, hidden_dim=9, num_layers=1, seed=seed)
+    model.output_bias[:] = rng.normal(size=model.n_explicit)
+    emb = WordEmbeddings(words, rng.normal(size=(len(words), 3)))
+    plan, _ = build_candidate_plan(words[24:], emb, vocab, k=24, weighted=True)
+    sizes = [len(entries) for entries in plan.values()]
+    assert len(set(sizes)) > 1 and max(sizes) > 8
+    expanded, _ = expand_model(model, plan)
+    table = np.hstack([model.input_embed, model.output_embed, model.output_bias[:, None]])
+    for row, entries in enumerate(plan.values(), start=model.n_explicit):
+        want = synthesize_vector([table[wid] for wid, _ in entries], [wt for _, wt in entries])
+        got = [expanded.input_embed[row], expanded.output_embed[row], expanded.output_bias[row]]
+        assert np.hstack(got).tobytes() == want.tobytes()
 
 
 def test_new_word_logit_is_weighted_mean_of_candidates():
@@ -713,4 +737,19 @@ def test_candidate_plan_is_the_per_word_search_bit_for_bit(case):
             got = nearest_in_shortlist(emb, w, vocab, k)
             assert hexed(got) == hexed(per_target_search(emb, w, vocab, k))
             assert vocab.encode(w) not in [wid for wid, _ in got]
+
+
+def test_targets_past_one_block_are_searched_block_by_block(monkeypatch):
+    """More targets than one search pass takes are split into passes of
+    ``_TARGET_BLOCK`` targets, the last one short, each as the per-word search."""
+    rng = np.random.default_rng(11)
+    words = [f"s{i}" for i in range(9)] + [f"t{i}" for i in range(7)]
+    vocab = Vocabulary(list(RESERVED) + words, shortlist_size=12)
+    emb = WordEmbeddings(words, rng.normal(size=(len(words), 4)).round(1))
+    monkeypatch.setattr(skipgram, "_TARGET_BLOCK", 3)
+    plan, skipped = build_candidate_plan(words[9:], emb, vocab, k=4, weighted=True)
+    assert not skipped
+    for w in words[9:]:
+        want = [(i, s) for i, s in per_target_search(emb, w, vocab, 4) if s > 0.0]
+        assert hexed(plan[w]) == hexed(want)
 

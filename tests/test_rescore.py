@@ -231,6 +231,23 @@ def test_rescore_rejects_a_short_score_list():
         rescore(nbest, lambda batch: [-1.0], RescoreConfig())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_lm_score_is_refused_with_its_utterance_and_rank(bad):
+    """A NaN LM score would break the sort: these scores would put the NaN
+    hypothesis first.  Every LM path refuses a score that is not finite, as
+    ``parse_nbest`` refuses one in a file."""
+    nbest = {
+        "u": [hyp(["z"], 1, ac=-1.0)],
+        "v": [hyp(["a"], 1, ac=-1.0), hyp(["b"], 2, ac=-5.0), hyp(["c"], 3, ac=-2.0)],
+    }
+    scores = [0.0, bad, 0.0, 0.0]
+    match = f"utterance 'v' rank 1: non-finite score {bad}"
+    with pytest.raises(RescoreError, match=match):
+        rescore(nbest, lambda batch: scores, RescoreConfig())
+    with pytest.raises(RescoreError, match=match):
+        tune(nbest, {"u": ["z"], "v": ["a"]}, lambda batch: scores)
+
+
 def test_ngram_batch_logprob_sums_each_sentence_in_order(tmp_path):
     """The n-gram LM of ``rescore``: one batched walk, then each sentence's
     events summed left to right, as ``sentence_logprob`` sums them."""
@@ -245,6 +262,35 @@ def test_ngram_batch_logprob_sums_each_sentence_in_order(tmp_path):
 
 def test_one_best_skips_empty_utterances():
     assert one_best({"u": [hyp(["a"], 1)], "v": []}) == {"u": ["a"]}
+
+
+# scores that tie often: small integers and halves, both zeros among them
+tie_scores = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, -2.0, 3.0])
+
+
+@st.composite
+def scored_lists(draw):
+    """An n-best list, the scores an LM gives its hypotheses in file order,
+    and a few configs: empty utterances, empty hypotheses and tied combined
+    scores (``0.0`` against ``-0.0`` too) are frequent."""
+    words = st.lists(st.sampled_from(["a", "b"]), max_size=3)
+    utterances = draw(st.lists(st.lists(st.tuples(words, tie_scores), max_size=5), max_size=5))
+    nbest = {
+        f"u{u}": [hyp(ws, rank, ac=ac) for rank, (ws, ac) in enumerate(hyps, 1)]
+        for u, hyps in enumerate(utterances)
+    }
+    n_hyps = sum(map(len, nbest.values()))
+    scores = draw(st.lists(tie_scores | st.floats(-1e3, 1e3), min_size=n_hyps, max_size=n_hyps))
+    cfgs = draw(st.lists(st.builds(RescoreConfig, tie_scores, tie_scores), min_size=1, max_size=3))
+    return nbest, scores, cfgs
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_lists())
+def test_the_copy_free_pick_is_the_one_best_of_rescore(case):
+    nbest, scores, cfgs = case
+    want = [one_best(rescore(nbest, lambda batch: scores, cfg)) for cfg in cfgs]
+    assert rescoring._one_bests(nbest, [(scores, cfg) for cfg in cfgs]) == want
 
 
 # ---------------------------------------------------------------------- wer
@@ -318,6 +364,25 @@ def test_wer_counts_a_missing_hypothesis_as_empty():
 def test_wer_can_exceed_hundred():
     result = wer({"u": ["a"]}, {"u": ["b", "c", "d"]})
     assert result.wer > 100.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abc"), max_size=4), min_size=1, max_size=5),
+    st.lists(st.lists(st.lists(st.sampled_from("abc"), max_size=4), max_size=5), max_size=4),
+)
+def test_wer_of_many_systems_is_the_sum_of_their_alignments(ref_lists, system_lists):
+    """Each system's counts are the sums of ``_align_counts`` over every
+    reference, its missing hypotheses counted as empty, however many systems
+    share a (reference, hypothesis) pair."""
+    refs = {f"u{i}": ref for i, ref in enumerate(ref_lists)}
+    systems = [{f"u{i}": h for i, h in enumerate(hyps[: len(refs)])} for hyps in system_lists]
+    got = rescoring._wers(refs, systems)
+    for hyps, result in zip(systems, got, strict=True):
+        counts = [rescoring._align_counts(ref, hyps.get(u, [])) for u, ref in refs.items()]
+        s, ins, d = (sum(c[k] for c in counts) for k in range(3))
+        assert result == rescoring.WerResult(s, ins, d, sum(map(len, ref_lists)))
+        assert wer(refs, hyps) == result
 
 
 def test_wer_missing_reference():

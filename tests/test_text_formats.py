@@ -395,3 +395,16 @@ def test_text_is_decoded_in_one_place():
     text it reads; the checkpoint's binary read decodes nothing."""
     sites = _callers(_decodes)
     assert {site[:2] for site in sites} == {("vocab", "text_lines")}, sites
+
+
+def test_per_item_loops_stay_out_of_the_batched_paths():
+    """Each distinct (reference, hypothesis) pair is aligned in one place,
+    ``rescoring._wers``, under ``wer``, ``tune`` and ``run_pipeline`` alike.  The
+    candidate plan searches every target at once and ``expand_model``
+    synthesizes every row at once: only the CLI's ``neighbors`` asks for one
+    target's neighbours, and no function synthesizes one vector."""
+    sites = _callers(lambda call: _call_name(call) == "_align_counts")
+    assert [site[:2] for site in sites] == [("rescoring", "_wers")], sites
+    sites = _callers(lambda call: _call_name(call) == "nearest_in_shortlist")
+    assert [site[:2] for site in sites] == [("cli", "_cmd_neighbors")], sites
+    assert not _callers(lambda call: _call_name(call) == "synthesize_vector")
