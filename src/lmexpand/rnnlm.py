@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -243,8 +245,11 @@ def score_batch(
     The sentences form a prefix trie: its nodes at depth d are the distinct
     inputs <s> w1 .. wd, and each depth is stepped in batches of up to
     ``_BLOCK_ROWS`` nodes, whose states are gathered from their parents at
-    depth d - 1.  Only the ln probabilities the sentences need are kept from
-    each block, so memory stays flat however many sentences share the call.
+    depth d - 1.  A worker thread, which the call owns, steps the second half
+    of each depth's nodes one block at a time while this thread steps the
+    first, and this thread takes every block's ln probabilities.  Only the
+    ln probabilities the sentences need are kept from each block, so memory
+    stays flat however many sentences share the call.
     ``widths[k]`` (default: every column) normalises sentence k over the
     first ``widths[k]`` output columns; at the width of the model that an
     expanded model grew from, a sentence of its ids scores bit for bit as
@@ -268,27 +273,39 @@ def score_batch(
     parents, words = np.array([0]), np.array([BOS_ID])  # this depth's nodes
     h = np.zeros((model.num_layers, 1, model.hidden_dim))
     c = np.zeros_like(h)
-    for depth in range(targets.shape[1]):
-        h_next = np.empty((model.num_layers, len(words), model.hidden_dim))
-        c_next = np.empty_like(h_next)
-        for start in range(0, len(words), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            up = parents[block]
-            logits, h_next[:, block], c_next[:, block] = _step(
-                model, words[block], h[:, up], c[:, up]
+    with ThreadPoolExecutor(1) as lane:
+        for depth in range(targets.shape[1]):
+            h_next = np.empty((model.num_layers, len(words), model.hidden_dim))
+            c_next = np.empty_like(h_next)
+            # the lane steps the nodes from ``half`` on (whole 8-row tiles split
+            # evenly), one block beside each of this thread's; a row's bits do
+            # not depend on the block or the thread that steps it
+            half = min(len(words), -(-len(words) // (2 * _TILE_ROWS)) * _TILE_ROWS)
+            near = [slice(s, min(s + _BLOCK_ROWS, half)) for s in range(0, half, _BLOCK_ROWS)]
+            far = [slice(s, s + _BLOCK_ROWS) for s in range(half, len(words), _BLOCK_ROWS)]
+            for own, theirs in zip_longest(near, far):
+                if theirs:
+                    up = parents[theirs]
+                    ahead = lane.submit(_step, model, words[theirs], h[:, up], c[:, up])
+                for block in filter(None, (own, theirs)):
+                    up = parents[block]
+                    logits, h_next[:, block], c_next[:, block] = (
+                        ahead.result()
+                        if block is theirs
+                        else _step(model, words[block], h[:, up], c[:, up])
+                    )
+                    mine = (rows >= block.start) & (rows < block.stop)
+                    k = active[mine]
+                    scores[k, depth] = _pick_log_softmax(
+                        logits, rows[mine] - block.start, targets[k, depth], width[k]
+                    )
+            h, c = h_next, c_next
+            going = lengths[active] > depth
+            active, rows = active[going], rows[going]
+            keys, rows = np.unique(
+                rows * model.n_explicit + targets[active, depth], return_inverse=True
             )
-            mine = (rows >= start) & (rows < start + _BLOCK_ROWS)
-            k = active[mine]
-            scores[k, depth] = _pick_log_softmax(
-                logits, rows[mine] - start, targets[k, depth], width[k]
-            )
-        h, c = h_next, c_next
-        going = lengths[active] > depth
-        active, rows = active[going], rows[going]
-        keys, rows = np.unique(
-            rows * model.n_explicit + targets[active, depth], return_inverse=True
-        )
-        parents, words = np.divmod(keys, model.n_explicit)
+            parents, words = np.divmod(keys, model.n_explicit)
     return [scores[k, : n + 1] for k, n in enumerate(lengths)]
 
 

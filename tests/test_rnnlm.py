@@ -8,13 +8,18 @@ in the implementation cannot cancel out in the test.  Gate rows are packed
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +27,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lmexpand
+from lmexpand import rnnlm
 from lmexpand.cli import main
 from lmexpand.expansion import expand_model
 from lmexpand.rnnlm import (
@@ -273,6 +280,97 @@ def test_score_batch_crosses_row_blocks_bitwise():
     assert len({tuple(s[:2]) for s in sentences}) > 2 * _BLOCK_ROWS
     for ids, scores in zip(sentences, score_batch(model, sentences)):
         assert scores.tobytes() == score_ids(model, ids).tobytes()
+
+
+def test_score_batch_two_lanes_are_one_lane_bitwise(monkeypatch):
+    """Blocks of 3 rows, so most depths split across both lanes and cross
+    block edges, at mixed widths: every entry is the stepwise reference's,
+    both threads step, and the worker is gone when the call returns."""
+    monkeypatch.setattr(rnnlm, "_BLOCK_ROWS", 3)
+    stepped_on = set()
+
+    def step(*args):
+        stepped_on.add(threading.get_ident())
+        return rnnlm_step(*args)
+
+    rnnlm_step = rnnlm._step
+    monkeypatch.setattr(rnnlm, "_step", step)
+    model = BATCH_MODELS[2]
+    rng = np.random.default_rng(12)
+    widths = rng.integers(4, model.n_explicit + 1, size=200)
+    sentences = [rng.integers(0, w, size=rng.integers(0, 7)).tolist() for w in widths]
+    assert len({tuple(s[:2]) for s in sentences if len(s) >= 2}) > 4 * rnnlm._TILE_ROWS
+    threads = threading.active_count()
+    got = score_batch(model, sentences, widths)
+    assert threading.active_count() == threads
+    assert len(stepped_on) == 2
+    for ids, width, scores in zip(sentences, widths, got):
+        # a model cut to the sentence's width: its logits are the first columns
+        cut = dataclasses.replace(
+            model, output_embed=model.output_embed[:width], output_bias=model.output_bias[:width]
+        )
+        assert scores.tobytes() == score_ids(cut, ids).tobytes()
+
+
+class LaneFailure(RuntimeError):
+    pass
+
+
+def test_a_failure_on_the_second_lane_is_raised_and_leaves_no_thread(monkeypatch):
+    caller, rnnlm_step = threading.get_ident(), rnnlm._step
+
+    def step(*args):
+        if threading.get_ident() != caller:
+            raise LaneFailure("a block of the second half")
+        return rnnlm_step(*args)
+
+    monkeypatch.setattr(rnnlm, "_step", step)
+    model = BATCH_MODELS[0]
+    rng = np.random.default_rng(13)
+    sentences = [rng.integers(0, model.n_explicit, size=4).tolist() for _ in range(60)]
+    threads = threading.active_count()
+    with pytest.raises(LaneFailure, match="second half"):
+        score_batch(model, sentences)
+    assert threading.active_count() == threads
+
+
+_SCORE_DIGEST = """
+import hashlib
+import numpy as np
+from lmexpand.rnnlm import init_model, score_batch
+from lmexpand.vocab import RESERVED, Vocabulary
+
+words = list(RESERVED) + [f"w{i}" for i in range(297)]
+model = init_model(Vocabulary(words, len(words)), 48, 96, 2, seed=4)
+for layer in model.layers:
+    layer.w_in *= 30.0
+    layer.w_rec *= 30.0
+model.output_embed *= 60.0
+rng = np.random.default_rng(4)
+sentences = [rng.integers(0, 300, size=rng.integers(0, 12)).tolist() for _ in range(400)]
+print(hashlib.sha256(np.concatenate(score_batch(model, sentences)).tobytes()).hexdigest())
+"""
+
+
+def test_inference_bits_do_not_depend_on_blas_threads():
+    """The two lanes of ``score_batch`` rely on every product of the step
+    running single-threaded in the lane that calls it: the same batch scores
+    to the same bytes with one BLAS thread and with the library's default."""
+    src = str(Path(lmexpand.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in [{"OPENBLAS_NUM_THREADS": "1"}, {}]:
+        done = subprocess.run(
+            [sys.executable, "-c", _SCORE_DIGEST],
+            env={**env, **threads},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 @st.composite
