@@ -17,7 +17,6 @@ import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -170,7 +169,8 @@ def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     tile pair is one gemm of that one shape.  A row's result therefore does
     not depend on the batch it is in, and rows appended to w never move the
     tile of an earlier column, so its values stay bit-identical.  Every
-    product of the inference step runs here.
+    product of the inference step runs here, layer 0's input products too:
+    ``score_batch`` takes them once per distinct word and gathers the rows.
     """
     k = x.shape[-1]
     rows = x.reshape(-1, k)
@@ -193,21 +193,24 @@ def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out[:m, :v].reshape(*x.shape[:-1], v)
 
 
-def _step(model: RnnLmModel, words, h: np.ndarray, c: np.ndarray):
-    """Inference step for one word (h, c: (L, H)) or a row of words (h, c:
-    (L, B, H)); returns the logits and the new h and c.  Every product runs
+def _step(model: RnnLmModel, z: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """Inference step for one word (z: (4H,), h, c: (L, H)) or a row of words
+    (z: (B, 4H), h, c: (L, B, H)) from layer 0's input products z, which it
+    overwrites; returns the logits and the new h and c.  Every product runs
     on ``_project``, so a batched row equals the single step bit for bit.
     """
-    x = model.input_embed[words]
     hdim = model.hidden_dim
     h_out = np.empty_like(h)
     c_out = np.empty_like(c)
     for l, layer in enumerate(model.layers):
-        z = _project(x, layer.w_in) + _project(h[l], layer.w_rec) + layer.bias
+        if l:
+            z = _project(h_out[l - 1], layer.w_in)
+        z += _project(h[l], layer.w_rec)  # (input + recurrent) + bias, in place
+        z += layer.bias
         # the gates and candidate overwrite z, and tanh(c) is h_out[l] until o scales it
         _lstm_cell(z, c[l], z[..., : 3 * hdim], z[..., 3 * hdim :], c_out[l], h_out[l], h_out[l])
-        x = h_out[l]
-    logits = _project(x, model.output_embed) + model.output_bias
+    logits = _project(h_out[-1], model.output_embed)
+    logits += model.output_bias
     return logits, h_out, c_out
 
 
@@ -215,19 +218,29 @@ def forward_step(model: RnnLmModel, word: int, state: RnnState) -> StepOutput:
     """Advance one timestep and return logits over the explicit vocabulary."""
     if not 0 <= word < model.n_explicit:
         raise IndexError(f"word id {word} outside explicit range [0, {model.n_explicit})")
-    logits, h, c = _step(model, word, state.h, state.c)
+    z = _project(model.input_embed[word], model.layers[0].w_in)
+    logits, h, c = _step(model, z, state.h, state.c)
     return StepOutput(logits=logits, state=RnnState(h=h, c=c))
 
 
 def _pick_log_softmax(logits, rows, targets, widths) -> np.ndarray:
-    """``log_softmax(logits[r, :w])[t]`` for each (r, t, w), bit for bit, from
-    one normaliser per row and distinct width."""
+    """``log_softmax(logits[r, :w])[t]`` for each (r, t, w), bit for bit, as
+    ``(logits[r, t] - m) - log s`` with m and s the row's maximum and sum of
+    exp(x - m) over w columns.  exp is taken once at the widest width; a width
+    whose row maximum differs from the widest takes its own pass there."""
+    top = widths.max()
+    peak = np.max(logits[:, :top], axis=-1, keepdims=True)
+    exps = np.exp(logits[:, :top] - peak)
     out = np.empty(len(rows))
     for width in np.unique(widths):
         mine = widths == width
-        shifted = logits[:, :width] - np.max(logits[:, :width], axis=-1, keepdims=True)
-        log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
-        out[mine] = shifted[rows[mine], targets[mine]] - log_norm[rows[mine]]
+        m = np.max(logits[:, :width], axis=-1, keepdims=True) if width < top else peak
+        s = np.sum(exps[:, :width], axis=-1)
+        own = m[:, 0] != peak[:, 0]
+        if own.any():
+            s[own] = np.sum(np.exp(logits[own, :width] - m[own]), axis=-1)
+        r = rows[mine]
+        out[mine] = (logits[r, targets[mine]] - m[r, 0]) - np.log(s[r])
     return out
 
 
@@ -245,11 +258,12 @@ def score_batch(
     The sentences form a prefix trie: its nodes at depth d are the distinct
     inputs <s> w1 .. wd, and each depth is stepped in batches of up to
     ``_BLOCK_ROWS`` nodes, whose states are gathered from their parents at
-    depth d - 1.  A worker thread, which the call owns, steps the second half
-    of each depth's nodes one block at a time while this thread steps the
-    first, and this thread takes every block's ln probabilities.  Only the
-    ln probabilities the sentences need are kept from each block, so memory
-    stays flat however many sentences share the call.
+    depth d - 1 and whose layer-0 input products come from one table of the
+    call's distinct words.  A worker thread that the call owns steps and
+    normalises the second half of each depth's nodes while this thread does
+    the first; they meet once per depth.  Only the ln probabilities the
+    sentences need are kept from each block, so memory stays flat however
+    many sentences share the call.
     ``widths[k]`` (default: every column) normalises sentence k over the
     first ``widths[k]`` output columns; at the width of the model that an
     expanded model grew from, a sentence of its ids scores bit for bit as
@@ -267,45 +281,50 @@ def score_batch(
         targets[k, : len(ids)] = ids
     if targets.min() < 0 or (targets >= width[:, None]).any():
         raise IndexError(f"word id outside its sentence's softmax width (<= {model.n_explicit})")
+    # layer 0's input products of every word the call reads, and each word's row
+    seen = np.zeros(model.n_explicit, dtype=bool)
+    seen[targets] = seen[BOS_ID] = True
+    table = _project(model.input_embed[seen], model.layers[0].w_in)
+    slot = np.cumsum(seen) - 1
     scores = np.empty(targets.shape)
     active = np.arange(len(sentences))  # sentences still predicting
     rows = np.zeros(len(sentences), dtype=np.int64)  # their trie node at this depth
-    parents, words = np.array([0]), np.array([BOS_ID])  # this depth's nodes
+    parents, words = np.array([0]), slot[[BOS_ID]]  # this depth's nodes; words by table row
     h = np.zeros((model.num_layers, 1, model.hidden_dim))
     c = np.zeros_like(h)
+
+    def finish(stepped) -> None:  # keep each block's states and needed ln probabilities
+        for block, (logits, h_block, c_block) in stepped:
+            h_next[:, block], c_next[:, block] = h_block, c_block
+            mine = (rows >= block.start) & (rows < block.stop)
+            k = active[mine]
+            scores[k, depth] = _pick_log_softmax(
+                logits, rows[mine] - block.start, targets[k, depth], width[k]
+            )
+
     with ThreadPoolExecutor(1) as lane:
         for depth in range(targets.shape[1]):
             h_next = np.empty((model.num_layers, len(words), model.hidden_dim))
             c_next = np.empty_like(h_next)
-            # the lane steps the nodes from ``half`` on (whole 8-row tiles split
-            # evenly), one block beside each of this thread's; a row's bits do
-            # not depend on the block or the thread that steps it
+            # the lane takes the nodes from ``half`` on (whole 8-row tiles split
+            # evenly); a row's bits do not depend on the block or the thread
             half = min(len(words), -(-len(words) // (2 * _TILE_ROWS)) * _TILE_ROWS)
             near = [slice(s, min(s + _BLOCK_ROWS, half)) for s in range(0, half, _BLOCK_ROWS)]
             far = [slice(s, s + _BLOCK_ROWS) for s in range(half, len(words), _BLOCK_ROWS)]
-            for own, theirs in zip_longest(near, far):
-                if theirs:
-                    up = parents[theirs]
-                    ahead = lane.submit(_step, model, words[theirs], h[:, up], c[:, up])
-                for block in filter(None, (own, theirs)):
-                    up = parents[block]
-                    logits, h_next[:, block], c_next[:, block] = (
-                        ahead.result()
-                        if block is theirs
-                        else _step(model, words[block], h[:, up], c[:, up])
-                    )
-                    mine = (rows >= block.start) & (rows < block.stop)
-                    k = active[mine]
-                    scores[k, depth] = _pick_log_softmax(
-                        logits, rows[mine] - block.start, targets[k, depth], width[k]
-                    )
+            own, theirs = [
+                ((b, _step(model, table[words[b]], h[:, parents[b]], c[:, parents[b]])) for b in part)
+                for part in (near, far)
+            ]
+            ahead = lane.submit(finish, theirs)
+            finish(own)
+            ahead.result()
             h, c = h_next, c_next
             going = lengths[active] > depth
             active, rows = active[going], rows[going]
             keys, rows = np.unique(
-                rows * model.n_explicit + targets[active, depth], return_inverse=True
+                rows * len(table) + slot[targets[active, depth]], return_inverse=True
             )
-            parents, words = np.divmod(keys, model.n_explicit)
+            parents, words = np.divmod(keys, len(table))
     return [scores[k, : n + 1] for k, n in enumerate(lengths)]
 
 

@@ -35,6 +35,7 @@ from lmexpand.ngram import import_arpa, train_kn
 from lmexpand.rescoring import Hypothesis
 from lmexpand.rnnlm import (
     RnnState,
+    _project,
     _step,
     forward_step,
     init_model,
@@ -174,8 +175,9 @@ def test_batched_step_preserves_original_logits_bitwise():
     h = rng.normal(size=(2, batch, 24))
     c = rng.normal(size=(2, batch, 24))
     ids = rng.integers(0, 50, size=batch)
-    la, ha, ca = _step(model, ids, h, c)
-    lb, hb, cb = _step(expanded, ids, h, c)
+    la, ha, ca = _step(model, _project(model.input_embed[ids], model.layers[0].w_in), h, c)
+    z = _project(expanded.input_embed[ids], expanded.layers[0].w_in)
+    lb, hb, cb = _step(expanded, z, h, c)
     assert la.tobytes() == np.ascontiguousarray(lb[:, :50]).tobytes()
     assert ha.tobytes() == hb.tobytes() and ca.tobytes() == cb.tobytes()
     for row in range(batch):

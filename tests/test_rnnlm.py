@@ -242,6 +242,7 @@ BATCH_MODELS = [sharp_model(1, 1), sharp_model(2, 2)]
 BATCH_MODELS.append(
     expand_model(BATCH_MODELS[1], {"w28": [(5, 1.0), (9, 2.0)], "w29": [(12, 1.0)]})[0]
 )
+BATCH_MODELS.append(sharp_model(3, 3))
 
 
 @st.composite
@@ -310,6 +311,34 @@ def test_score_batch_two_lanes_are_one_lane_bitwise(monkeypatch):
             model, output_embed=model.output_embed[:width], output_bias=model.output_bias[:width]
         )
         assert scores.tobytes() == score_ids(cut, ids).tobytes()
+
+
+def test_each_lane_normalises_the_blocks_it_steps(monkeypatch):
+    """Both threads take ln probabilities, and each takes them only from the
+    logits of blocks that it stepped itself."""
+    monkeypatch.setattr(rnnlm, "_BLOCK_ROWS", 3)
+    made, picked = {}, []
+    rnnlm_step, rnnlm_pick = rnnlm._step, rnnlm._pick_log_softmax
+
+    def step(*args):
+        out = rnnlm_step(*args)
+        made[id(out[0])] = threading.get_ident(), out[0]  # kept alive: ids stay unique
+        return out
+
+    def pick(logits, *args):
+        picked.append((threading.get_ident(), id(logits)))
+        return rnnlm_pick(logits, *args)
+
+    monkeypatch.setattr(rnnlm, "_step", step)
+    monkeypatch.setattr(rnnlm, "_pick_log_softmax", pick)
+    model = BATCH_MODELS[1]
+    rng = np.random.default_rng(14)
+    sentences = [rng.integers(0, model.n_explicit, size=5).tolist() for _ in range(120)]
+    got = score_batch(model, sentences)
+    assert len({thread for thread, _ in picked}) == 2
+    assert all(made[logits][0] == thread for thread, logits in picked)
+    for ids, scores in zip(sentences, got):
+        assert scores.tobytes() == score_ids(model, ids).tobytes()
 
 
 class LaneFailure(RuntimeError):
@@ -408,6 +437,87 @@ def test_project_rows_and_columns_are_position_independent(case, data):
     # appended rows of w leave the earlier columns bit-identical
     grown = _project(x, np.vstack([w, extra]))
     assert grown[:, : len(w)].tobytes() == np.ascontiguousarray(got).tobytes()
+
+
+@pytest.mark.parametrize("which", [1, 3])  # 2 and 3 layers
+def test_layer0_input_products_come_from_one_table_per_call(which, monkeypatch):
+    """``score_batch`` projects each distinct input word of the call once, by
+    layer 0's ``w_in``, and gathers the rows: on a call that reads only a few
+    words and on a one-sentence call, every entry is the stepwise reference's."""
+    model = BATCH_MODELS[which]
+    w_in, tables = model.layers[0].w_in, []
+    rnnlm_project = rnnlm._project
+
+    def project(x, w):
+        if w is w_in:
+            tables.append(len(x))
+        return rnnlm_project(x, w)
+
+    monkeypatch.setattr(rnnlm, "_project", project)
+    few = [[5], [5, 5, 7], [7, 5, 5, 5], [], [7]]
+    one = [[4, 9, 9, 2, 30, 4]]
+    for sentences, read in [(few, {5, 7}), (one, {4, 9, 2, 30})]:
+        tables.clear()
+        got = score_batch(model, sentences)
+        # <s> and </s> have rows too
+        assert tables == [len(read) + 2]
+        monkeypatch.setattr(rnnlm, "_project", rnnlm_project)
+        for ids, scores in zip(sentences, got):
+            assert scores.tobytes() == score_ids(model, ids).tobytes()
+        monkeypatch.setattr(rnnlm, "_project", project)
+
+
+def pick_log_softmax(logits, rows, targets, widths) -> np.ndarray:
+    """The per-width reference for ``rnnlm._pick_log_softmax``: for each
+    distinct width, one max-shift, exponential and sum over every row."""
+    out = np.empty(len(rows))
+    for width in np.unique(widths):
+        mine = widths == width
+        shifted = logits[:, :width] - np.max(logits[:, :width], axis=-1, keepdims=True)
+        log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
+        out[mine] = shifted[rows[mine], targets[mine]] - log_norm[rows[mine]]
+    return out
+
+
+_EXTREMES = [np.inf, -np.inf, 1e308, -1e308, 0.0, -0.0, 700.0, -745.0]
+
+
+@st.composite
+def pick_cases(draw):
+    """A block of logits (some entries infinite or huge), 1-3 widths, and
+    picks; in about half of the rows a column beyond the narrowest width
+    holds the row maximum, so the narrow maximum differs from the widest."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows, top = draw(st.integers(1, 12)), draw(st.integers(1, 150))
+    spread = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    logits = rng.standard_normal((n_rows, top + draw(st.integers(0, 70)))) * spread
+    special = rng.random(logits.shape) < draw(st.sampled_from([0.0, 0.02, 0.3]))
+    logits[special] = rng.choice(_EXTREMES, size=int(special.sum()))
+    widths = sorted(draw(st.sets(st.integers(1, top - 1), max_size=2)) if top > 1 else [])
+    widths.append(top)
+    if widths[0] < top:
+        lifted = rng.random(n_rows) < 0.5
+        cols = rng.integers(widths[0], top, size=n_rows)
+        logits[lifted, cols[lifted]] = np.max(logits[lifted, :top], axis=-1) + spread
+    n = draw(st.integers(1, 20))
+    width = rng.choice(widths, size=n)
+    rows = rng.integers(0, n_rows, size=n)
+    targets = (rng.random(n) * width).astype(np.int64)
+    return logits, rows, targets, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(pick_cases())
+@example(
+    (np.array([[1.0, -np.inf, 5.0], [-0.0, 0.0, -np.inf]]), np.array([0, 1, 1]),
+     np.array([0, 0, 1]), np.array([1, 1, 3]))
+)
+def test_one_exponential_pass_is_the_per_width_reference(case):
+    logits, rows, targets, widths = case
+    with np.errstate(all="ignore"):  # inf - inf and exp overflow are part of the case
+        want = pick_log_softmax(logits, rows, targets, widths)
+        got = rnnlm._pick_log_softmax(logits, rows, targets, widths)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_score_batch_edges():
