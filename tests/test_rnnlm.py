@@ -341,6 +341,37 @@ def test_each_lane_normalises_the_blocks_it_steps(monkeypatch):
         assert scores.tobytes() == score_ids(model, ids).tobytes()
 
 
+def test_concurrent_calls_keep_every_lane_write(monkeypatch):
+    """Four calls at once, each with its own worker (eight threads), under a
+    short switch interval: a lost or crossed write of a state or score row
+    would leave an entry unlike the call made alone."""
+    monkeypatch.setattr(rnnlm, "_BLOCK_ROWS", 3)
+    model = BATCH_MODELS[2]
+    rng = np.random.default_rng(15)
+    batches = [
+        [rng.integers(0, model.n_explicit, size=rng.integers(0, 6)).tolist() for _ in range(80)]
+        for _ in range(4)
+    ]
+    want = [[s.tobytes() for s in score_batch(model, batch)] for batch in batches]
+    got = [None] * len(batches)
+
+    def run(i):
+        got[i] = [s.tobytes() for s in score_batch(model, batches[i])]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
 class LaneFailure(RuntimeError):
     pass
 
