@@ -307,7 +307,8 @@ def score_batch(
             h_next = np.empty((model.num_layers, len(words), model.hidden_dim))
             c_next = np.empty_like(h_next)
             # the lane takes the nodes from ``half`` on (whole 8-row tiles split
-            # evenly); a row's bits do not depend on the block or the thread
+            # evenly), and each generator steps in the thread that reads it; a
+            # row's bits do not depend on the block or the thread
             half = min(len(words), -(-len(words) // (2 * _TILE_ROWS)) * _TILE_ROWS)
             near = [slice(s, min(s + _BLOCK_ROWS, half)) for s in range(0, half, _BLOCK_ROWS)]
             far = [slice(s, s + _BLOCK_ROWS) for s in range(half, len(words), _BLOCK_ROWS)]
