@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ngram import NgramModel, first_unscorable
-from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_batch
+from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_events
 from .rnnlm import forward_step  # noqa: F401  unused; lmbench tests delete this name
 from .skipgram import WordEmbeddings, _neighbor_search
 from .vocab import Corpus, Hypothesis, TokenTable, Vocabulary, check_setting
@@ -303,17 +303,16 @@ class FullVocabScorer:
 
     def score_batch(self, sentences: Sequence[Sequence[str]]) -> list[np.ndarray]:
         """Per-position ln probabilities of each token sequence plus sentence end:
-        ``score_jointly`` of this one scorer."""
-        [scores] = score_jointly([self], sentences)
-        return scores
+        ``score_jointly`` of this one scorer, cut into one array per sentence."""
+        table = TokenTable(sentences)
+        return table.split(score_jointly([self], table)[0])
 
     def score_tokens(self, tokens: Sequence[str]) -> np.ndarray:
         """``score_batch`` of one token sequence."""
         return self.score_batch([tokens])[0]
 
     def corpus_perplexity(self, corpus: Corpus) -> float:
-        scores = self.score_batch(corpus)
-        return perplexity(np.concatenate(scores) if scores else [])
+        return perplexity(score_jointly([self], corpus)[0])
 
     def batch_logprob(self, sentences: Sequence[Sequence[str]]) -> list[float]:
         """Sentence ln probability of each token sequence: the LM contract of
@@ -324,10 +323,11 @@ class FullVocabScorer:
 
 def score_jointly(
     scorers: Sequence[FullVocabScorer], sentences: Sequence[Sequence[str]] | TokenTable
-) -> list[list[np.ndarray]]:
-    """Per-position ln probabilities of each token sequence plus sentence end
-    under each scorer of one model, from one ``rnnlm.score_batch`` call at
-    each scorer's width.  Out-of-shortlist words are fed back into the
+) -> list[np.ndarray]:
+    """ln p of every event of the token sequences (each sequence's tokens,
+    then sentence end, in ``TokenTable`` order) under each scorer of one model:
+    one flat array per scorer, from one ``rnnlm.score_events`` call over every
+    scorer's events at its width.  Out-of-shortlist words are fed back into the
     network as the unknown token; n-gram contexts use the true word identities.
     The sentences may come as a ``TokenTable``, so that other models share it.
     """
@@ -335,21 +335,16 @@ def score_jointly(
     if any(scorer.model is not model for scorer in scorers):
         raise ValueError("jointly scored scorers must share one model")
     table = sentences if isinstance(sentences, TokenTable) else TokenTable(sentences)
-    n = len(table.lengths)
-    scores = score_batch(
+    encode = [partial(sc.vocab.encode, shortlist_only=True) for sc in scorers]
+    scores = score_events(
         model,
-        [
-            ids[:-1]  # the tokens; the last event is </s>
-            for sc in scorers
-            for ids in table.split(table.gather(partial(sc.vocab.encode, shortlist_only=True)))
-        ],
-        [sc.width for sc in scorers for _ in range(n)],
+        np.concatenate([table.gather(e) for e in encode]),
+        np.tile(table.lengths, len(scorers)),
+        np.repeat([sc.width for sc in scorers], len(table.lengths)),
     )
-    out = []
-    for i, scorer in enumerate(scorers):
-        events = np.concatenate([np.empty(0), *scores[i * n : (i + 1) * n]])
+    out = np.split(scores, len(scorers))
+    for scorer, events in zip(scorers, out):
         oos = np.flatnonzero(~table.gather(scorer.vocab.is_shortlist, bool))
         if oos.size:
             events[oos] += scorer._oos_shares(table, oos)
-        out.append(table.split(events))
     return out

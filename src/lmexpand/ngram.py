@@ -318,15 +318,14 @@ def train_kn(corpus: Corpus, vocab: Vocabulary, order: int = 5) -> NgramModel:
 
 def ngram_perplexity(model: NgramModel, corpus: Corpus) -> float:
     """Perplexity over a corpus; end-of-sentence events count as predictions."""
-    return sentence_perplexity(model.score_sentences(corpus))
+    return sentence_perplexity(model.batch_logprob(corpus), sum(len(s) + 1 for s in corpus))
 
 
-def sentence_perplexity(scores: list[np.ndarray]) -> float:
-    """Perplexity of each sentence's event ln probabilities, summed sentence by sentence."""
-    n = sum(map(len, scores))
-    if n == 0:
+def sentence_perplexity(sums: list[float], events: int) -> float:
+    """Perplexity of ``events`` events from their ln P summed sentence by sentence."""
+    if events == 0:
         raise ValueError("no scoreable tokens")
-    return math.exp(-sum(sum(lps.tolist()) for lps in scores) / n)
+    return math.exp(-sum(sums) / events)
 
 
 def export_arpa(model: NgramModel, path: str | Path) -> None:

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -255,12 +256,18 @@ _REQUIRED = {"nbest", "refs", "model", "vectors", "arpa"}
 PIPELINE_KEYS = {*_REQUIRED, *_SETTINGS, "report", "expanded_checkpoint"}
 
 
-def _scored_system(scores: list, n_hyps: int) -> tuple[LmScorer, Callable[[], float]]:
-    """LM and reference perplexity of a system from its per-position scores
-    of the n-best list's hypotheses (the first ``n_hyps``) and references."""
-    sums = [float(out.sum()) for out in scores[:n_hyps]]
-    refs = scores[n_hyps:]
-    return (lambda _: sums), lambda: _rnnlm.perplexity(np.concatenate(refs) if refs else [])
+def _sentence_sums(per_event: np.ndarray, lengths: np.ndarray, in_order=False) -> np.ndarray:
+    """Each sentence's sum of its events (the next ``lengths`` entries of
+    ``per_event``) from one row sum per distinct length, bit for bit: ``.sum()``,
+    as numpy sums a matrix row pairwise like the row alone, or, ``in_order``,
+    Python's ``sum``: a running sum + 0.0, as it starts from 0 (0 + -0.0 is 0.0)."""
+    sums = np.empty(len(lengths))
+    starts = np.cumsum(lengths) - lengths
+    for n in np.unique(lengths).tolist():
+        mine = lengths == n
+        rows = per_event[starts[mine, None] + np.arange(n)]
+        sums[mine] = np.add.accumulate(rows, axis=1)[:, -1] + 0.0 if in_order else rows.sum(axis=1)
+    return sums
 
 
 # The model last parsed from each kind of file, under the SHA-256 of its bytes:
@@ -319,15 +326,13 @@ def run_pipeline(config: dict[str, str]) -> dict:
     full_vocab = model.vocab
     ref_corpus = [words for words in refs.values() if words]
     hyps = [(utt, hyp) for utt, utt_hyps in nbest.items() for hyp in utt_hyps]
-    batch = [hyp.words for _, hyp in hyps]
 
-    # Hypotheses and references are encoded once.  One n-gram walk scores
-    # every event for the n-gram system and the ngram policy's numerators; it
-    # is checked first, so that a word it cannot score is named with its
-    # utterance and rank under every policy.  One engine call scores the table
-    # under both LSTM systems (the base system is the expanded model at the
-    # base width).
-    table = TokenTable(batch + ref_corpus)
+    # One table holds the events of the hypotheses, then the references'; each
+    # system scores it into one flat array.  The n-gram walk (also the ngram
+    # policy's numerators) is checked first, so a word it cannot score is named
+    # with its utterance and rank under every policy.  One engine call scores
+    # both LSTM systems; the base one is the expanded model at the base width.
+    table = TokenTable([hyp.words for _, hyp in hyps] + ref_corpus)
     kn, _ = ngram_model.table_events(table)
     if failed := _ngram.first_unscorable(kn, lambda i: table.tokens[table.rows[i]]):
         at, err = failed
@@ -335,7 +340,6 @@ def run_pipeline(config: dict[str, str]) -> dict:
         if sentence < len(hyps):
             raise _lm_failed(*hyps[sentence], err) from err
         raise err
-    kn = table.split(kn)
     lstm = _expansion.score_jointly(
         [
             _expansion.FullVocabScorer(expanded, policy, full_vocab, ngram_model, model.n_explicit),
@@ -343,16 +347,14 @@ def run_pipeline(config: dict[str, str]) -> dict:
         ],
         table,
     )
-    names, lms, ppls = zip(
-        (
-            "ngram",
-            lambda _: [sum(lps.tolist()) for lps in kn[: len(batch)]],
-            lambda: _ngram.sentence_perplexity(kn[len(batch) :]),
-        ),
-        ("rnnlm", *_scored_system(lstm[0], len(batch))),
-        ("rnnlm-expanded", *_scored_system(lstm[1], len(batch))),
-    )
-    results = _wers(refs, _one_bests(nbest, [(_lm_scores(nbest, lm), cfg) for lm in lms]))
+    n, tail = len(hyps), int(table.lengths[: len(hyps)].sum())  # the references' first event
+    kn_sums = _sentence_sums(kn, table.lengths, in_order=True)
+    sums = [kn_sums[:n], *(_sentence_sums(lps, table.lengths)[:n] for lps in lstm)]
+    ppls = [
+        lambda: _ngram.sentence_perplexity(kn_sums[n:].tolist(), len(kn) - tail),
+        *(partial(_rnnlm.perplexity, lps[tail:]) for lps in lstm),
+    ]
+    results = _wers(refs, _one_bests(nbest, [(_lm_scores(nbest, lambda _: s), cfg) for s in sums]))
     systems = [
         {
             "system": name,
@@ -362,7 +364,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
             "insertions": result.insertions,
             "deletions": result.deletions,
         }
-        for name, ppl, result in zip(names, ppls, results)
+        for name, ppl, result in zip(("ngram", "rnnlm", "rnnlm-expanded"), ppls, results)
     ]
 
     out_report = {

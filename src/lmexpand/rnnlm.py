@@ -24,7 +24,7 @@ import numpy as np
 from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_corpus, check_setting, reading, writing
 
 MAGIC = b"RNNLM1"
-_BLOCK_ROWS = 128  # trie nodes per batched step in score_batch
+_BLOCK_ROWS = 128  # trie nodes per batched step in score_events
 _MAX_LN = math.log(sys.float_info.max)  # math.exp overflows above this
 
 
@@ -170,7 +170,7 @@ def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     not depend on the batch it is in, and rows appended to w never move the
     tile of an earlier column, so its values stay bit-identical.  Every
     product of the inference step runs here, layer 0's input products too:
-    ``score_batch`` takes them once per distinct word and gathers the rows.
+    ``score_events`` takes them once per distinct word and gathers the rows.
     """
     k = x.shape[-1]
     rows = x.reshape(-1, k)
@@ -245,15 +245,25 @@ def _pick_log_softmax(logits, rows, targets, widths) -> np.ndarray:
 
 
 def score_batch(
-    model: RnnLmModel,
-    sentences: Sequence[Sequence[int]],
-    widths: Sequence[int] | None = None,
+    model: RnnLmModel, sentences: Sequence[Sequence[int]], widths: Sequence[int] | None = None
 ) -> list[np.ndarray]:
-    """Per-position ln probabilities of each shortlist-encoded sentence.
+    """``score_events`` of shortlist-encoded sentences, one array per sentence:
+    sentence w1 .. wn gets n + 1 entries, ln p(w_{d+1} | <s> w1 .. wd) at d and </s> at n."""
+    lengths = [len(ids) + 1 for ids in sentences]
+    events = np.array([w for ids in sentences for w in (*ids, EOS_ID)], dtype=np.int64)
+    return np.split(score_events(model, events, lengths, widths), np.cumsum(lengths))[:-1]
 
-    Sentence w1 .. wn gets n + 1 entries: entry d is ln p(w_{d+1} | <s> w1 .. wd),
-    bit for bit ``log_softmax`` of the logits ``forward_step`` chains from the zero
-    state over <s> w1 .. wd, and entry n is </s>; an empty sentence scores </s> alone.
+
+def score_events(
+    model: RnnLmModel, events: np.ndarray, lengths: np.ndarray, widths: Sequence[int] | None = None
+) -> np.ndarray:
+    """ln p of every event of shortlist-encoded sentences, in one flat array:
+    sentence k is the next ``lengths[k]`` ``events``, its word ids, then </s>.
+    An event's entry is ln p of it after <s> and the sentence's events before
+    it over the first ``widths[k]`` output columns (default: all of them), bit
+    for bit ``log_softmax`` of the logits ``forward_step`` chains.  At the width
+    of the model that an expanded model grew from, ids score bit for bit as
+    under that model (see ``_project``).
 
     The sentences form a prefix trie: its nodes at depth d are the distinct
     inputs <s> w1 .. wd, and each depth is stepped in batches of up to
@@ -264,31 +274,26 @@ def score_batch(
     the first; they meet once per depth.  Only the ln probabilities the
     sentences need are kept from each block, so memory stays flat however
     many sentences share the call.
-    ``widths[k]`` (default: every column) normalises sentence k over the
-    first ``widths[k]`` output columns; at the width of the model that an
-    expanded model grew from, a sentence of its ids scores bit for bit as
-    under that model (see ``_project``).
     """
-    if not sentences:
-        return []
-    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
-    width = np.broadcast_to(model.n_explicit if widths is None else widths, lengths.shape)
-    if width.max() > model.n_explicit:
-        raise ValueError(f"softmax width above the {model.n_explicit} output columns")
-    # targets[k, d]: the word sentence k predicts at depth d, </s> at its end
-    targets = np.full((len(sentences), int(lengths.max()) + 1), EOS_ID, dtype=np.int64)
-    for k, ids in enumerate(sentences):
-        targets[k, : len(ids)] = ids
-    if targets.min() < 0 or (targets >= width[:, None]).any():
+    events, lengths = np.asarray(events, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
+    if (lengths < 1).any() or lengths.sum() != len(events):
+        raise ValueError(f"{len(events)} events do not split into sentences of lengths >= 1")
+    width = np.full(len(lengths), model.n_explicit) if widths is None else np.asarray(widths)
+    if width.shape != lengths.shape or width.size and width.dtype.kind not in "iu":
+        raise ValueError(f"softmax widths: {width.size} {width.dtype}, not {len(lengths)} integers")
+    if ((width < 1) | (width > model.n_explicit)).any():
+        raise ValueError(f"softmax width outside the model's {model.n_explicit} output columns")
+    if ((events < 0) | (events >= np.repeat(width, lengths))).any():
         raise IndexError(f"word id outside its sentence's softmax width (<= {model.n_explicit})")
+    starts = np.cumsum(lengths) - lengths  # sentence k predicts events[starts[k] + depth]
     # layer 0's input products of every word the call reads, and each word's row
     seen = np.zeros(model.n_explicit, dtype=bool)
-    seen[targets] = seen[BOS_ID] = True
+    seen[events] = seen[BOS_ID] = True
     table = _project(model.input_embed[seen], model.layers[0].w_in)
     slot = np.cumsum(seen) - 1
-    scores = np.empty(targets.shape)
-    active = np.arange(len(sentences))  # sentences still predicting
-    rows = np.zeros(len(sentences), dtype=np.int64)  # their trie node at this depth
+    scores = np.empty(len(events))
+    active = np.arange(len(lengths))  # sentences still predicting
+    rows = np.zeros(len(lengths), dtype=np.int64)  # their trie node at this depth
     parents, words = np.array([0]), slot[[BOS_ID]]  # this depth's nodes; words by table row
     h = np.zeros((model.num_layers, 1, model.hidden_dim))
     c = np.zeros_like(h)
@@ -298,12 +303,11 @@ def score_batch(
             h_next[:, block], c_next[:, block] = h_block, c_block
             mine = (rows >= block.start) & (rows < block.stop)
             k = active[mine]
-            scores[k, depth] = _pick_log_softmax(
-                logits, rows[mine] - block.start, targets[k, depth], width[k]
-            )
+            at = starts[k] + depth
+            scores[at] = _pick_log_softmax(logits, rows[mine] - block.start, events[at], width[k])
 
     with ThreadPoolExecutor(1) as lane:
-        for depth in range(targets.shape[1]):
+        for depth in range(lengths.max(initial=0)):
             h_next = np.empty((model.num_layers, len(words), model.hidden_dim))
             c_next = np.empty_like(h_next)
             # the lane takes the nodes from ``half`` on (whole 8-row tiles split
@@ -320,13 +324,13 @@ def score_batch(
             finish(own)
             ahead.result()
             h, c = h_next, c_next
-            going = lengths[active] > depth
+            going = lengths[active] > depth + 1
             active, rows = active[going], rows[going]
             keys, rows = np.unique(
-                rows * len(table) + slot[targets[active, depth]], return_inverse=True
+                rows * len(table) + slot[events[starts[active] + depth]], return_inverse=True
             )
             parents, words = np.divmod(keys, len(table))
-    return [scores[k, : n + 1] for k, n in enumerate(lengths)]
+    return scores
 
 
 def perplexity(logprobs: np.ndarray) -> float:
@@ -338,9 +342,9 @@ def perplexity(logprobs: np.ndarray) -> float:
 
 def corpus_perplexity(model: RnnLmModel, corpus: Corpus) -> float:
     """Shortlist perplexity: tail and unknown tokens collapse to <unk>.  One
-    ``score_batch`` call scores the whole corpus."""
-    encoded = [[model.vocab.encode(t, shortlist_only=True) for t in s] for s in corpus]
-    return perplexity(np.concatenate(score_batch(model, encoded)) if encoded else [])
+    ``score_events`` call scores the whole corpus."""
+    ids = [[*(model.vocab.encode(t, shortlist_only=True) for t in s), EOS_ID] for s in corpus]
+    return perplexity(score_events(model, [w for s in ids for w in s], list(map(len, ids))))
 
 
 def named_parameters(model: RnnLmModel) -> list[tuple[str, np.ndarray]]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lmexpand
@@ -46,7 +46,7 @@ from lmexpand.rescoring import (
 )
 from lmexpand.rnnlm import TrainConfig, init_model, load_checkpoint, save_checkpoint, train_bptt
 from lmexpand.skipgram import SkipgramConfig, load_w2v_text, save_w2v_text, train_skipgram
-from lmexpand.vocab import build_vocabulary
+from lmexpand.vocab import TokenTable, build_vocabulary
 
 
 def hyp(words, rank, ac=0.0, lm=0.0):
@@ -594,8 +594,8 @@ def test_pipeline_scores_both_lstm_systems_in_one_engine_call(pipeline_dir, poli
         "policy": policy, "lm_scale": "8",
     }
     calls = []
-    engine = expansion.score_batch
-    monkeypatch.setattr(expansion, "score_batch", lambda *a: calls.append(a) or engine(*a))
+    engine = expansion.score_events
+    monkeypatch.setattr(expansion, "score_events", lambda *a: calls.append(a) or engine(*a))
     report = run_pipeline({key: str(value) for key, value in config.items()})
     assert len(calls) == 1
     monkeypatch.undo()
@@ -619,12 +619,144 @@ def test_pipeline_scores_both_lstm_systems_in_one_engine_call(pipeline_dir, poli
     for row, lm, scores in zip(report["systems"][1:], (model, expanded), joint):
         alone = expansion.FullVocabScorer(lm, policy, model.vocab, ngram)
         want = alone.score_batch(batch + ref_corpus)
-        assert [got.tobytes() for got in scores] == [w.tobytes() for w in want]
+        got = TokenTable(batch + ref_corpus).split(scores)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert row["perplexity"] == alone.corpus_perplexity(ref_corpus)
         result = wer(refs, one_best(rescore(nbest, alone.batch_logprob, cfg)))
         assert (row["wer"], row["substitutions"], row["insertions"], row["deletions"]) == (
             result.wer, result.substitutions, result.insertions, result.deletions
         )
+
+
+_SUM_EXTREMES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1.7976931348623157e308]
+
+
+@st.composite
+def sentence_layouts(draw):
+    """Per-event values cut into sentences of 1-300 events, several of one
+    length: the sums cross numpy's 8-way unrolled loop and its 128-element
+    pairwise blocks, with ±0.0, ±inf, NaN and values near 1e308 among them."""
+    pool = draw(st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    lengths = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(lengths.sum()) * draw(st.sampled_from([1e-3, 1.0, 1e3, 1e307]))
+    special = rng.random(values.shape) < draw(st.sampled_from([0.0, 0.01, 0.2, 1.0]))
+    values[special] = rng.choice(_SUM_EXTREMES, size=int(special.sum()))
+    return values, lengths
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentence_layouts())
+@example((np.array([-0.0, -0.0, -0.0, 1.0, -0.0, math.nan, -math.inf]), np.array([2, 1, 2, 2])))
+def test_grouped_sentence_sums_are_each_sentences_sum_bitwise(case):
+    """The pipeline's sums, one row sum per distinct length, equal each
+    sentence's own ``.sum()``, and in order its left-to-right sum from 0."""
+    values, lengths = case
+    sentences = np.split(values, np.cumsum(lengths)[:-1])
+    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the case
+        pairwise = rescoring._sentence_sums(values, lengths)
+        in_order = rescoring._sentence_sums(values, lengths, in_order=True)
+        want = np.array([lps.sum() for lps in sentences])
+    assert pairwise.tobytes() == want.tobytes()
+    # Which NaN a sum keeps when it meets two depends on how the compiler
+    # ordered the operands; a NaN sum is refused as a non-finite score anyway
+    nan = np.isnan(in_order)
+    expected = [np.array([functools.reduce(float.__add__, lps.tolist(), 0.0) for lps in sentences])]
+    if sys.version_info < (3, 12):  # from 3.12, ``sum`` of floats compensates
+        expected.append(np.array([sum(lps.tolist()) for lps in sentences]))
+    for left_to_right in expected:
+        assert np.array_equal(np.isnan(left_to_right), nan)
+        assert in_order[~nan].tobytes() == left_to_right[~nan].tobytes()
+
+
+def per_sentence_systems(config: dict[str, str]) -> list[dict]:
+    """The report's systems from per-sentence scores: each hypothesis summed
+    alone (``batch_logprob``), each reference scored alone.  The pipeline
+    summed this way before it kept its scores flat; it is the reference."""
+    model, ngram_model = load_checkpoint(config["model"]), import_arpa(config["arpa"])
+    nbest, refs = parse_nbest(config["nbest"]), load_transcripts(config["refs"])
+    oos = expansion.extract_oos_words(nbest, model.vocab, n=int(config["extract_n"]))
+    expanded, _ = expansion.expand_with_embeddings(model, oos, load_w2v_text(config["vectors"]))
+    ref_corpus = [words for words in refs.values() if words]
+    policy, cfg = config["policy"], RescoreConfig(lm_scale=float(config["lm_scale"]))
+    lstm = [
+        expansion.FullVocabScorer(expanded, policy, model.vocab, ngram_model, width)
+        for width in (model.n_explicit, None)
+    ]
+    rows = []
+    for name, lm in zip(("ngram", "rnnlm", "rnnlm-expanded"), [ngram_model, *lstm]):
+        if lm is ngram_model:
+            ppl = ngram.ngram_perplexity(lm, ref_corpus)
+        else:
+            ppl = rnnlm.perplexity(np.concatenate([lm.score_tokens(s) for s in ref_corpus]))
+        result = wer(refs, one_best(rescore(nbest, lm.batch_logprob, cfg)))
+        rows.append({
+            "system": name, "perplexity": ppl, "wer": result.wer,
+            "substitutions": result.substitutions, "insertions": result.insertions,
+            "deletions": result.deletions,
+        })
+    return rows
+
+
+@pytest.fixture(scope="module")
+def edge_case_dir(pipeline_dir, tmp_path_factory):
+    """The pipeline models with an n-best list of edge cases: a silence
+    (empty) hypothesis, hypotheses of more than 128 events, an utterance
+    whose reference is empty, and a reference with no hypotheses."""
+    root = tmp_path_factory.mktemp("edges")
+    for name in ("model.bin", "v.txt", "model.arpa"):
+        shutil.copy(pipeline_dir / name, root / name)
+    words = load_checkpoint(root / "model.bin").vocab.words[3:] + ["never-seen"]
+    rng = np.random.default_rng(5)
+
+    def sentence(n):
+        return [words[i] for i in rng.integers(0, len(words), size=n)]
+
+    nbest = {
+        "plain": [hyp(sentence(5), rank, ac=-2.0 * rank) for rank in (1, 2, 3)],
+        "silence": [hyp([], 1, ac=-1.0), hyp(sentence(2), 2, ac=-1.5)],
+        "long": [hyp(sentence(140), 1, ac=-9.0), hyp(sentence(129), 2, ac=-8.0)],
+        "no-reference": [hyp(sentence(4), 1, ac=-1.0), hyp(sentence(3), 2, ac=-3.0)],
+    }
+    refs = {
+        "plain": sentence(5), "silence": sentence(1), "long": sentence(135), "no-reference": [],
+        "no-hypotheses": sentence(3),
+    }
+    write_nbest(nbest, root / "test.nbest")
+    write_transcripts(refs, root / "test.refs")
+    assert max(len(h.words) for h in nbest["long"]) + 1 > 128
+    return root
+
+
+@pytest.mark.parametrize("policy", ["uniform", "ngram"])
+def test_pipeline_edge_cases_match_the_per_sentence_path(edge_case_dir, policy):
+    config = {key: str(edge_case_dir / name) for key, name in PIPELINE_FILES.items()}
+    config.update(extract_n="2", policy=policy, lm_scale="8")
+    report = run_pipeline(config)
+    assert report["new_words"]["count"] > 0
+    assert report["systems"] == per_sentence_systems(config)
+
+
+def test_a_non_finite_flat_score_names_its_utterance_and_rank(edge_case_dir, monkeypatch):
+    """A non-finite entry in one system's flat scores fails the pipeline with
+    the utterance and rank of the hypothesis whose event it is."""
+    config = {key: str(edge_case_dir / name) for key, name in PIPELINE_FILES.items()}
+    config.update(extract_n="2", policy="uniform", lm_scale="8")
+    nbest = parse_nbest(config["nbest"])
+    hyps = [(utt, h) for utt, utt_hyps in nbest.items() for h in utt_hyps]
+    at = [utt_hyp[0] for utt_hyp in hyps].index("long") + 1  # 'long' rank 2
+    assert hyps[at][1].rank == 2
+    first_event = sum(len(h.words) + 1 for _, h in hyps[:at])
+    engine = expansion.score_events
+
+    def poisoned(*args):
+        scores = engine(*args)
+        scores[len(scores) // 2 + first_event + 7] = -math.inf  # in the expanded system
+        return scores
+
+    monkeypatch.setattr(expansion, "score_events", poisoned)
+    with pytest.raises(RescoreError, match="utterance 'long' rank 2: non-finite score -inf"):
+        run_pipeline(config)
 
 
 # ------------------------------------------------- parsed model files

@@ -662,6 +662,41 @@ def test_score_batch_rejects_bad_widths():
         score_batch(model, [[3], [5]], widths=[4, 5])
 
 
+@pytest.mark.parametrize(
+    "widths, message",
+    [
+        ([5.5, 6], "softmax widths: 2 float64, not 2 integers"),
+        ([6.5, 6], "softmax widths: 2 float64, not 2 integers"),
+        ([6], "softmax widths: 1 int64, not 2 integers"),
+        ([6, 6, 6], "softmax widths: 3 int64, not 2 integers"),
+        (6, "softmax widths: 1 int64, not 2 integers"),
+        ([0, 6], "softmax width outside the model's 31 output columns"),
+        ([6, 32], "softmax width outside the model's 31 output columns"),
+    ],
+)
+def test_score_batch_checks_widths_up_front(widths, message):
+    """One integer width per sentence, each within the model's columns, or
+    one ``ValueError`` that names the problem, before any step is taken."""
+    model = BATCH_MODELS[0]
+    assert model.n_explicit == 31
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        score_batch(model, [[3, 4], [5]], widths)
+
+
+def test_score_events_is_score_batch_flat():
+    """The engine takes each sentence's ids and </s> as one flat run of
+    events; lengths that do not cut them into sentences are refused."""
+    model = BATCH_MODELS[1]
+    sentences = [[4, 9], [], [4, 9, 9, 30]]
+    events = [4, 9, EOS_ID, EOS_ID, 4, 9, 9, 30, EOS_ID]
+    got = rnnlm.score_events(model, events, [3, 1, 5], [20, 31, 31])
+    assert got.tobytes() == np.concatenate(score_batch(model, sentences, [20, 31, 31])).tobytes()
+    assert score_batch(model, [], []) == [] and rnnlm.score_events(model, [], []).size == 0
+    for lengths in ([3, 0, 1, 5], [3, 1, 4], [3, 1, 6]):
+        with pytest.raises(ValueError, match="events do not split into sentences"):
+            rnnlm.score_events(model, events, lengths)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(range(2)),

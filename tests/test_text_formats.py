@@ -357,14 +357,14 @@ def test_lstm_cell_is_written_once():
 
 
 def test_sentences_are_scored_in_one_place():
-    """``rnnlm.score_batch`` is the one function of the package that scores a
+    """``rnnlm.score_events`` is the one function of the package that scores a
     sentence: no function calls ``forward_step``, and only ``forward_step``
-    and ``score_batch`` call the inference step ``_step``."""
+    and ``score_events`` call the inference step ``_step``."""
     assert not _callers(lambda call: _call_name(call) == "forward_step")
     sites = _callers(lambda call: _call_name(call) == "_step")
     assert {site[:2] for site in sites} == {
         ("rnnlm", "forward_step"),
-        ("rnnlm", "score_batch"),
+        ("rnnlm", "score_events"),
     }, sites
 
 
