@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -197,6 +198,11 @@ def _cmd_tune(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     configs = [rescoring.parse_config(path) for path in args.config]
+    for path, config in zip(args.config, configs):  # every config checked before any runs
+        try:
+            rescoring.pipeline_settings(config)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
     for path, config in zip(args.config, configs):
         if len(configs) > 1:
             print(f"== {path}")
@@ -204,6 +210,7 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     unset = argparse.SUPPRESS  # an unset flag leaves the library's default in force
     parser = argparse.ArgumentParser(prog="lmexpand")

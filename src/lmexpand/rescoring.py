@@ -181,13 +181,15 @@ def wer(refs: dict[str, list[str]], hyps: dict[str, list[str]]) -> WerResult:
 
 def _wers(refs: dict[str, list[str]], systems: Sequence[dict[str, list[str]]]) -> list[WerResult]:
     """``wer`` of each system's hypotheses.  Each distinct (reference,
-    hypothesis) pair is aligned once over all the systems, and a hypothesis
-    equal to its reference counts no error without an alignment."""
+    hypothesis) pair is aligned once over all the systems, but one as long as
+    its reference and d <= 1 words from it counts d substitutions unaligned:
+    with equal lengths an insertion needs a deletion, 2 edits."""
     missing = [utt for hyps in systems for utt in hyps if utt not in refs]
     if missing:
         raise ValueError(f"missing reference for utterance {missing[0]!r}")
     pairs = [[(tuple(r), tuple(hyps.get(utt, ()))) for utt, r in refs.items()] for hyps in systems]
-    counts = {p: (0, 0, 0) if p[0] == p[1] else _align_counts(*p) for p in set().union(*pairs)}
+    counts = {p: (d, 0, 0) if len(p[0]) == len(p[1]) and (d := sum(map(str.__ne__, *p))) < 2
+              else _align_counts(*p) for p in set().union(*pairs)}
     n_tokens = sum(map(len, refs.values()))
     # each kind of error summed over a system's references, (0, 0, 0) over none
     return [WerResult(*map(sum, zip((0, 0, 0), *map(counts.get, row))), n_tokens) for row in pairs]
@@ -285,15 +287,8 @@ def _parsed(kind: str, path: str, parse: Callable[[bytes], object]):
     return entry[1]
 
 
-def run_pipeline(config: dict[str, str]) -> dict:
-    """Extract, expand, rescore and compare; returns the comparison report.
-
-    Required keys: nbest, refs, model (checkpoint), vectors (word2vec text),
-    arpa (full-vocabulary n-gram baseline).  Optional: extract_n (1),
-    candidates_k (8), weighted (false; true/false, yes/no or 1/0), policy
-    (uniform), lm_scale (10), word_penalty (0), report (JSON output path),
-    expanded_checkpoint.  Every setting is parsed before any file is read.
-    """
+def pipeline_settings(config: dict[str, str]) -> dict:
+    """A pipeline config's settings, parsed after its keys are checked; reads no file."""
     unknown = set(config) - PIPELINE_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -309,6 +304,19 @@ def run_pipeline(config: dict[str, str]) -> dict:
                 raise ValueError(text)
         except (ValueError, KeyError) as err:
             raise ValueError(f"config key {key!r}: bad value {text!r}") from err
+    return settings
+
+
+def run_pipeline(config: dict[str, str]) -> dict:
+    """Extract, expand, rescore and compare; returns the comparison report.
+
+    Required keys: nbest, refs, model (checkpoint), vectors (word2vec text),
+    arpa (full-vocabulary n-gram baseline).  Optional: extract_n (1),
+    candidates_k (8), weighted (false; true/false, yes/no or 1/0), policy
+    (uniform), lm_scale (10), word_penalty (0), report (JSON output path),
+    expanded_checkpoint.  Every setting is parsed before any file is read.
+    """
+    settings = pipeline_settings(config)
     policy = settings["policy"]
     cfg = RescoreConfig(lm_scale=settings["lm_scale"], word_penalty=settings["word_penalty"])
 

@@ -385,6 +385,39 @@ def test_wer_of_many_systems_is_the_sum_of_their_alignments(ref_lists, system_li
         assert wer(refs, hyps) == result
 
 
+@st.composite
+def reference_and_hypothesis(draw):
+    """A reference of 1-40 words over a 3-5 word alphabet, and a hypothesis:
+    the reference with 0, 1 or 2 words changed, the reference shifted by one
+    word (as long, with many differing words but at most 2 edits), or any
+    sentence over the alphabet."""
+    words = [f"w{i}" for i in range(draw(st.integers(3, 5)))]
+    ref = draw(st.lists(st.sampled_from(words), min_size=1, max_size=40))
+    kind = draw(st.sampled_from(["changed", "shifted", "any"]))
+    if kind == "changed":
+        hyp = list(ref)
+        changed = st.lists(st.integers(0, len(ref) - 1), max_size=min(2, len(ref)), unique=True)
+        for at in draw(changed):
+            hyp[at] = draw(st.sampled_from([w for w in words if w != ref[at]]))
+    elif kind == "shifted":
+        hyp = ref[1:] + [draw(st.sampled_from(words))]
+    else:
+        hyp = draw(st.lists(st.sampled_from(words), max_size=40))
+    return ref, hyp
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(reference_and_hypothesis(), min_size=1, max_size=4))
+def test_unaligned_substitutions_count_as_the_alignment_does(pairs):
+    """A hypothesis as long as its reference and at most one word from it is
+    counted without an alignment; every count equals ``_align_counts``."""
+    refs = {f"u{i}": ref for i, (ref, _) in enumerate(pairs)}
+    hyps = {f"u{i}": hyp for i, (_, hyp) in enumerate(pairs)}
+    counts = [rescoring._align_counts(ref, hyp) for ref, hyp in pairs]
+    want = rescoring.WerResult(*map(sum, zip(*counts)), sum(len(ref) for ref, _ in pairs))
+    assert rescoring._wers(refs, [hyps]) == [want]
+
+
 def test_wer_missing_reference():
     with pytest.raises(ValueError, match="missing reference"):
         wer({"u": ["a"]}, {"v": ["a"]})
@@ -737,9 +770,15 @@ def test_pipeline_edge_cases_match_the_per_sentence_path(edge_case_dir, policy):
     assert report["systems"] == per_sentence_systems(config)
 
 
-def test_a_non_finite_flat_score_names_its_utterance_and_rank(edge_case_dir, monkeypatch):
+@pytest.mark.parametrize("system, earlier_in_the_next", [(1, False), (0, True)],
+                         ids=["expanded", "base before expanded"])
+def test_a_non_finite_flat_score_names_its_utterance_and_rank(
+    edge_case_dir, monkeypatch, system, earlier_in_the_next
+):
     """A non-finite entry in one system's flat scores fails the pipeline with
-    the utterance and rank of the hypothesis whose event it is."""
+    the utterance and rank of the hypothesis whose event it is.  Systems are
+    checked in report order: a NaN in the expanded system's first hypothesis
+    does not hide a non-finite score of the base system's later one."""
     config = {key: str(edge_case_dir / name) for key, name in PIPELINE_FILES.items()}
     config.update(extract_n="2", policy="uniform", lm_scale="8")
     nbest = parse_nbest(config["nbest"])
@@ -751,7 +790,10 @@ def test_a_non_finite_flat_score_names_its_utterance_and_rank(edge_case_dir, mon
 
     def poisoned(*args):
         scores = engine(*args)
-        scores[len(scores) // 2 + first_event + 7] = -math.inf  # in the expanded system
+        half = len(scores) // 2  # the base system's events, then the expanded system's
+        scores[half * system + first_event + 7] = -math.inf
+        if earlier_in_the_next:
+            scores[half + 1] = math.nan  # in 'plain' rank 1
         return scores
 
     monkeypatch.setattr(expansion, "score_events", poisoned)
