@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
 from pathlib import Path
@@ -210,7 +209,6 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-@functools.cache  # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     unset = argparse.SUPPRESS  # an unset flag leaves the library's default in force
     parser = argparse.ArgumentParser(prog="lmexpand")

@@ -6,20 +6,14 @@ wiring and file-format interop, not statistical quality (covered elsewhere).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
-import lmexpand
-from lmexpand import cli, ngram, rescoring, rnnlm, skipgram
+from lmexpand import ngram, rescoring, rnnlm, skipgram
 from lmexpand.cli import main
 from lmexpand.datagen import make_template_grammar, sample_corpus
 from lmexpand.expansion import expand_with_embeddings, extract_oos_words
@@ -895,54 +889,3 @@ def test_rescore_requires_exactly_one_lm(workdir, tmp_path):
     with pytest.raises(SystemExit):
         main(["rescore", "--nbest", str(workdir / "test.nbest"),
               "--out", str(tmp_path / "never.nbest")])
-
-
-@pytest.fixture
-def parser_builds(monkeypatch):
-    """Every ``lmexpand`` parser built during the test, which starts and ends
-    with no parser cached."""
-    built, init = [], argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        if self.prog == "lmexpand":
-            built.append(self)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    cli.build_parser.cache_clear()
-    yield built
-    cli.build_parser.cache_clear()
-
-
-def exit_and_output(capsys, run) -> tuple[int, str, str]:
-    try:
-        code = run()
-    except SystemExit as exit_:
-        code = exit_.code
-    return (code, *capsys.readouterr())
-
-
-def test_one_parser_serves_every_call_as_a_fresh_one_would(workdir, monkeypatch, capsys,
-                                                          parser_builds):
-    """``main`` builds its parser once per process.  An argparse error and a
-    good call after it print what each prints in a fresh process, and the
-    help texts are a freshly built parser's."""
-    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap alike in the child
-    refs = str(workdir / "test.refs")
-    calls = [["wer", "--refs", refs], ["wer", "--refs", refs, "--hyps", refs],
-             ["--help"], ["pipeline", "--help"]]
-    got = [exit_and_output(capsys, lambda: main(argv)) for argv in calls]
-    assert len(parser_builds) == 1
-    assert [code for code, _, _ in got] == [2, 0, 0, 0]
-
-    src = str(Path(lmexpand.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    for argv, one in zip(calls[:2], got):
-        done = subprocess.run(
-            [sys.executable, "-m", "lmexpand.cli", *argv],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
-        )
-        assert one == (done.returncode, done.stdout, done.stderr), argv
-    for argv, one in zip(calls[2:], got[2:]):
-        fresh = cli.build_parser.__wrapped__()
-        assert one == exit_and_output(capsys, lambda: fresh.parse_args(argv)), argv
