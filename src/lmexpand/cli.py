@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -120,7 +119,7 @@ def _cmd_expand(args) -> int:
     )
     rnnlm.save_checkpoint(expanded, args.out)
     if args.report:
-        vocab.writing(args.report, json.dumps(report.to_dict(), indent=2) + "\n")
+        vocab.write_report(report.to_dict(), args.report)
     print(
         f"expanded {len(report.expanded)} words, skipped {len(report.skipped)};"
         f" explicit columns {report.explicit_before} -> {report.explicit_after}"
@@ -209,73 +208,75 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every subcommand is listed by name and help, but only one that ``argv``
+    names gets its arguments and its ``-h``: argparse makes a help formatter
+    for each argument it adds, and a run parses one subcommand.  What the
+    parser prints for ``argv`` is what a parser of every subcommand prints."""
     unset = argparse.SUPPRESS  # an unset flag leaves the library's default in force
     parser = argparse.ArgumentParser(prog="lmexpand")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-vocab", help="frequency-ranked vocabulary from a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--shortlist", type=int, required=True)
-    p.add_argument("--full", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_vocab)
+    def command(name: str, summary: str, func) -> argparse.ArgumentParser | None:
+        named = name in argv
+        p = sub.add_parser(name, help=summary, add_help=named)
+        p.set_defaults(func=func)
+        return p if named else None
 
-    p = sub.add_parser("build-ngram", help="train a Kneser-Ney n-gram model")
-    p.add_argument("--order", type=int, default=unset)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_ngram)
+    if p := command("build-vocab", "frequency-ranked vocabulary from a corpus", _cmd_build_vocab):
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--shortlist", type=int, required=True)
+        p.add_argument("--full", type=int, required=True)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-lm", help="train the shortlist LSTM language model")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--val-corpus")
-    p.add_argument("--embed-dim", type=int, default=300)
-    p.add_argument("--hidden-dim", type=int, default=1500)
-    p.add_argument("--layers", type=int, default=4)
-    _add_config_flags(p, rnnlm.TrainConfig)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train_lm)
+    if p := command("build-ngram", "train a Kneser-Ney n-gram model", _cmd_build_ngram):
+        p.add_argument("--order", type=int, default=unset)
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--vocab", required=True)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("ppl", help="perplexity of a checkpoint on text")
-    p.add_argument("--model", required=True)
-    p.add_argument("--text", required=True)
-    p.add_argument("--unk-mode", choices=list(expansion.POLICIES), default="shortlist")
-    p.add_argument("--full-vocab")
-    p.add_argument("--arpa")
-    p.set_defaults(func=_cmd_ppl)
+    if p := command("train-lm", "train the shortlist LSTM language model", _cmd_train_lm):
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--vocab", required=True)
+        p.add_argument("--val-corpus")
+        p.add_argument("--embed-dim", type=int, default=300)
+        p.add_argument("--hidden-dim", type=int, default=1500)
+        p.add_argument("--layers", type=int, default=4)
+        _add_config_flags(p, rnnlm.TrainConfig)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train-skipgram", help="train skip-gram word embeddings")
-    p.add_argument("--corpus", required=True)
-    _add_config_flags(p, skipgram.SkipgramConfig)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train_skipgram)
+    if p := command("ppl", "perplexity of a checkpoint on text", _cmd_ppl):
+        p.add_argument("--model", required=True)
+        p.add_argument("--text", required=True)
+        p.add_argument("--unk-mode", choices=list(expansion.POLICIES), default="shortlist")
+        p.add_argument("--full-vocab")
+        p.add_argument("--arpa")
 
-    p = sub.add_parser("neighbors", help="nearest in-shortlist words by cosine")
-    p.add_argument("--vectors", "--vec", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("-k", "--k", type=int, default=unset)
-    p.set_defaults(func=_cmd_neighbors)
+    if p := command("train-skipgram", "train skip-gram word embeddings", _cmd_train_skipgram):
+        p.add_argument("--corpus", required=True)
+        _add_config_flags(p, skipgram.SkipgramConfig)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("extract-oos", help="out-of-shortlist words in top-n hypotheses")
-    p.add_argument("--nbest", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("-n", "--n", type=int, default=unset)
-    p.add_argument("--out", help="write the word list here instead of stdout")
-    p.set_defaults(func=_cmd_extract_oos)
+    if p := command("neighbors", "nearest in-shortlist words by cosine", _cmd_neighbors):
+        p.add_argument("--vectors", "--vec", required=True)
+        p.add_argument("--vocab", required=True)
+        p.add_argument("--word", required=True)
+        p.add_argument("-k", "--k", type=int, default=unset)
 
-    p = sub.add_parser("expand", help="grow a checkpoint's vocabulary")
-    p.add_argument("--model", required=True)
-    p.add_argument("--vectors", "--vec", required=True)
-    p.add_argument("--oos", required=True, help="file with one new word per line")
-    p.add_argument("-k", "--k", type=int, default=unset)
-    p.add_argument("--weighted", action="store_true", default=unset)
-    p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_expand)
+    if p := command("extract-oos", "out-of-shortlist words in top-n hypotheses", _cmd_extract_oos):
+        p.add_argument("--nbest", required=True)
+        p.add_argument("--vocab", required=True)
+        p.add_argument("-n", "--n", type=int, default=unset)
+        p.add_argument("--out", help="write the word list here instead of stdout")
+
+    if p := command("expand", "grow a checkpoint's vocabulary", _cmd_expand):
+        p.add_argument("--model", required=True)
+        p.add_argument("--vectors", "--vec", required=True)
+        p.add_argument("--oos", required=True, help="file with one new word per line")
+        p.add_argument("-k", "--k", type=int, default=unset)
+        p.add_argument("--weighted", action="store_true", default=unset)
+        p.add_argument("--out", required=True)
+        p.add_argument("--report")
 
     def add_lm_args(p):
         lm = p.add_mutually_exclusive_group(required=True)
@@ -285,53 +286,51 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--full-vocab")
         p.add_argument("--policy-arpa", help="n-gram model for the ngram policy")
 
-    p = sub.add_parser("rescore", help="re-rank n-best lists with a language model")
-    p.add_argument("--nbest", required=True)
-    add_lm_args(p)
-    p.add_argument("--scale", dest="lm_scale", metavar="SCALE", type=float, default=unset)
-    p.add_argument("--penalty", dest="word_penalty", metavar="PENALTY", type=float, default=unset)
-    p.add_argument("--out", required=True)
-    p.add_argument("--best-out", help="also write 1-best transcripts for wer")
-    p.set_defaults(func=_cmd_rescore)
+    if p := command("rescore", "re-rank n-best lists with a language model", _cmd_rescore):
+        p.add_argument("--nbest", required=True)
+        add_lm_args(p)
+        p.add_argument("--scale", dest="lm_scale", metavar="SCALE", type=float, default=unset)
+        p.add_argument("--penalty", dest="word_penalty", metavar="PENALTY", type=float, default=unset)
+        p.add_argument("--out", required=True)
+        p.add_argument("--best-out", help="also write 1-best transcripts for wer")
 
-    p = sub.add_parser("wer", help="word error rate between transcripts")
-    p.add_argument("--refs", required=True)
-    p.add_argument("--hyps", required=True)
-    p.set_defaults(func=_cmd_wer)
+    if p := command("wer", "word error rate between transcripts", _cmd_wer):
+        p.add_argument("--refs", required=True)
+        p.add_argument("--hyps", required=True)
 
     def grid(text: str) -> list[float]:  # argparse names a bad value's type "grid"
         return [float(v) for v in text.split(",") if v.strip()]
 
-    p = sub.add_parser("tune", help="grid-search rescoring scale and penalty")
-    p.add_argument("--nbest", required=True)
-    p.add_argument("--refs", required=True)
-    add_lm_args(p)
-    p.add_argument("--scales", type=grid, default=unset, help="comma-separated, default 2..20 step 2")
-    p.add_argument("--penalties", type=grid, default=unset, help="comma-separated, default -1,-0.5,0,0.5,1")
-    p.set_defaults(func=_cmd_tune)
+    if p := command("tune", "grid-search rescoring scale and penalty", _cmd_tune):
+        p.add_argument("--nbest", required=True)
+        p.add_argument("--refs", required=True)
+        add_lm_args(p)
+        p.add_argument("--scales", type=grid, default=unset,
+                       help="comma-separated, default 2..20 step 2")
+        p.add_argument("--penalties", type=grid, default=unset,
+                       help="comma-separated, default -1,-0.5,0,0.5,1")
 
-    p = sub.add_parser("pipeline", help="extract, expand, rescore and compare")
-    p.add_argument("--config", required=True, nargs="+", help="one pipeline per file, in turn")
-    p.set_defaults(func=_cmd_pipeline)
+    if p := command("pipeline", "extract, expand, rescore and compare", _cmd_pipeline):
+        p.add_argument("--config", required=True, nargs="+", help="one pipeline per file, in turn")
 
-    p = sub.add_parser("make-fixture", help="synthetic corpus and n-best lists")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--classes", dest="num_classes", metavar="CLASSES", type=int, default=unset)
-    p.add_argument("--words-per-class", type=int, default=unset)
-    p.add_argument("--train-tokens", type=int, default=20000)
-    p.add_argument("--val-tokens", type=int, default=2000)
-    p.add_argument("--test-tokens", type=int, default=1500)
-    p.add_argument("--shortlist", type=int, default=300)
-    p.add_argument("--full", type=int, default=600)
-    p.add_argument("--depth", type=int, default=unset)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_make_fixture)
+    if p := command("make-fixture", "synthetic corpus and n-best lists", _cmd_make_fixture):
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--classes", dest="num_classes", metavar="CLASSES", type=int, default=unset)
+        p.add_argument("--words-per-class", type=int, default=unset)
+        p.add_argument("--train-tokens", type=int, default=20000)
+        p.add_argument("--val-tokens", type=int, default=2000)
+        p.add_argument("--test-tokens", type=int, default=1500)
+        p.add_argument("--shortlist", type=int, default=300)
+        p.add_argument("--full", type=int, default=600)
+        p.add_argument("--depth", type=int, default=unset)
+        p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (

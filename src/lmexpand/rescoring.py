@@ -8,7 +8,6 @@ live in ``vocab`` and are re-exported here.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -23,7 +22,7 @@ from . import rnnlm as _rnnlm
 from . import skipgram as _skipgram
 from .vocab import Hypothesis, NBestList, ParseError, TokenTable, check_setting, load_transcripts
 from .vocab import parse_nbest
-from .vocab import reading, text_lines, writing
+from .vocab import reading, text_lines, write_report
 from .vocab import write_nbest, write_transcripts  # noqa: F401  re-exported for callers
 
 
@@ -381,7 +380,7 @@ def run_pipeline(config: dict[str, str]) -> dict:
         "systems": systems,
     }
     if "report" in config:
-        writing(config["report"], json.dumps(out_report, indent=2) + "\n")
+        write_report(out_report, config["report"])
     if "expanded_checkpoint" in config:
         _rnnlm.save_checkpoint(expanded, config["expanded_checkpoint"])
     return out_report

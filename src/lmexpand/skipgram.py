@@ -263,12 +263,28 @@ def _neighbor_search(embeddings: WordEmbeddings, vocab: Vocabulary, targets: lis
     dots = (rows[None] @ tvecs[:, :, :, None])[:, :, 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = np.where((norms == 0.0) | (tnorms == 0.0), 0.0, dots / (tnorms * norms))
-    # one stable sort per target; a target inside the shortlist is left out of
-    # its own list, which keeps the others in the same order
-    order = np.argsort(-sims, axis=1, kind="stable")[:, : k + 1]
+    # the k + 1 best of each target in stable-sort order; a target inside the
+    # shortlist is left out of its own list, which keeps the others in the same order
+    order = _top_columns(sims, k + 1)
     found = zip(np.array(ids, np.intp)[order].tolist(), np.take_along_axis(sims, order, 1).tolist())
     own = map(vocab.encode, targets)
     return [[pair for pair in zip(*row) if pair[0] != wid][:k] for row, wid in zip(found, own)]
+
+
+def _top_columns(sims: np.ndarray, n: int) -> np.ndarray:
+    """``np.argsort(-sims, axis=1, kind="stable")[:, :n]`` without sorting a row:
+    n ``argmax`` passes, each masking its picks with -inf.  ``argmax`` takes the
+    first of equal maxima (0.0 and -0.0 are equal), as the stable sort keeps
+    equal values in column order.  Rows are sorted when n reaches their width
+    or a value is not finite (the sort puts NaN last, ``argmax`` first)."""
+    if n >= sims.shape[1] or not np.isfinite(sims).all():
+        return np.argsort(-sims, axis=1, kind="stable")[:, :n]
+    work, rows = sims.copy(), np.arange(len(sims))
+    picks = np.empty((len(sims), n), np.intp)
+    for at in range(n):
+        picks[:, at] = work.argmax(axis=1)
+        work[rows, picks[:, at]] = -np.inf
+    return picks
 
 
 def save_w2v_text(embeddings: WordEmbeddings, path: str | Path) -> None:

@@ -9,6 +9,7 @@ natural-log scores printed with six decimals; the word field may be empty
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -78,6 +79,11 @@ def writing(
         if parse is not None:
             parse(blob)
     Path(path).write_bytes(blob)
+
+
+def write_report(report: dict, path: str | Path) -> None:
+    """A report as JSON indented by two spaces, the one form of every report file."""
+    writing(path, json.dumps(report, indent=2) + "\n")
 
 
 def text_lines(data: bytes | str) -> list[str]:

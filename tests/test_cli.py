@@ -6,6 +6,7 @@ wiring and file-format interop, not statistical quality (covered elsewhere).
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -889,3 +890,77 @@ def test_rescore_requires_exactly_one_lm(workdir, tmp_path):
     with pytest.raises(SystemExit):
         main(["rescore", "--nbest", str(workdir / "test.nbest"),
               "--out", str(tmp_path / "never.nbest")])
+
+
+COMMANDS = (
+    "build-vocab", "build-ngram", "train-lm", "ppl", "train-skipgram", "neighbors",
+    "extract-oos", "expand", "rescore", "wer", "tune", "pipeline", "make-fixture",
+)
+# First 16 hex digits of the SHA-256 of each command line's exit code, stdout
+# and stderr at COLUMNS=80 (Python 3.11's argparse): how the parser is built
+# may change, never what it prints.
+CLI_TEXT_SHA256 = {
+    "-h": "fbb0c9d882bfa710",
+    "no command": "f4f962de6a8eacdc",
+    "unknown command": "9800641dd1a38a09",
+    "unknown flag": "6094b8e5540bb696",
+    "missing flag": "bbb73cc6a550868b",
+    "missing lm": "8532ab67570dc061",
+    "bad type": "f67261751dae5a62",
+    "bad choice": "437e8aa2e5f01994",
+    "build-vocab -h": "8729df4297085b9b",
+    "build-ngram -h": "322575cbebe3685a",
+    "train-lm -h": "65e57e06bf8208ba",
+    "ppl -h": "37364f6a256e4451",
+    "train-skipgram -h": "702c769983f6d67f",
+    "neighbors -h": "0d571db252dafcd0",
+    "extract-oos -h": "e91830ebae8f93af",
+    "expand -h": "e41ff1e561a85409",
+    "rescore -h": "9e594c0546a0ce2a",
+    "wer -h": "d19212d519a47398",
+    "tune -h": "87accc94b69cad58",
+    "pipeline -h": "bcca507fc8adb8d0",
+    "make-fixture -h": "74aeb7290b3e2aa2",
+}
+CLI_TEXT_ARGV = {
+    "-h": ["-h"],
+    "no command": [],
+    "unknown command": ["nonesuch"],
+    "unknown flag": ["pipeline", "--config", "x", "--bogus"],
+    "missing flag": ["pipeline"],
+    "missing lm": ["rescore", "--nbest", "x", "--out", "y"],
+    "bad type": ["neighbors", "--vec", "v", "--vocab", "w", "--word", "a", "-k", "two"],
+    "bad choice": ["ppl", "--model", "m", "--text", "t", "--unk-mode", "nope"],
+    **{f"{command} -h": [command, "-h"] for command in COMMANDS},
+}
+
+
+@pytest.mark.parametrize("case", CLI_TEXT_ARGV)
+def test_cli_texts_are_pinned(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main(CLI_TEXT_ARGV[case])
+    captured = capsys.readouterr()
+    text = f"{exited.value.code}\n{captured.out}\0{captured.err}"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == CLI_TEXT_SHA256[case], text
+
+
+def test_a_run_adds_only_its_own_subcommands_arguments(tmp_path, capsys, monkeypatch):
+    """argparse makes a help formatter for each argument as it is added, so a
+    run adds only the top-level ``-h`` and the arguments of the subcommand it
+    names; the other twelve are listed by name and help alone."""
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def recording(container, *args, **kwargs):
+        added.append((getattr(container, "prog", None), *args))
+        return add_argument(container, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", recording)
+    assert main(["pipeline", "--config", str(tmp_path / "missing.cfg")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert added == [
+        ("lmexpand", "-h", "--help"),
+        ("lmexpand pipeline", "-h", "--help"),
+        ("lmexpand pipeline", "--config"),
+    ]

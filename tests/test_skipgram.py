@@ -137,6 +137,29 @@ def test_segment_sums_match_add_at(ids, dim, seed):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * len(ids))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_top_columns_are_the_first_columns_of_a_stable_sort(data):
+    """Exact ties, 0.0 against -0.0, all-zero rows (a zero vector's similarity),
+    rows with NaN or infinities, and n from 1 to past the row width."""
+    n_rows = data.draw(st.integers(0, 5), label="rows")
+    width = data.draw(st.integers(0, 24), label="width")
+    value = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0]), st.floats(-4, 4))
+    if data.draw(st.booleans(), label="non-finite values"):
+        value = st.one_of(value, st.sampled_from([math.nan, math.inf, -math.inf]))
+    row = st.lists(value, min_size=width, max_size=width)
+    sims = np.array(data.draw(st.lists(row, min_size=n_rows, max_size=n_rows)), float)
+    sims = sims.reshape(n_rows, width)
+    sims[data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))] = 0.0
+    n = data.draw(st.integers(1, width + 2), label="n")
+    before = sims.copy()
+    got = skipgram._top_columns(sims, n)
+    np.testing.assert_array_equal(sims, before)
+    expected = np.argsort(-sims, axis=1, kind="stable")[:, :n]
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+
+
 def test_sentence_longer_than_a_chunk_trains_in_whole_chunks(monkeypatch):
     sizes = []
     real = skipgram._update

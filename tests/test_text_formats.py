@@ -307,6 +307,13 @@ def test_output_is_written_in_one_place():
     assert {site[:2] for site in sites} == {("vocab", "writing")}, sites
 
 
+def test_reports_are_serialized_in_one_place():
+    """``vocab.write_report`` is the one function of the package that turns a
+    report into JSON, so every report file has one form."""
+    sites = _callers(lambda call: _call_name(call) in {"dumps", "dump"})
+    assert {site[:2] for site in sites} == {("vocab", "write_report")}, sites
+
+
 def _modules() -> dict[str, str]:
     """The source of every module of the package, by name."""
     return {p.stem: p.read_text("utf-8") for p in Path(lmexpand.__file__).parent.glob("*.py")}
