@@ -13,6 +13,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from lmexpand.datagen import make_template_grammar, sample_corpus
 from lmexpand.ngram import export_arpa, import_arpa, ngram_perplexity, train_kn
 from lmexpand.vocab import build_vocabulary
@@ -39,16 +41,16 @@ with warnings.catch_warnings(record=True) as caught:
 for w in caught:
     print(f"note: {w.message}")
 
-# conditional probabilities come from the interpolated backoff recursion
+# conditional probabilities come from the interpolated backoff recursion,
+# looked up for every predictable word of one context at once
 w0 = vocab.shortlist_words[3]
 w1 = vocab.shortlist_words[4]
 ctx = (vocab.encode(w0),)
-p_seen = ngram.conditional_prob(vocab.encode(w1), ctx)
-print(f"P({w1} | {w0}) = {p_seen:.6f}")
+probs = np.exp(ngram.logprobs(np.arange(1, len(vocab)), ctx))  # ids 1.. (no <s>)
+print(f"P({w1} | {w0}) = {probs[vocab.encode(w1) - 1]:.6f}")
 
 # sums over the whole vocabulary stay normalized in every context
-total = sum(ngram.conditional_prob(i, ctx) for i in range(1, len(vocab)))
-print(f"sum over vocabulary in that context: {total:.9f}")
+print(f"sum over vocabulary in that context: {probs.sum():.9f}")
 
 ppl = ngram_perplexity(ngram, sample_corpus(grammar, 3_000, seed=2))
 print(f"held-out perplexity: {ppl:.2f}")
@@ -59,4 +61,5 @@ with tempfile.TemporaryDirectory() as tmp:
     export_arpa(ngram, path)
     size = path.stat().st_size
     again = import_arpa(path)
-print(f"ARPA file: {size} bytes; round-trip P = {again.conditional_prob(vocab.encode(w1), ctx):.6f}")
+[p_again] = np.exp(again.logprobs([vocab.encode(w1)], ctx))
+print(f"ARPA file: {size} bytes; round-trip P = {p_again:.6f}")

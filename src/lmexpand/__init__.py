@@ -15,7 +15,6 @@ from .expansion import (
     expand_model,
     expand_with_embeddings,
     extract_oos_words,
-    synthesize_vector,
 )
 from .ngram import NgramModel, export_arpa, import_arpa, ngram_perplexity, train_kn
 from .rescoring import (

@@ -194,6 +194,11 @@ def _cmd_tune(args) -> int:
     return 0
 
 
+# The model files the pipelines of this process parsed, as ``run_pipeline``
+# caches them: repeated pipelines on the same bytes parse them once.
+_PIPELINE_MODELS: dict = {}
+
+
 def _cmd_pipeline(args) -> int:
     configs = [rescoring.parse_config(path) for path in args.config]
     for path, config in zip(args.config, configs):  # every config checked before any runs
@@ -204,7 +209,7 @@ def _cmd_pipeline(args) -> int:
     for path, config in zip(args.config, configs):
         if len(configs) > 1:
             print(f"== {path}")
-        print(rescoring.render_report(rescoring.run_pipeline(config)))
+        print(rescoring.render_report(rescoring.run_pipeline(config, _PIPELINE_MODELS)))
     return 0
 
 

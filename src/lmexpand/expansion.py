@@ -76,19 +76,6 @@ def extract_oos_words(
     return sorted(token for token in found if not vocab.is_shortlist(token))
 
 
-def synthesize_vector(vectors: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
-    """Weighted mean of candidate columns; plain mean when weights are equal."""
-    if len(vectors) == 0:
-        raise ValueError("no candidate vectors")
-    if len(vectors) != len(weights):
-        raise ValueError("weights and vectors differ in length")
-    arrays = [np.asarray(v, dtype=float) for v in vectors]
-    if len({a.shape for a in arrays}) != 1:
-        raise ValueError("candidate vectors differ in dimension")
-    [row] = _weighted_means(np.stack(arrays)[None], np.asarray(weights, dtype=float)[None])
-    return row
-
-
 def _weighted_means(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Each row's weighted mean of its ``vectors`` (rows, candidates, dim) under its
     ``weights`` (rows, candidates); each row's sums are those of the row alone."""

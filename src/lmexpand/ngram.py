@@ -189,9 +189,6 @@ class NgramModel:
         """ln P(word | context), backing off through shorter contexts."""
         return float(self.logprobs([word], context)[0])
 
-    def conditional_prob(self, word: int, context: tuple[int, ...] = ()) -> float:
-        return math.exp(self.conditional_logprob(word, context))
-
     def score_sentences(self, sentences) -> list[np.ndarray]:
         """ln P of the events of each tokenized sentence: its tokens, then </s>.
         A word the model cannot score raises ``ValueError``."""
@@ -207,10 +204,7 @@ class NgramModel:
 
     def sentence_logprob(self, tokens: list[str]) -> float:
         """ln P of a tokenized sentence, including the end-of-sentence event."""
-        return float(sum(self.sentence_logprobs(tokens)))
-
-    def sentence_logprobs(self, tokens: list[str]) -> list[float]:
-        return self.score_sentences([tokens])[0].tolist()
+        return float(sum(self.score_sentences([tokens])[0].tolist()))
 
 
 def first_unscorable(

@@ -271,18 +271,15 @@ def _sentence_sums(per_event: np.ndarray, lengths: np.ndarray, in_order=False) -
     return sums
 
 
-# The model last parsed from each kind of file, under the SHA-256 of its bytes:
-# pipelines only read these objects, so the same bytes are parsed (and the
-# n-gram lookup index built) once per process.  A failed parse stores nothing.
-_PARSED: dict[str, tuple[bytes, object]] = {}
-
-
-def _parsed(kind: str, path: str, parse: Callable[[bytes], object]):
+def _parsed(cache: dict, kind: str, path: str, parse: Callable[[bytes], object]):
+    """The model in the file at ``path``, from ``cache`` if it holds the last
+    model of this ``kind`` parsed from the same bytes (their SHA-256); else
+    parsed, and then kept there.  A failed parse stores nothing."""
     with reading(path) as blob:
         digest = hashlib.sha256(blob).digest()
-        entry = _PARSED.get(kind)
+        entry = cache.get(kind)
         if entry is None or entry[0] != digest:
-            entry = _PARSED[kind] = (digest, parse(blob))
+            entry = cache[kind] = (digest, parse(blob))
     return entry[1]
 
 
@@ -306,7 +303,7 @@ def pipeline_settings(config: dict[str, str]) -> dict:
     return settings
 
 
-def run_pipeline(config: dict[str, str]) -> dict:
+def run_pipeline(config: dict[str, str], cache: dict | None = None) -> dict:
     """Extract, expand, rescore and compare; returns the comparison report.
 
     Required keys: nbest, refs, model (checkpoint), vectors (word2vec text),
@@ -314,16 +311,38 @@ def run_pipeline(config: dict[str, str]) -> dict:
     candidates_k (8), weighted (false; true/false, yes/no or 1/0), policy
     (uniform), lm_scale (10), word_penalty (0), report (JSON output path),
     expanded_checkpoint.  Every setting is parsed before any file is read.
+
+    The model files are parsed through ``cache``, a dict a caller keeps to
+    parse the same bytes once; without one, nothing stays resident.
     """
     settings = pipeline_settings(config)
-    policy = settings["policy"]
-    cfg = RescoreConfig(lm_scale=settings["lm_scale"], word_penalty=settings["word_penalty"])
-
+    cache = {} if cache is None else cache
     nbest = parse_nbest(config["nbest"])
     refs = load_transcripts(config["refs"])
-    model = _parsed("model", config["model"], _rnnlm._parse_checkpoint)
-    embeddings = _parsed("vectors", config["vectors"], _skipgram._parse_w2v_text)
-    ngram_model = _parsed("arpa", config["arpa"], _ngram._parse_arpa)
+    model = _parsed(cache, "model", config["model"], _rnnlm._parse_checkpoint)
+    embeddings = _parsed(cache, "vectors", config["vectors"], _skipgram._parse_w2v_text)
+    ngram_model = _parsed(cache, "arpa", config["arpa"], _ngram._parse_arpa)
+    report, expanded = compare(nbest, refs, model, embeddings, ngram_model, settings)
+    if "report" in config:
+        write_report(report, config["report"])
+    if "expanded_checkpoint" in config:
+        _rnnlm.save_checkpoint(expanded, config["expanded_checkpoint"])
+    return report
+
+
+def compare(
+    nbest: NBestList,
+    refs: dict[str, list[str]],
+    model: _rnnlm.RnnLmModel,
+    embeddings: _skipgram.WordEmbeddings,
+    ngram_model: _ngram.NgramModel,
+    settings: dict,
+) -> tuple[dict, _rnnlm.RnnLmModel]:
+    """The pipeline on loaded inputs and a config's ``pipeline_settings``:
+    returns the comparison report and the expanded model.  Reads and writes
+    no file, and leaves the models it is given as they were."""
+    policy = settings["policy"]
+    cfg = RescoreConfig(lm_scale=settings["lm_scale"], word_penalty=settings["word_penalty"])
 
     oos = _expansion.extract_oos_words(nbest, model.vocab, n=settings["extract_n"])
     expanded, report = _expansion.expand_with_embeddings(
@@ -374,16 +393,11 @@ def run_pipeline(config: dict[str, str]) -> dict:
         for name, ppl, result in zip(("ngram", "rnnlm", "rnnlm-expanded"), ppls, results)
     ]
 
-    out_report = {
+    return {
         "settings": settings,
         "new_words": {"count": len(report.expanded), **report.to_dict()},
         "systems": systems,
-    }
-    if "report" in config:
-        write_report(out_report, config["report"])
-    if "expanded_checkpoint" in config:
-        _rnnlm.save_checkpoint(expanded, config["expanded_checkpoint"])
-    return out_report
+    }, expanded
 
 
 def render_report(report: dict) -> str:

@@ -222,14 +222,6 @@ def _segments(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ids[starts], order, starts
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 def nearest_in_shortlist(
     embeddings: WordEmbeddings,
     target: str,
@@ -256,7 +248,7 @@ def _neighbor_search(embeddings: WordEmbeddings, vocab: Vocabulary, targets: lis
     rows = embeddings.vectors[[embeddings.index[vocab.words[wid]] for wid in ids]][:, None, :]
     tvecs = np.reshape([embeddings.vector(t) for t in targets], (len(targets), 1, embeddings.dim))
     # One dot product per row for the norms and per (target, row) pair for the
-    # dots, each exactly as ``cosine_similarity`` computes it: a plain gemm or
+    # dots, each exactly as ``np.dot`` of the pair computes it: a plain gemm or
     # gemv rounds equal rows differently by position, breaking ties.
     norms = np.sqrt((rows @ rows.transpose(0, 2, 1))[:, 0, 0])
     tnorms = np.sqrt((tvecs @ tvecs.transpose(0, 2, 1))[:, :, 0])

@@ -277,7 +277,7 @@ def criterion_4_report() -> dict:
     for ctx in contexts:
         for wid in range(1, len(vocab)):
             expected = ref_kn_prob(encoded, len(vocab), 2, wid, ctx)
-            got = model.conditional_prob(wid, ctx)
+            got = math.exp(model.conditional_logprob(wid, ctx))
             max_dev = max(max_dev, abs(got - expected))
             compared += 1
 
@@ -331,13 +331,14 @@ def test_criterion_4_kn_oracle():
 # --------------------------------------------------------------- criterion 5
 
 
-def run_desk_experiment(workdir: Path) -> dict:
+def run_desk_experiment(workdir: Path, cache: dict) -> dict:
     """The full desk-scale recipe, deterministic given its fixed seeds.
 
     500-word template grammar, ~200k training tokens, 300-word shortlist
     (leaving 200+ grammar words out), trained n-gram / embeddings / LSTM,
     noised 50-deep n-best lists over held-out sentences, then the pipeline
-    with 1-best extraction and the uniform policy.
+    with 1-best extraction and the uniform policy, its models parsed through
+    ``cache``.
     """
     grammar = make_template_grammar(seed=0)
     train = sample_corpus(grammar, 200_000, seed=1)
@@ -371,7 +372,8 @@ def run_desk_experiment(workdir: Path) -> dict:
             "arpa": str(workdir / "model.arpa"),
             "policy": "uniform",
             "lm_scale": "8",
-        }
+        },
+        cache,
     )
     return {
         "report": report,
@@ -381,6 +383,7 @@ def run_desk_experiment(workdir: Path) -> dict:
         "nbest": nbest,
         "train_tokens": sum(len(s) for s in train),
         "dir": workdir,
+        "cache": cache,
     }
 
 
@@ -388,7 +391,7 @@ def run_desk_experiment(workdir: Path) -> dict:
 def desk(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("desk")
     t0 = time.perf_counter()
-    bundle = run_desk_experiment(workdir)
+    bundle = run_desk_experiment(workdir, {})
     bundle["runtime"] = time.perf_counter() - t0
     return bundle
 
@@ -444,7 +447,8 @@ def test_criterion_6_extraction_depths(desk):
                 "policy": "uniform",
                 "lm_scale": "8",
                 "extract_n": str(n),
-            }
+            },
+            desk["cache"],
         )
     for n, rep in reports.items():
         row = {r["system"]: r for r in rep["systems"]}["rnnlm-expanded"]
@@ -513,7 +517,8 @@ def test_skipgram_candidates_beat_shuffled_vectors(desk, tmp_path):
                 "arpa": str(desk["dir"] / "model.arpa"),
                 "policy": "uniform",
                 "lm_scale": "8",
-            }
+            },
+            desk["cache"],
         )
         assert report["new_words"]["count"] == desk["report"]["new_words"]["count"]
         control, row = expanded_row(report)
@@ -540,7 +545,7 @@ def test_criterion_7_determinism(desk, tmp_path):
         2: criterion_2_report(),
         3: criterion_3_report(),
         4: criterion_4_report(),
-        5: run_desk_experiment(rerun_dir)["report"],
+        5: run_desk_experiment(rerun_dir, desk["cache"])["report"],
     }
     identical = {
         n: json.dumps(firsts[n], sort_keys=True).encode()

@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from lmexpand import ngram, rescoring, rnnlm, skipgram
+from lmexpand import cli, ngram, rnnlm, skipgram
 from lmexpand.cli import main
 from lmexpand.datagen import make_template_grammar, sample_corpus
 from lmexpand.expansion import expand_with_embeddings, extract_oos_words
@@ -559,7 +559,8 @@ def test_pipeline_rejects_unknown_keys(workdir, tmp_path, capsys):
 
 def test_pipeline_runs_several_configs_in_one_process(workdir, tmp_path, capsys, monkeypatch):
     """Each config's report as its own run prints it, under a header naming
-    the file; the model files the configs share are parsed once."""
+    the file; the model files the configs share are parsed once, in that run
+    and in the process's later runs."""
     models = [("nbest", "test.nbest"), ("refs", "test.refs"), ("model", "model.bin"),
               ("vectors", "vectors.txt"), ("arpa", "model.arpa")]
     configs = []
@@ -574,7 +575,7 @@ def test_pipeline_runs_several_configs_in_one_process(workdir, tmp_path, capsys,
         assert main(["pipeline", "--config", str(cfg)]) == 0
         alone.append(capsys.readouterr().out)
 
-    monkeypatch.setattr(rescoring, "_PARSED", {})
+    monkeypatch.setattr(cli, "_PIPELINE_MODELS", {})
     parses = []
     for module, name in [(rnnlm, "_parse_checkpoint"), (skipgram, "_parse_w2v_text"),
                          (ngram, "_parse_arpa")]:
@@ -588,6 +589,10 @@ def test_pipeline_runs_several_configs_in_one_process(workdir, tmp_path, capsys,
         f"== {cfg}\n{out}" for cfg, out in zip(configs, alone)
     )
     assert sorted(parses) == ["_parse_arpa", "_parse_checkpoint", "_parse_w2v_text"]
+    for cfg, out in zip(configs, alone):  # later runs of the process parse nothing
+        assert main(["pipeline", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == out
+    assert len(parses) == 3
 
 
 @pytest.mark.parametrize(

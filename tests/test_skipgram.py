@@ -24,7 +24,6 @@ from lmexpand.skipgram import (
     SkipgramConfig,
     UnknownTargetError,
     WordEmbeddings,
-    cosine_similarity,
     load_w2v_text,
     nearest_in_shortlist,
     _segments,
@@ -33,6 +32,16 @@ from lmexpand.skipgram import (
 )
 from lmexpand.vocab import RESERVED, Vocabulary, VocabularyError
 from mutation import mutated_lines, write_lines
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """One pair's cosine, 0 if either vector is zero: the reference for
+    ``_neighbor_search``'s similarities."""
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
 
 
 def cluster_corpus(n=400, seed=0):

@@ -378,7 +378,7 @@ def test_sentences_are_scored_in_one_place():
 def test_ngram_events_are_scored_in_one_place():
     """Outside ``ngram`` no function scores n-gram events one at a time or
     one sentence at a time: every caller takes the batched lookups."""
-    wrappers = {"conditional_logprob", "sentence_logprob", "sentence_logprobs"}
+    wrappers = {"conditional_logprob", "sentence_logprob"}
     sites = _callers(lambda call: _call_name(call) in wrappers)
     assert {site[0] for site in sites} <= {"ngram"}, sites
 
@@ -415,3 +415,48 @@ def test_per_item_loops_stay_out_of_the_batched_paths():
     sites = _callers(lambda call: _call_name(call) == "nearest_in_shortlist")
     assert [site[:2] for site in sites] == [("cli", "_cmd_neighbors")], sites
     assert not _callers(lambda call: _call_name(call) == "synthesize_vector")
+
+
+def _written_name(node: ast.AST) -> str | None:
+    """The name under an item or attribute store, or under the object of a
+    mutating method call, if that object is a plain name or a chain on one."""
+    if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+        target = node.value
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+        node.func.attr in {"update", "setdefault", "pop", "clear", "append"}
+    ):
+        target = node.func.value
+    else:
+        return None
+    while isinstance(target, (ast.Subscript, ast.Attribute)):
+        target = target.value
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def test_no_function_writes_module_state():
+    """Outside the CLI, which owns its process's model cache, no function of
+    the package writes into a module-level name: no ``global``, no item or
+    attribute store and no mutating call, so a library call keeps nothing."""
+    found = []
+    for name, source in _modules().items():
+        if name == "cli":
+            continue
+        tree = ast.parse(source)
+        shared = {
+            target.id
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in ast.walk(node)
+            if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+        }
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                continue
+            own = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)} | {
+                node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            }
+            for node in ast.walk(func):
+                if isinstance(node, ast.Global) or _written_name(node) in shared - own:
+                    found.append((name, getattr(func, "name", "<lambda>"), node.lineno))
+    assert not found
