@@ -33,7 +33,7 @@ from .ngram import NgramModel, first_unscorable
 from .rnnlm import LstmLayer, RnnLmModel, log_softmax, perplexity, score_events
 from .rnnlm import forward_step  # noqa: F401  unused; lmbench tests delete this name
 from .skipgram import WordEmbeddings, _neighbor_search
-from .vocab import Corpus, Hypothesis, TokenTable, Vocabulary, check_setting
+from .vocab import Corpus, Hypothesis, TokenTable, Vocabulary, check_setting, sentence_sums
 
 POLICIES = ("shortlist", "uniform", "ngram")
 
@@ -305,7 +305,8 @@ class FullVocabScorer:
         """Sentence ln probability of each token sequence: the LM contract of
         ``rescoring.rescore``.  An empty hypothesis, legal in rescoring,
         scores the end-of-sentence event only."""
-        return [float(out.sum()) for out in self.score_batch(sentences)]
+        table = TokenTable(sentences)
+        return sentence_sums(score_jointly([self], table)[0], table.lengths).tolist()
 
 
 def score_jointly(

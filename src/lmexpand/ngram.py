@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .vocab import BOS_ID, EOS_ID, RESERVED, UNK_ID, Corpus, ParseError, TokenTable, Vocabulary
-from .vocab import check_corpus, check_setting, reading, text_lines, writing
+from .vocab import check_corpus, check_setting, reading, sentence_sums, text_lines, writing
 
 LN10 = math.log(10.0)
 # Conventional placeholder for the never-predicted sentence-begin unigram.
@@ -189,22 +189,28 @@ class NgramModel:
         """ln P(word | context), backing off through shorter contexts."""
         return float(self.logprobs([word], context)[0])
 
-    def score_sentences(self, sentences) -> list[np.ndarray]:
-        """ln P of the events of each tokenized sentence: its tokens, then </s>.
-        A word the model cannot score raises ``ValueError``."""
+    def _scored(self, sentences) -> tuple[TokenTable, np.ndarray]:
+        """The tokenized sentences' table and ln P of its events.  A word the
+        model cannot score raises ``ValueError``."""
         table = TokenTable(sentences)
         scores, _ = self.table_events(table)
         if failed := first_unscorable(scores, lambda i: table.tokens[table.rows[i]]):
             raise failed[1]
+        return table, scores
+
+    def score_sentences(self, sentences) -> list[np.ndarray]:
+        """ln P of the events of each tokenized sentence: its tokens, then </s>."""
+        table, scores = self._scored(sentences)
         return table.split(scores)
 
     def batch_logprob(self, sentences) -> list[float]:
         """ln P of each tokenized sentence: the LM contract of ``rescoring.rescore``."""
-        return [sum(lps.tolist()) for lps in self.score_sentences(sentences)]
+        table, scores = self._scored(sentences)
+        return sentence_sums(scores, table.lengths, in_order=True).tolist()
 
     def sentence_logprob(self, tokens: list[str]) -> float:
         """ln P of a tokenized sentence, including the end-of-sentence event."""
-        return float(sum(self.score_sentences([tokens])[0].tolist()))
+        return self.batch_logprob([tokens])[0]
 
 
 def first_unscorable(
@@ -315,11 +321,12 @@ def ngram_perplexity(model: NgramModel, corpus: Corpus) -> float:
     return sentence_perplexity(model.batch_logprob(corpus), sum(len(s) + 1 for s in corpus))
 
 
-def sentence_perplexity(sums: list[float], events: int) -> float:
+def sentence_perplexity(sums, events: int) -> float:
     """Perplexity of ``events`` events from their ln P summed sentence by sentence."""
     if events == 0:
         raise ValueError("no scoreable tokens")
-    return math.exp(-sum(sums) / events)
+    [total] = sentence_sums(np.asarray(sums, float), [len(sums)], in_order=True)
+    return math.exp(-float(total) / events)
 
 
 def export_arpa(model: NgramModel, path: str | Path) -> None:

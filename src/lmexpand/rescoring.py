@@ -21,7 +21,7 @@ from . import ngram as _ngram
 from . import rnnlm as _rnnlm
 from . import skipgram as _skipgram
 from .vocab import Hypothesis, NBestList, ParseError, TokenTable, check_setting, load_transcripts
-from .vocab import parse_nbest
+from .vocab import parse_nbest, sentence_sums
 from .vocab import reading, text_lines, write_report
 from .vocab import write_nbest, write_transcripts  # noqa: F401  re-exported for callers
 
@@ -31,7 +31,9 @@ class RescoreError(RuntimeError):
 
 
 # An LM scores a batch: it takes the word lists of every hypothesis of an
-# n-best list and returns one ln probability per list, in order.
+# n-best list and returns one ln probability per list, in order.  ``_lm_scores``
+# checks them into one float array, the form in which ``compare`` also hands
+# on each system's sums.
 LmScorer = Callable[[list[list[str]]], Sequence[float]]
 
 
@@ -54,18 +56,14 @@ def _combined(cfg: RescoreConfig, acoustic, lm, length):
     return acoustic + cfg.lm_scale * lm + cfg.word_penalty * length
 
 
-def _lm_scores(nbest: NBestList, lm: LmScorer) -> list[float]:
-    """The ``lm`` score of every hypothesis, from one call over the whole
-    list, in file order.
-
-    If the call raises, the hypotheses are scored one at a time, in file
-    order, so the error names the utterance and rank of the first that fails
-    alone.  A wrong number of scores, or a score that is not finite, is an
-    error.
-    """
+def _lm_scores(nbest: NBestList, lm: LmScorer) -> np.ndarray:
+    """The ``lm`` score of every hypothesis, ``_checked``, from one call over
+    the whole list in file order.  If the call raises, the hypotheses are
+    scored one at a time, in file order, so the error names the utterance and
+    rank of the first that fails alone."""
     hyps = [(utt, hyp) for utt, utt_hyps in nbest.items() for hyp in utt_hyps]
     try:
-        scores = [float(lp) for lp in lm([hyp.words for _, hyp in hyps])]
+        scores = np.array([float(lp) for lp in lm([hyp.words for _, hyp in hyps])])
     except Exception as err:
         for utt, hyp in hyps:
             try:
@@ -73,14 +71,20 @@ def _lm_scores(nbest: NBestList, lm: LmScorer) -> list[float]:
             except Exception as one_err:
                 raise _lm_failed(utt, hyp, one_err) from one_err
         raise RescoreError(f"LM failed on the n-best list: {err}") from err
+    return _checked(hyps, scores)
+
+
+def _checked(hyps: list[tuple[str, Hypothesis]], scores: np.ndarray) -> np.ndarray:
+    """``scores``, one per (utterance, hypothesis) of ``hyps``: a wrong number
+    of scores, or a score that is not finite, is an error."""
     if len(scores) != len(hyps):
         raise RescoreError(
             f"LM returned {len(scores)} scores for the {len(hyps)} hypotheses"
             " of the n-best list"
         )
-    if not all(map(math.isfinite, scores)):
-        at = next(i for i, lp in enumerate(scores) if not math.isfinite(lp))
-        raise _lm_failed(*hyps[at], ValueError(f"non-finite score {scores[at]}"))
+    if not np.isfinite(scores).all():
+        at = int(np.isfinite(scores).argmin())
+        raise _lm_failed(*hyps[at], ValueError(f"non-finite score {float(scores[at])}"))
     return scores
 
 
@@ -96,7 +100,7 @@ def rescore(nbest: NBestList, lm: LmScorer, cfg: RescoreConfig) -> NBestList:
     keep their file order.  Original rank fields are preserved for
     traceability.
     """
-    flat = iter(_lm_scores(nbest, lm))
+    flat = iter(_lm_scores(nbest, lm).tolist())
     scored = [
         (utt, [Hypothesis(list(h.words), h.acoustic_score, next(flat), h.rank) for h in hyps])
         for utt, hyps in nbest.items()
@@ -109,10 +113,10 @@ def one_best(nbest: NBestList) -> dict[str, list[str]]:
 
 
 def _one_bests(nbest: NBestList, runs: Sequence[tuple]) -> list[dict[str, list[str]]]:
-    """``one_best(rescore(nbest, lm, cfg))`` of each run (the ``_lm_scores``
-    of an LM, and a config), without copying a hypothesis: each utterance's
-    first hypothesis of highest combined score, which is what the stable sort
-    puts first when no combined score is NaN."""
+    """``one_best(rescore(nbest, lm, cfg))`` of each run (an LM's ``_checked``
+    score array, one per hypothesis in file order, and a config), without
+    copying a hypothesis: each utterance's first hypothesis of highest combined
+    score, which is what the stable sort puts first when no combined score is NaN."""
     hyps = [hyp for utt_hyps in nbest.values() for hyp in utt_hyps]
     acoustic, lengths = np.array([(h.acoustic_score, len(h.words)) for h in hyps]).reshape(-1, 2).T
     sizes = [len(utt_hyps) for utt_hyps in nbest.values()]
@@ -120,7 +124,7 @@ def _one_bests(nbest: NBestList, runs: Sequence[tuple]) -> list[dict[str, list[s
     spans = [(utt, end - n, end) for utt, n, end in zip(nbest, sizes, ends) if n]
     return [
         {utt: hyps[at + int(total[at:end].argmax())].words for utt, at, end in spans}
-        for total in (_combined(cfg, acoustic, np.array(scores), lengths) for scores, cfg in runs)
+        for total in (_combined(cfg, acoustic, scores, lengths) for scores, cfg in runs)
     ]
 
 
@@ -257,20 +261,6 @@ _REQUIRED = {"nbest", "refs", "model", "vectors", "arpa"}
 PIPELINE_KEYS = {*_REQUIRED, *_SETTINGS, "report", "expanded_checkpoint"}
 
 
-def _sentence_sums(per_event: np.ndarray, lengths: np.ndarray, in_order=False) -> np.ndarray:
-    """Each sentence's sum of its events (the next ``lengths`` entries of
-    ``per_event``) from one row sum per distinct length, bit for bit: ``.sum()``,
-    as numpy sums a matrix row pairwise like the row alone, or, ``in_order``,
-    Python's ``sum``: a running sum + 0.0, as it starts from 0 (0 + -0.0 is 0.0)."""
-    sums = np.empty(len(lengths))
-    starts = np.cumsum(lengths) - lengths
-    for n in np.unique(lengths).tolist():
-        mine = lengths == n
-        rows = per_event[starts[mine, None] + np.arange(n)]
-        sums[mine] = np.add.accumulate(rows, axis=1)[:, -1] + 0.0 if in_order else rows.sum(axis=1)
-    return sums
-
-
 def _parsed(cache: dict, kind: str, path: str, parse: Callable[[bytes], object]):
     """The model in the file at ``path``, from ``cache`` if it holds the last
     model of this ``kind`` parsed from the same bytes (their SHA-256); else
@@ -374,13 +364,13 @@ def compare(
         table,
     )
     n, tail = len(hyps), int(table.lengths[: len(hyps)].sum())  # the references' first event
-    kn_sums = _sentence_sums(kn, table.lengths, in_order=True)
-    sums = [kn_sums[:n], *(_sentence_sums(lps, table.lengths)[:n] for lps in lstm)]
+    kn_sums = sentence_sums(kn, table.lengths, in_order=True)
+    sums = [kn_sums[:n], *(sentence_sums(lps, table.lengths)[:n] for lps in lstm)]
     ppls = [
-        lambda: _ngram.sentence_perplexity(kn_sums[n:].tolist(), len(kn) - tail),
+        partial(_ngram.sentence_perplexity, kn_sums[n:], len(kn) - tail),
         *(partial(_rnnlm.perplexity, lps[tail:]) for lps in lstm),
     ]
-    results = _wers(refs, _one_bests(nbest, [(_lm_scores(nbest, lambda _: s), cfg) for s in sums]))
+    results = _wers(refs, _one_bests(nbest, [(_checked(hyps, s), cfg) for s in sums]))
     systems = [
         {
             "system": name,

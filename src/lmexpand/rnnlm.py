@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_corpus, check_setting, reading, writing
+from .vocab import BOS_ID, EOS_ID, Corpus, Vocabulary, check_corpus, check_setting, reading
+from .vocab import sentence_sums, writing
 
 MAGIC = b"RNNLM1"
 _BLOCK_ROWS = 128  # trie nodes per batched step in score_events
@@ -100,18 +101,11 @@ def init_model(
         return rng.uniform(-0.05, 0.05, size=shape)
 
     layers = []
-    in_dim = embed_dim
-    for _ in range(num_layers):
+    for l in range(num_layers):
         bias = np.zeros(4 * hidden_dim)
         bias[hidden_dim : 2 * hidden_dim] = 1.0
-        layers.append(
-            LstmLayer(
-                w_in=uniform((4 * hidden_dim, in_dim)),
-                w_rec=uniform((4 * hidden_dim, hidden_dim)),
-                bias=bias,
-            )
-        )
-        in_dim = hidden_dim
+        w_in = uniform((4 * hidden_dim, hidden_dim if l else embed_dim))
+        layers.append(LstmLayer(w_in=w_in, w_rec=uniform((4 * hidden_dim, hidden_dim)), bias=bias))
     return RnnLmModel(
         vocab=vocab,
         input_embed=uniform((n, embed_dim)),
@@ -348,14 +342,10 @@ def corpus_perplexity(model: RnnLmModel, corpus: Corpus) -> float:
 
 
 def named_parameters(model: RnnLmModel) -> list[tuple[str, np.ndarray]]:
-    params = [("input_embed", model.input_embed)]
-    for i, layer in enumerate(model.layers):
-        params.append((f"layers.{i}.w_in", layer.w_in))
-        params.append((f"layers.{i}.w_rec", layer.w_rec))
-        params.append((f"layers.{i}.bias", layer.bias))
-    params.append(("output_embed", model.output_embed))
-    params.append(("output_bias", model.output_bias))
-    return params
+    layers = [(f"layers.{i}.{name}", getattr(layer, name))
+              for i, layer in enumerate(model.layers) for name in ("w_in", "w_rec", "bias")]
+    return [("input_embed", model.input_embed), *layers,
+            ("output_embed", model.output_embed), ("output_bias", model.output_bias)]
 
 
 def loss_and_grads(
@@ -402,9 +392,8 @@ def loss_and_grads(
         scratch += model.output_bias
         np.subtract(scratch, np.max(scratch, axis=-1, keepdims=True), out=logp[t])
         logp[t] -= np.log(np.sum(np.exp(logp[t], out=scratch), axis=-1, keepdims=True))
-    loss = 0.0
-    for step_sum in logp[steps, rows, targets].sum(axis=1):
-        loss -= step_sum
+    # each step's sum over the batch, then the steps in order; a zero loss is +0.0
+    loss = 0.0 - sentence_sums(logp[steps, rows, targets].sum(axis=1), [T], in_order=True)[0]
     denom = T * B
     loss /= denom
 
@@ -512,6 +501,7 @@ def train_bptt(
     Y = tgt[: batch * cols].reshape(batch, cols)
     L, hdim = model.num_layers, model.hidden_dim
     keep = 1.0 - config.dropout
+    dims = [model.embed_dim] + [hdim] * L  # of each dropout mask of a step
     params = named_parameters(model)
     lr = config.lr
     history: list[float] = []
@@ -526,19 +516,14 @@ def train_bptt(
             T = xw.shape[0]
             masks = None
             if config.dropout > 0.0:
-                masks = [
-                    [
-                        (rng.random((batch, dim)) < keep) / keep
-                        for dim in [model.embed_dim] + [hdim] * L
-                    ]
-                    for _ in range(T)
-                ]
+                masks = [[(rng.random((batch, d)) < keep) / keep for d in dims] for _ in range(T)]
             loss, grads, h, c = loss_and_grads(model, xw, yw, h, c, masks)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss {loss} at epoch {epoch} window {start // config.unroll}"
                 )
-            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            squares = np.array([np.sum(g * g) for g in grads.values()])
+            gnorm = math.sqrt(sentence_sums(squares, [len(squares)], in_order=True)[0])
             scale = lr if gnorm <= config.clip else lr * config.clip / gnorm
             for name, arr in params:
                 arr -= scale * grads[name]
@@ -638,13 +623,11 @@ def _parse_checkpoint(blob: bytes) -> RnnLmModel:
 
     input_embed = take("input_embed", (shortlist, embed_dim))
     layers = []
-    in_dim = embed_dim
     for i in range(num_layers):
-        w_in = take(f"layers.{i}.w_in", (4 * hidden_dim, in_dim), order="F")
+        w_in = take(f"layers.{i}.w_in", (4 * hidden_dim, hidden_dim if i else embed_dim), order="F")
         w_rec = take(f"layers.{i}.w_rec", (4 * hidden_dim, hidden_dim), order="F")
         bias = take(f"layers.{i}.bias", (4 * hidden_dim,))
         layers.append(LstmLayer(w_in=w_in, w_rec=w_rec, bias=bias))
-        in_dim = hidden_dim
     output_embed = take("output_embed", (shortlist, hidden_dim))
     output_bias = take("output_bias", (shortlist,))
     block = "end"

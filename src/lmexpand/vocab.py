@@ -304,6 +304,22 @@ class TokenTable:
         return [per_event[end - n : end] for end, n in zip(ends, self.lengths.tolist())]
 
 
+def sentence_sums(per_event: np.ndarray, lengths, in_order=False) -> np.ndarray:
+    """Each sentence's sum of its events (the next ``lengths`` entries of
+    ``per_event``; 0.0 over none), the one rule of every ln-probability total,
+    from one row sum per distinct length, bit for bit: ``.sum()``, as numpy sums
+    a matrix row pairwise like the row alone, or, ``in_order``, left to right
+    from 0 (0 + -0.0 is 0.0): a running sum + 0.0, whatever the interpreter."""
+    lengths = np.asarray(lengths)
+    sums = np.zeros(len(lengths))
+    starts = np.cumsum(lengths) - lengths
+    for n in np.unique(lengths[lengths > 0]).tolist():
+        mine = lengths == n
+        rows = per_event[starts[mine, None] + np.arange(n)]
+        sums[mine] = np.add.accumulate(rows, axis=1)[:, -1] + 0.0 if in_order else rows.sum(axis=1)
+    return sums
+
+
 def build_vocabulary(corpus: Corpus, shortlist_size: int, full_size: int) -> Vocabulary:
     """Build a vocabulary from corpus frequencies.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import functools
 import json
 import math
@@ -250,13 +251,18 @@ def test_a_non_finite_lm_score_is_refused_with_its_utterance_and_rank(bad):
 
 def test_ngram_batch_logprob_sums_each_sentence_in_order(tmp_path):
     """The n-gram LM of ``rescore``: one batched walk, then each sentence's
-    events summed left to right, as ``sentence_logprob`` sums them."""
+    events summed left to right from 0; ``ngram_perplexity`` totals those
+    sums left to right too, whatever the interpreter's ``sum`` does."""
     corpus = [["a", "b"], ["b", "a", "a"]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         model = train_kn(corpus, build_vocabulary(corpus, 5, 5), order=2)
     sentences = [["a", "b"], [], ["b", "zz", "a"]]
-    assert model.batch_logprob(sentences) == [model.sentence_logprob(s) for s in sentences]
+    scored = model.score_sentences(sentences)
+    want = [functools.reduce(float.__add__, lps.tolist(), 0.0) for lps in scored]
+    assert model.batch_logprob(sentences) == want
+    total = functools.reduce(float.__add__, want, 0.0)
+    assert ngram.ngram_perplexity(model, sentences) == math.exp(-total / sum(map(len, scored)))
     assert model.batch_logprob([]) == []
 
 
@@ -290,7 +296,7 @@ def scored_lists(draw):
 def test_the_copy_free_pick_is_the_one_best_of_rescore(case):
     nbest, scores, cfgs = case
     want = [one_best(rescore(nbest, lambda batch: scores, cfg)) for cfg in cfgs]
-    assert rescoring._one_bests(nbest, [(scores, cfg) for cfg in cfgs]) == want
+    assert rescoring._one_bests(nbest, [(np.array(scores), cfg) for cfg in cfgs]) == want
 
 
 # ---------------------------------------------------------------------- wer
@@ -660,10 +666,10 @@ _SUM_EXTREMES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1.7976
 
 @st.composite
 def sentence_layouts(draw):
-    """Per-event values cut into sentences of 1-300 events, several of one
+    """Per-event values cut into sentences of 0-300 events, several of one
     length: the sums cross numpy's 8-way unrolled loop and its 128-element
     pairwise blocks, with ±0.0, ±inf, NaN and values near 1e308 among them."""
-    pool = draw(st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    pool = draw(st.lists(st.integers(0, 300), min_size=1, max_size=4))
     lengths = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.standard_normal(lengths.sum()) * draw(st.sampled_from([1e-3, 1.0, 1e3, 1e307]))
@@ -676,24 +682,63 @@ def sentence_layouts(draw):
 @given(sentence_layouts())
 @example((np.array([-0.0, -0.0, -0.0, 1.0, -0.0, math.nan, -math.inf]), np.array([2, 1, 2, 2])))
 def test_grouped_sentence_sums_are_each_sentences_sum_bitwise(case):
-    """The pipeline's sums, one row sum per distinct length, equal each
+    """Every ln-probability total, one row sum per distinct length, equals each
     sentence's own ``.sum()``, and in order its left-to-right sum from 0."""
     values, lengths = case
     sentences = np.split(values, np.cumsum(lengths)[:-1])
     with np.errstate(all="ignore"):  # inf - inf and overflow are part of the case
-        pairwise = rescoring._sentence_sums(values, lengths)
-        in_order = rescoring._sentence_sums(values, lengths, in_order=True)
+        pairwise = vocab.sentence_sums(values, lengths)
+        in_order = vocab.sentence_sums(values, lengths, in_order=True)
         want = np.array([lps.sum() for lps in sentences])
     assert pairwise.tobytes() == want.tobytes()
     # Which NaN a sum keeps when it meets two depends on how the compiler
     # ordered the operands; a NaN sum is refused as a non-finite score anyway
     nan = np.isnan(in_order)
-    expected = [np.array([functools.reduce(float.__add__, lps.tolist(), 0.0) for lps in sentences])]
-    if sys.version_info < (3, 12):  # from 3.12, ``sum`` of floats compensates
-        expected.append(np.array([sum(lps.tolist()) for lps in sentences]))
-    for left_to_right in expected:
-        assert np.array_equal(np.isnan(left_to_right), nan)
-        assert in_order[~nan].tobytes() == left_to_right[~nan].tobytes()
+    left_to_right = np.array([functools.reduce(float.__add__, lps.tolist(), 0.0)
+                              for lps in sentences])
+    assert np.array_equal(np.isnan(left_to_right), nan)
+    assert in_order[~nan].tobytes() == left_to_right[~nan].tobytes()
+
+
+def compensated_sum(items, start=0):
+    """``sum`` as from Python 3.12: floats are added with Neumaier's compensation."""
+    items = list(items)
+    if not items or not all(type(x) is float for x in items):
+        return builtins.sum(items, start)
+    total, lost = float(start), 0.0
+    for x in items:
+        t = total + x
+        lost += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + lost if lost and math.isfinite(lost) else total
+
+
+def test_totals_keep_their_bits_under_a_compensated_sum(monkeypatch):
+    """The n-gram sentence scores, their corpus total and a training run
+    whose every window is clipped by its gradient norm do not depend on how
+    the interpreter's ``sum`` adds floats: each total comes from
+    ``vocab.sentence_sums``."""
+    grammar = make_template_grammar(seed=0)
+    train, test = sample_corpus(grammar, 6000, seed=1), sample_corpus(grammar, 1500, seed=3)
+    words = build_vocabulary(train, 60, 120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        kn = train_kn(train, words, order=3)
+
+    def totals():
+        model = init_model(words, 8, 8, 4, seed=0)
+        train_bptt(model, train, TrainConfig(unroll=2, dropout=0.0, clip=1e-3, epochs=1, batch=2))
+        return (
+            np.array(kn.batch_logprob(test)).tobytes(),
+            np.array([kn.sentence_logprob(s) for s in test[:20]]).tobytes(),
+            ngram.ngram_perplexity(kn, test),
+            b"".join(arr.tobytes() for _, arr in rnnlm.named_parameters(model)),
+        )
+
+    want = totals()
+    for module in (vocab, ngram, rnnlm, rescoring, expansion):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert totals() == want
 
 
 def per_sentence_systems(config: dict[str, str]) -> list[dict]:
